@@ -94,9 +94,11 @@ def format_set(mask: int, compact: bool = False) -> str:
     return "{" + ",".join(str(e) for e in elems) + "}"
 
 
-def _member_key(mask: int) -> tuple[int, int]:
-    # (cardinality, colex); integer order on equal-size masks is colex order
-    return (mask.bit_count(), mask)
+def sort_members(masks: Iterable[int]) -> tuple[int, ...]:
+    """Masks in (cardinality, colex) order, the order of Family.members."""
+    # integer order on equal-size masks is colex order, and the sort by
+    # cardinality is stable
+    return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class Family:
                 raise ValueError(f"set {m} uses elements outside 1..{self.n}")
         if len(set(members)) != len(members):
             raise ValueError("family members must be pairwise distinct")
-        ordered = tuple(sorted(members, key=_member_key))
+        ordered = sort_members(members)
         if ordered != members:
             object.__setattr__(self, "members", ordered)
 
@@ -154,23 +156,25 @@ class Family:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self._member_set
 
 
 def is_antichain(f: Family) -> bool:
     """True iff no member contains another.
 
-    Distinct members of equal size are always independent, so only
-    cross-rank pairs need a containment test.
+    Members are sorted by cardinality and distinct, so only an earlier
+    member can lie inside a later one.
     """
-    ranks = sorted(f.by_rank)
-    for i, lo in enumerate(ranks):
-        for hi in ranks[i + 1:]:
-            for x in f.by_rank[lo]:
-                for y in f.by_rank[hi]:
-                    if not (x & ~y):
-                        return False
+    members = f.members
+    for i, y in enumerate(members):
+        for x in members[:i]:
+            if not x & ~y:
+                return False
     return True
 
 

@@ -9,13 +9,33 @@ filtered to those independent of every retained member and still meeting
 every partner member, then taken greedily in squashed order, which makes
 traces deterministic.  If the filtered pool is too small the step fails
 loudly (SelectionError) instead of backtracking.
+
+All of it runs in one kernel over member tuples sorted by (rank, colex),
+the order ``Family.members`` keeps, so the minimum and maximum rank are
+the first and last member.  Per ground size n the kernel builds, on
+first use, four tables indexed by subset mask whose entries are bitsets
+over the 2^n subset indices: the shade and the shadow of each subset,
+the subsets comparable with it (contained in it or containing it), and
+the subsets disjoint from it.  A step's candidate pool is then the union
+of the doomed members' shade (or shadow) bitsets, minus the comparable
+bitsets of the retained members and the disjoint bitsets of the partner
+members, and the greedy choice is its lowest set bits: subset index
+order on one rank is squashed order.  The ``Family`` functions are thin
+wrappers that validate, call the kernel, and build a ``Family`` only for
+a result that moved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .ground import Family, independent, is_antichain, is_cross_intersecting
+from .cascade import _covers, _facets
+from .ground import Family, is_antichain, is_cross_intersecting, sort_members
+
+# The tables hold 2^n bitsets of 2^n bits each, 2 MB per table at n=12.
+MAX_NORMALIZE = 12
 
 
 @dataclass(frozen=True)
@@ -61,6 +81,114 @@ def middle_band(n: int, mode: str | None = None) -> tuple[int, int]:
     return lo, min(lo + 1, n)
 
 
+# ---------------------------------------------------------------------------
+# the kernel: sorted member tuples and per-n subset bitset tables
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """(shade, shadow, comparable, disjoint) bitsets per subset of {1..n}."""
+    if n > MAX_NORMALIZE:
+        raise ValueError(f"normalization supports n <= {MAX_NORMALIZE}, got {n}")
+    size = 1 << n
+    full = size - 1
+    shade = [0] * size
+    shadow = [0] * size
+    below = [0] * size      # subsets of x
+    above = [0] * size      # supersets of x
+    below[0] = 1
+    above[full] = 1 << full
+    for x in range(size):
+        for c in _covers(x, n):
+            shade[x] |= 1 << c
+        for c in _facets(x):
+            shadow[x] |= 1 << c
+        if x:
+            # a subset of x either avoids its lowest element or is a
+            # subset of the rest plus that element (index + low)
+            low = x & -x
+            below[x] = below[x ^ low] | (below[x ^ low] << low)
+    for x in range(full - 1, -1, -1):
+        # a superset of x either holds its lowest missing element or is
+        # such a superset without it (index - low)
+        free = full ^ x
+        low = free & -free
+        above[x] = above[x | low] | (above[x | low] >> low)
+    comparable = tuple(below[x] | above[x] for x in range(size))
+    disjoint = tuple(below[full ^ x] for x in range(size))
+    return tuple(shade), tuple(shadow), comparable, disjoint
+
+
+def _step(n: int, members: tuple[int, ...], partner: tuple[int, ...],
+          up: bool) -> tuple[Step, tuple[int, ...]]:
+    """Replace every member of the minimum (up) or maximum (down) rank by
+    the first shade (shadow) sets in squashed order that are independent
+    of every retained member and meet every partner member; too few
+    survivors raises SelectionError."""
+    shade, shadow, comparable, disjoint = _tables(n)
+    if up:
+        rank = members[0].bit_count()
+        cut = bisect_right(members, rank, key=int.bit_count)
+        doomed, retained = members[:cut], members[cut:]
+        moves = shade
+    else:
+        rank = members[-1].bit_count()
+        cut = bisect_left(members, rank, key=int.bit_count)
+        doomed, retained = members[cut:], members[:cut]
+        moves = shadow
+    pool = blocked = 0
+    for m in doomed:
+        pool |= moves[m]
+    for r in retained:
+        blocked |= comparable[r]
+    for y in partner:
+        blocked |= disjoint[y]
+    pool &= ~blocked
+    need = len(doomed)
+    chosen = []
+    while pool and len(chosen) < need:
+        low = pool & -pool
+        chosen.append(low.bit_length() - 1)
+        pool ^= low
+    direction = "up" if up else "down"
+    if len(chosen) < need:
+        raise SelectionError(direction, rank, need, len(chosen))
+    inserted = tuple(chosen)
+    return (Step(direction, rank, doomed, inserted),
+            sort_members(retained + inserted))
+
+
+def _check_partner_sizes(n: int, partner: tuple[int, ...]) -> None:
+    # members of size below n/2 form a prefix of the sorted partner
+    small = bisect_left(partner, (n + 1) // 2, key=int.bit_count)
+    if small:
+        raise ValueError(
+            "push down needs every partner member to have size >= n/2; "
+            f"{small} partner member(s) are smaller")
+
+
+def _settle(n: int, members: tuple[int, ...], partner: tuple[int, ...],
+            up: bool, bound: int) -> tuple[list[Step], tuple[int, ...]]:
+    """Repeated up steps until the minimum rank reaches bound, or down
+    steps until the maximum rank does.  Each step moves the extreme rank
+    one toward the band, so n steps always suffice."""
+    steps: list[Step] = []
+    while members and (members[0].bit_count() < bound if up
+                       else members[-1].bit_count() > bound):
+        if len(steps) == n:
+            raise RuntimeError(f"{'up' if up else 'down'} phase failed to "
+                               f"terminate within {n} rounds")
+        if not up and not steps:
+            _check_partner_sizes(n, partner)
+        step, members = _step(n, members, partner, up)
+        steps.append(step)
+    return steps, members
+
+
+# ---------------------------------------------------------------------------
+# Family wrappers
+
+
 def _validate(f: Family, partner: Family) -> None:
     if f.n != partner.n:
         raise ValueError("family and partner live over different ground sizes")
@@ -70,44 +198,10 @@ def _validate(f: Family, partner: Family) -> None:
         raise ValueError("family and partner are not cross-intersecting")
 
 
-def _replace_extreme_rank(f: Family, partner: Family, old_rank: int,
-                          direction: str) -> tuple[Step, Family]:
-    """Swap every rank-old_rank member for a shade (up) or shadow (down)
-    set, keeping the family size.  Candidates are scanned in squashed
-    order and must be independent of every retained member and meet every
-    partner member; too few survivors raises SelectionError."""
-    n = f.n
-    doomed = tuple(m for m in f.members if m.bit_count() == old_rank)
-    retained = tuple(m for m in f.members if m.bit_count() != old_rank)
-    pool: set[int] = set()
-    if direction == "up":
-        top = (1 << n) - 1
-        for m in doomed:
-            free = top ^ m
-            while free:
-                low = free & -free
-                pool.add(m | low)
-                free ^= low
-    else:
-        for m in doomed:
-            rest = m
-            while rest:
-                low = rest & -rest
-                pool.add(m ^ low)
-                rest ^= low
-    need = len(doomed)
-    partner_members = partner.members
-    chosen: list[int] = []
-    for cand in sorted(pool):
-        if any(not independent(cand, r) for r in retained):
-            continue
-        if any(not cand & y for y in partner_members):
-            continue
-        chosen.append(cand)
-        if len(chosen) == need:
-            step = Step(direction, old_rank, doomed, tuple(chosen))
-            return step, Family(n, retained + tuple(chosen))
-    raise SelectionError(direction, old_rank, need, len(chosen))
+def _trace(f: Family, steps: list[Step],
+           members: tuple[int, ...]) -> NormalizationTrace:
+    return NormalizationTrace(tuple(steps),
+                              Family(f.n, members) if steps else f)
 
 
 def push_up_min_rank(f: Family, partner: Family, mode: str | None = None,
@@ -118,19 +212,10 @@ def push_up_min_rank(f: Family, partner: Family, mode: str | None = None,
     lo, _ = middle_band(f.n, mode)
     if validate:
         _validate(f, partner)
-    if not f.members or min(m.bit_count() for m in f.members) >= lo:
+    if not f.members or f.members[0].bit_count() >= lo:
         return NormalizationTrace((), f)
-    i = min(m.bit_count() for m in f.members)
-    step, final = _replace_extreme_rank(f, partner, i, "up")
-    return NormalizationTrace((step,), final)
-
-
-def _check_partner_sizes(f: Family, partner: Family) -> None:
-    small = sum(1 for y in partner.members if 2 * y.bit_count() < f.n)
-    if small:
-        raise ValueError(
-            "push down needs every partner member to have size >= n/2; "
-            f"{small} partner member(s) are smaller")
+    step, members = _step(f.n, f.members, partner.members, True)
+    return _trace(f, [step], members)
 
 
 def push_down_max_rank(f: Family, partner: Family, mode: str | None = None,
@@ -144,46 +229,11 @@ def push_down_max_rank(f: Family, partner: Family, mode: str | None = None,
     _, hi = middle_band(f.n, mode)
     if validate:
         _validate(f, partner)
-    if not f.members or max(m.bit_count() for m in f.members) <= hi:
+    if not f.members or f.members[-1].bit_count() <= hi:
         return NormalizationTrace((), f)
-    _check_partner_sizes(f, partner)
-    j = max(m.bit_count() for m in f.members)
-    step, final = _replace_extreme_rank(f, partner, j, "down")
-    return NormalizationTrace((step,), final)
-
-
-def _raise_to_floor(f: Family, partner: Family, mode: str | None):
-    lo, _ = middle_band(f.n, mode)
-    steps: list[Step] = []
-    fuel = f.n
-    while f.members:
-        i = min(m.bit_count() for m in f.members)
-        if i >= lo:
-            break
-        step, f = _replace_extreme_rank(f, partner, i, "up")
-        steps.append(step)
-        fuel -= 1
-        assert fuel >= 0, "up phase failed to terminate within n rounds"
-    return steps, f
-
-
-def _lower_to_ceiling(f: Family, partner: Family, mode: str | None):
-    _, hi = middle_band(f.n, mode)
-    steps: list[Step] = []
-    fuel = f.n
-    checked_partner = False
-    while f.members:
-        j = max(m.bit_count() for m in f.members)
-        if j <= hi:
-            break
-        if not checked_partner:
-            _check_partner_sizes(f, partner)
-            checked_partner = True
-        step, f = _replace_extreme_rank(f, partner, j, "down")
-        steps.append(step)
-        fuel -= 1
-        assert fuel >= 0, "down phase failed to terminate within n rounds"
-    return steps, f
+    _check_partner_sizes(f.n, partner.members)
+    step, members = _step(f.n, f.members, partner.members, False)
+    return _trace(f, [step], members)
 
 
 def normalize_to_middle(f: Family, partner: Family, mode: str | None = None,
@@ -196,9 +246,11 @@ def normalize_to_middle(f: Family, partner: Family, mode: str | None = None,
         _validate(f, partner)
         if not is_antichain(partner):
             raise ValueError("partner family is not an antichain")
-    up_steps, f1 = _raise_to_floor(f, partner, mode)
-    down_steps, f2 = _lower_to_ceiling(f1, partner, mode)
-    return NormalizationTrace(tuple(up_steps + down_steps), f2)
+    n = f.n
+    lo, hi = middle_band(n, mode)
+    up, f1 = _settle(n, f.members, partner.members, True, lo)
+    down, f2 = _settle(n, f1, partner.members, False, hi)
+    return _trace(f, up + down, f2)
 
 
 def normalize_pair(a: Family, b: Family, mode: str | None = None,
@@ -213,9 +265,10 @@ def normalize_pair(a: Family, b: Family, mode: str | None = None,
         _validate(a, b)
         if not is_antichain(b):
             raise ValueError("partner family is not an antichain")
-    a_up, a1 = _raise_to_floor(a, b, mode)
-    b_up, b1 = _raise_to_floor(b, a1, mode)
-    a_down, a2 = _lower_to_ceiling(a1, b1, mode)
-    b_down, b2 = _lower_to_ceiling(b1, a2, mode)
-    return (NormalizationTrace(tuple(a_up + a_down), a2),
-            NormalizationTrace(tuple(b_up + b_down), b2))
+    n = a.n
+    lo, hi = middle_band(n, mode)
+    a_up, a1 = _settle(n, a.members, b.members, True, lo)
+    b_up, b1 = _settle(n, b.members, a1, True, lo)
+    a_down, a2 = _settle(n, a1, b1, False, hi)
+    b_down, b2 = _settle(n, b1, a2, False, hi)
+    return _trace(a, a_up + a_down, a2), _trace(b, b_up + b_down, b2)

@@ -20,7 +20,9 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .cascade import _facets, kkt_shadow_bound, shade_of_last_bound
-from .ground import Family, full_level
+from .ground import Family, full_level, is_antichain, is_cross_intersecting
+from .normalize import SelectionError, middle_band, normalize_pair
+from .parallel import parallel_map
 from .squashed import level_masks
 
 MAX_ENUMERATION = 6
@@ -489,48 +491,52 @@ def sweep_shadow_excess(n_max: int = 13, brute_max: int = 9) -> SweepReport:
     return SweepReport("shadow-excess", instances, tuple(bad))
 
 
-_PAIR_SWEEP_STATE: dict[int, tuple] = {}
+# The pair sweep always runs this many interleaved row stripes, so its
+# split of the work does not depend on the worker count; with 16, a pool
+# of two finishes within about one stripe (1/16 of the run) of each other.
+PAIR_SWEEP_STRIPES = 16
 
 
+@lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
-    state = _PAIR_SWEEP_STATE.get(n)
-    if state is None:
-        cands = list(antichain_mask_tuples(range(1 << n)))
-        fams = [Family.from_masks(n, c) for c in cands]
-        mmask, avoid = _family_bitmasks([f.members for f in fams], n,
-                                        _meets_table(n))
-        member_sets = [frozenset(f.members) for f in fams]
-        state = (fams, mmask, avoid, member_sets)
-        _PAIR_SWEEP_STATE[n] = state
-    return state
+    """Antichains of {1..n} with their member, avoid and complement
+    bitmasks over the 2^n subset indices; each process builds this on
+    first use."""
+    fams = [Family.from_masks(n, c) for c in antichain_mask_tuples(range(1 << n))]
+    mmask, avoid = _family_bitmasks([f.members for f in fams], n,
+                                    _meets_table(n))
+    full_mask = (1 << n) - 1
+    cmask = []
+    for f in fams:
+        bits = 0
+        for x in f.members:
+            bits |= 1 << (full_mask ^ x)
+        cmask.append(bits)
+    return fams, mmask, avoid, cmask
 
 
 def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     """One stripe (i = stripe, stripe+nstripes, ...) of the all-pairs
     normalization sweep; results merge associatively across stripes."""
-    from .normalize import SelectionError, normalize_pair, middle_band
-    from .ground import is_antichain, is_cross_intersecting
-
     n, stripe, nstripes = args
-    fams, mmask, avoid, member_sets = _pair_sweep_setup(n)
+    fams, mmask, avoid, cmask = _pair_sweep_setup(n)
     lo, hi = middle_band(n)
-    full_mask = (1 << n) - 1
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
     for i in range(stripe, len(fams), nstripes):
         av = avoid[i]
+        ci = cmask[i]
         fi = fams[i]
-        members_i = fi.members
         for j in range(i, len(fams)):
-            if mmask[j] & av:
+            mj = mmask[j]
+            if mj & av:
                 continue
             crossing += 1
             fj = fams[j]
             # complement exclusion: a crossing pair never contains a
             # member together with its complement on the other side
-            other = member_sets[j]
-            if any(full_mask ^ x in other for x in members_i):
+            if ci & mj:
                 violations.append(("complement", fi.sets(), fj.sets()))
             try:
                 ta, tb = normalize_pair(fi, fj, validate=False)
@@ -546,11 +552,12 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
                 continue
             moved += 1
             fa, fb = ta.final, tb.final
-            ok = (len(fa) == len(fi) and len(fb) == len(fj)
+            a, b = fa.members, fb.members
+            ok = (len(a) == len(fi) and len(b) == len(fj)
                   and is_antichain(fa) and is_antichain(fb)
                   and is_cross_intersecting(fa, fb)
-                  and all(lo <= m.bit_count() <= hi for m in fa.members)
-                  and all(lo <= m.bit_count() <= hi for m in fb.members))
+                  and (not a or lo <= a[0].bit_count() and a[-1].bit_count() <= hi)
+                  and (not b or lo <= b[0].bit_count() and b[-1].bit_count() <= hi))
             if not ok:
                 violations.append(("preservation", fi.sets(), fj.sets()))
     return crossing, moved, failures, violations
@@ -578,25 +585,21 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     """Run normalize_pair over every unordered cross-intersecting pair of
     antichains of {1..n} (n <= 5) and audit the preserved properties.
 
-    Work is striped over i-indices; merging is order-independent, so the
-    report is identical at any worker count.
+    Work is split into a fixed number of interleaved row stripes, so the
+    rows of each stripe, and of each worker, cost about the same; merging
+    is order-independent, so the report is identical at any worker count
+    and process start method.
     """
     if not 1 <= n <= 5:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
-    fams = _pair_sweep_setup(n)[0]  # built pre-fork so workers inherit it
-    nstripes = max(workers, 1)
-    tasks = [(n, s, nstripes) for s in range(nstripes)]
-    if nstripes == 1:
-        results = [_pair_sweep_stripe(tasks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=nstripes) as pool:
-            results = list(pool.map(_pair_sweep_stripe, tasks))
+    antichains = len(_pair_sweep_setup(n)[0])
+    tasks = [(n, s, PAIR_SWEEP_STRIPES) for s in range(PAIR_SWEEP_STRIPES)]
+    results = parallel_map(_pair_sweep_stripe, tasks, workers)
     crossing = sum(r[0] for r in results)
     moved = sum(r[1] for r in results)
     failures = sorted(f for r in results for f in r[2])
     violations = sorted(v for r in results for v in r[3])
-    return PairSweepReport(n, len(fams), crossing, moved,
+    return PairSweepReport(n, antichains, crossing, moved,
                            tuple(failures), tuple(violations))
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,16 @@ m,last_set,new_shade,shade_size,lemma_1_9_bound_num,lemma_1_9_bound_den
 5,13,-,4,13,3
 6,12,-,4,5,1
 """
+
+
+def run_process(*argv, stdout=subprocess.PIPE, flags=()):
+    """The CLI as its own interpreter, with this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-m", "sperner.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=120)
 
 
 def run(capsys, *argv):
@@ -262,3 +275,25 @@ class TestSweepCommand:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "lemma-3.8", "--max-n", "15")
         assert code == 2
+
+
+class TestProcess:
+    def test_closed_stdout_exits_141_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = run_process("lemmas", "check", "--format", "json",
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+    def test_normalization_audit_under_optimize(self):
+        # invariant checks are explicit raises, so -O runs the same audit
+        args = ("verify", "normalization", "--n", "4", "--format", "json")
+        plain = run_process(*args)
+        optimized = run_process(*args, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
+        assert json.loads(plain.stdout)["match"]

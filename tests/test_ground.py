@@ -115,6 +115,12 @@ class TestFamily:
         assert f1 == f2
         assert [format_set(m) for m in f1.members] == ["{1}", "{1,2}", "{3,4}"]
 
+    def test_membership(self):
+        f = fam(4, (1,), (3, 4))
+        assert mask_of((3, 4)) in f and mask_of((1,)) in f
+        assert mask_of((1, 2)) not in f and 0 not in f
+        assert mask_of((3, 4)) not in Family(4, ())
+
     def test_by_rank_partition(self):
         f = fam(4, (1,), (1, 2), (3, 4), (2, 3, 4))
         assert set(f.by_rank) == {1, 2, 3}

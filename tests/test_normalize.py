@@ -1,12 +1,15 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sperner.ground import (Family, full_level, is_antichain,
+from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
-from sperner.normalize import (SelectionError,
-                               _replace_extreme_rank, middle_band,
+from sperner.normalize import (MAX_NORMALIZE, NormalizationTrace,
+                               SelectionError, Step, _step, middle_band,
                                normalize_pair, normalize_to_middle,
                                push_down_max_rank, push_up_min_rank)
+from sperner.squashed import squash_compare
 
 
 def fam(n, *sets):
@@ -128,6 +131,18 @@ class TestNormalizeToMiddle:
         assert len(trace.final) == 1
 
 
+class TestGroundSizeCap:
+    def test_step_beyond_table_cap_rejected(self):
+        n = MAX_NORMALIZE + 1
+        with pytest.raises(ValueError, match="normalization supports"):
+            normalize_to_middle(Family.from_sets(n, [(1,)]), Family(n, ()))
+
+    def test_in_band_family_beyond_cap_returned_as_is(self):
+        n = MAX_NORMALIZE + 1
+        f = Family.from_sets(n, [range(1, middle_band(n)[0] + 1)])
+        assert normalize_to_middle(f, Family(n, ())) == NormalizationTrace((), f)
+
+
 class TestSelectionFailurePath:
     def test_selection_error_diagnostics(self):
         # the greedy filter drying up must produce a structured error;
@@ -138,10 +153,12 @@ class TestSelectionFailurePath:
             # pushing the whole level down to rank 1 needs 3 of 3
             # candidates, all pass; push the level up instead: the shade
             # is the single set {1,2,3}, so 3 replacements cannot exist
-            _replace_extreme_rank(f, Family(3, ()), 2, "up")
+            _step(3, f.members, (), up=True)
         err = info.value
         assert err.direction == "up" and err.rank == 2
         assert err.needed == 3 and err.found == 1
+        assert (outcome(ref_step, f, Family(3, ()), 2, "up")
+                == ("selection", "up", 2, 3, 1))
 
 
 class TestNormalizePair:
@@ -155,6 +172,31 @@ class TestNormalizePair:
     def test_worker_count_does_not_change_report(self):
         from sperner.verifier import normalization_pair_sweep
         assert normalization_pair_sweep(4) == normalization_pair_sweep(4, workers=2)
+
+    def test_spawned_workers_give_the_same_report(self):
+        # spawned workers share no memory with the parent: each builds the
+        # sweep tables itself, and the report must not change
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import multiprocessing\n"
+            "from sperner.verifier import normalization_pair_sweep\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    two = normalization_pair_sweep(4, workers=2)\n"
+            "    one = normalization_pair_sweep(4, workers=1)\n"
+            "    assert two == one, (two, one)\n"
+            "    print(one.crossing_pairs)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
 
     def test_stage_order_allows_low_partner(self):
         # partner has a member below n/2; pair normalization raises both
@@ -221,3 +263,118 @@ class TestNormalizePair:
         assert is_cross_intersecting(ta.final, tb.final)
         for f in (ta.final, tb.final):
             assert all(lo <= m.bit_count() <= hi for m in f.members)
+
+
+# ---------------------------------------------------------------------------
+# reference: the greedy step written out over Family objects
+
+
+def ref_step(f, partner, rank, direction):
+    """Replace the rank-`rank` members by the first shade (up) or shadow
+    (down) sets in squashed order that are independent of every retained
+    member and meet every partner member."""
+    n = f.n
+    doomed = tuple(m for m in f.members if m.bit_count() == rank)
+    retained = tuple(m for m in f.members if m.bit_count() != rank)
+    if direction == "up":
+        pool = {m | 1 << e for m in doomed for e in range(n) if not m >> e & 1}
+    else:
+        pool = {m & ~(1 << e) for m in doomed for e in range(n) if m >> e & 1}
+    passing = [c for c in sorted(pool, key=cmp_to_key(squash_compare))
+               if all(independent(c, r) for r in retained)
+               and all(c & y for y in partner.members)]
+    if len(passing) < len(doomed):
+        raise SelectionError(direction, rank, len(doomed), len(passing))
+    chosen = tuple(passing[:len(doomed)])
+    return Step(direction, rank, doomed, chosen), Family(n, retained + chosen)
+
+
+def ref_phase(f, partner, direction, mode=None):
+    lo, hi = middle_band(f.n, mode)
+    steps = []
+    while f.members:
+        ranks = [m.bit_count() for m in f.members]
+        if direction == "up":
+            rank = min(ranks)
+            if rank >= lo:
+                break
+        else:
+            rank = max(ranks)
+            if rank <= hi:
+                break
+            small = sum(1 for y in partner.members if 2 * y.bit_count() < f.n)
+            if small and not steps:
+                raise ValueError(
+                    "push down needs every partner member to have size >= n/2; "
+                    f"{small} partner member(s) are smaller")
+        step, f = ref_step(f, partner, rank, direction)
+        steps.append(step)
+    return steps, f
+
+
+def ref_normalize_to_middle(f, partner):
+    up, f1 = ref_phase(f, partner, "up")
+    down, f2 = ref_phase(f1, partner, "down")
+    return NormalizationTrace(tuple(up + down), f2)
+
+
+def ref_normalize_pair(a, b):
+    a_up, a1 = ref_phase(a, b, "up")
+    b_up, b1 = ref_phase(b, a1, "up")
+    a_down, a2 = ref_phase(a1, b1, "down")
+    b_down, b2 = ref_phase(b1, a2, "down")
+    return (NormalizationTrace(tuple(a_up + a_down), a2),
+            NormalizationTrace(tuple(b_up + b_down), b2))
+
+
+def outcome(fn, *args):
+    """What a normalization call did, comparable across implementations."""
+    try:
+        return ("ok", fn(*args))
+    except SelectionError as exc:
+        return ("selection", exc.direction, exc.rank, exc.needed, exc.found)
+    except ValueError as exc:
+        return ("value", str(exc))
+
+
+def antichains(n):
+    from sperner.verifier import antichain_mask_tuples
+    return [Family.from_masks(n, c) for c in antichain_mask_tuples(range(1 << n))]
+
+
+class TestKernelAgainstReference:
+    def assert_same(self, a, b):
+        assert outcome(normalize_pair, a, b) == outcome(ref_normalize_pair, a, b)
+        assert (outcome(normalize_to_middle, a, b)
+                == outcome(ref_normalize_to_middle, a, b))
+
+    def test_every_ordered_crossing_pair_n4(self):
+        fams = antichains(4)
+        kinds = set()
+        for a in fams:
+            for b in fams:
+                if is_cross_intersecting(a, b):
+                    self.assert_same(a, b)
+                    kinds.add(outcome(normalize_to_middle, a, b)[0])
+        # the partner-size ValueError is among the outcomes compared
+        assert kinds == {"ok", "value"}
+
+    def test_seeded_sample_n5(self):
+        import random
+        rng = random.Random(5)
+        fams = antichains(5)
+        checked = 0
+        while checked < 2000:
+            a, b = rng.choice(fams), rng.choice(fams)
+            if is_cross_intersecting(a, b):
+                self.assert_same(a, b)
+                checked += 1
+
+    def test_every_partner_of_the_family_above_the_band_n5(self):
+        # at odd n=5 only {1,...,5} lies above the band, so down steps and
+        # the partner-size check are too rare for the sample to reach
+        top = fam(5, (1, 2, 3, 4, 5))
+        for b in antichains(5):
+            if is_cross_intersecting(top, b):
+                self.assert_same(top, b)
+                self.assert_same(b, top)
