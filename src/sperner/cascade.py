@@ -77,7 +77,9 @@ def _level_new_shadow(n: int, k: int) -> tuple[frozenset[int], ...]:
         out.append(facets - seen)
         seen |= facets
     # fresh contributions partition the (k-1)-level
-    assert sum(len(fs) for fs in out) == len(seen) == comb(n, k - 1)
+    if not sum(len(fs) for fs in out) == len(seen) == comb(n, k - 1):
+        raise RuntimeError(f"fresh shadows of level {k} of n={n} do not "
+                           f"partition level {k - 1}")
     return tuple(out)
 
 
@@ -91,7 +93,9 @@ def _level_new_shade(n: int, k: int) -> tuple[frozenset[int], ...]:
         covers = frozenset(_covers(lv[i], n))
         out[i] = covers - seen
         seen |= covers
-    assert sum(len(fs) for fs in out) == len(seen) == comb(n, k + 1)
+    if not sum(len(fs) for fs in out) == len(seen) == comb(n, k + 1):
+        raise RuntimeError(f"fresh shades of level {k} of n={n} do not "
+                           f"partition level {k + 1}")
     return tuple(out)
 
 
@@ -181,9 +185,13 @@ def cascade(m: int, k: int) -> CascadeRep:
     terms: list[tuple[int, int]] = []
     rem, i = m, k
     while rem > 0:
-        assert i >= 1  # C(a,1)=a always absorbs the remainder by i=1
+        # C(a,1)=a always absorbs the remainder by i=1
+        if i < 1:
+            raise RuntimeError(f"cascade of m={m}, k={k} left remainder {rem}")
         a = _max_binom_arg(rem, i)
-        assert not terms or a < terms[-1][0]
+        if terms and a >= terms[-1][0]:
+            raise RuntimeError(f"cascade of m={m}, k={k} breaks the "
+                               f"decreasing side condition at a={a}")
         terms.append((a, i))
         rem -= comb(a, i)
         i -= 1
@@ -277,25 +285,23 @@ def kkt_oracle_mismatches(n_max: int = 10) -> list[tuple]:
         shadow_sizes: dict[int, list[int]] = {}
         shade_sizes: dict[int, list[int]] = {}
         for k in range(0, n + 1):
-            lv = level_masks(n, k)
+            # fresh contributions partition the shadow (shade), so the
+            # shadow of the first m k-sets (shade of the last m) has the
+            # size of a prefix (suffix) sum
             if k >= 1:
-                running: set[int] = set()
                 sizes = [0]
-                for mask in lv:
-                    running |= set(_facets(mask))
-                    sizes.append(len(running))
+                for fresh in _level_new_shadow(n, k):
+                    sizes.append(sizes[-1] + len(fresh))
                 shadow_sizes[k] = sizes
-                for m in range(1, len(lv) + 1):
+                for m in range(1, len(sizes)):
                     if kkt_shadow_bound(m, k) != sizes[m]:
                         bad.append((n, k, m, "shadow-closed-form"))
             if k <= n - 1:
-                running = set()
-                sizes = [0] * (len(lv) + 1)
-                for m, mask in enumerate(reversed(lv), 1):
-                    running |= set(_covers(mask, n))
-                    sizes[m] = len(running)
+                sizes = [0]
+                for fresh in reversed(_level_new_shade(n, k)):
+                    sizes.append(sizes[-1] + len(fresh))
                 shade_sizes[k] = sizes
-                for m in range(1, len(lv) + 1):
+                for m in range(1, len(sizes)):
                     if shade_of_last_bound(m, n, k) != sizes[m]:
                         bad.append((n, k, m, "shade-closed-form"))
         for k, sizes in shadow_sizes.items():

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .cascade import (cascade, new_shade, new_shadow, shade, shade_table,
                       shadow)
@@ -19,7 +18,7 @@ from .ground import (Family, format_family, format_set, elements_of,
                      read_family)
 from .ground import full_level
 from .normalize import SelectionError, normalize_to_middle
-from .parallel import parallel_map, resolve_workers
+from .parallel import resolve_workers
 from .squashed import first_segment, last_segment
 from .verifier import (extremal_report, max_sum_formula, near_extremal_report,
                        normalization_pair_sweep, size4_antichain_classes_report,
@@ -147,14 +146,9 @@ def _cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _run_check(check_id: str, limit: int | None = None):
-    return check_lemma(check_id, limit)
-
-
 def _cmd_lemmas(args) -> int:
     ids = [args.id] if args.id else list(CHECKS)
-    workers = resolve_workers(args.workers)
-    reports = parallel_map(partial(_run_check, limit=args.max), ids, workers)
+    reports = [check_lemma(check_id, args.max) for check_id in ids]
     rows = [[r.check_id, str(r.limit), str(r.instances),
              str(len(r.violations)), "pass" if r.passed else "FAIL"]
             for r in reports]
@@ -178,7 +172,7 @@ def _cmd_normalize(args) -> int:
     fam = read_family(args.family)
     partner = read_family(args.partner) if args.partner else Family(fam.n, ())
     try:
-        trace = normalize_to_middle(fam, partner, mode=args.mode)
+        trace = normalize_to_middle(fam, partner)
     except SelectionError as exc:
         print(f"selection failure: {exc}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
@@ -383,14 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--id", choices=list(CHECKS), metavar="ID")
     p_check.add_argument("--max", type=int, metavar="N",
                          help="override the sweep limit")
-    p_check.add_argument("--workers", type=int)
     add_format(p_check, ("text", "json", "csv"))
     p_check.set_defaults(func=_cmd_lemmas)
 
     p_norm = sub.add_parser("normalize", help="push a family into the middle band")
     p_norm.add_argument("--family", required=True, metavar="PATH")
     p_norm.add_argument("--partner", metavar="PATH")
-    p_norm.add_argument("--mode", choices=("even", "odd"))
     add_format(p_norm)
     p_norm.set_defaults(func=_cmd_normalize)
 

@@ -45,7 +45,8 @@ def hockey_stick(r: int, k: int) -> int:
     if r < 0 or k < 0:
         raise ValueError("hockey stick needs r, k >= 0")
     total = sum(comb(r + i, i) for i in range(k + 1))
-    assert total == comb(r + k + 1, k)
+    if total != comb(r + k + 1, k):
+        raise RuntimeError(f"hockey stick r={r}, k={k} does not telescope")
     return total
 
 

@@ -4,25 +4,34 @@ with a partner family.
 
 One "up" step removes every member of the minimum rank i and replaces it
 with an equal number of (i+1)-sets drawn from the shade of the removed
-members; "down" steps are the mirror image via shadows.  Candidates are
-filtered to those independent of every retained member and still meeting
-every partner member, then taken greedily in squashed order, which makes
-traces deterministic.  If the filtered pool is too small the step fails
-loudly (SelectionError) instead of backtracking.
+members; "down" steps are the mirror image via shadows.  The replacements
+are the first sets of that pool in squashed order, which makes traces
+deterministic; a pool smaller than the removed rank fails loudly
+(SelectionError) instead of backtracking.
 
-All of it runs in one kernel over member tuples sorted by (rank, colex),
-the order ``Family.members`` keeps, so the minimum and maximum rank are
-the first and last member.  Per ground size n the kernel builds, on
-first use, four tables indexed by subset mask whose entries are bitsets
-over the 2^n subset indices: the shade and the shadow of each subset,
-the subsets comparable with it (contained in it or containing it), and
-the subsets disjoint from it.  A step's candidate pool is then the union
-of the doomed members' shade (or shadow) bitsets, minus the comparable
-bitsets of the retained members and the disjoint bitsets of the partner
-members, and the greedy choice is its lowest set bits: subset index
-order on one rank is squashed order.  The ``Family`` functions are thin
-wrappers that validate, call the kernel, and build a ``Family`` only for
-a result that moved.
+No candidate needs filtering, by Sperner's shadow argument.  A shade set
+c of a removed member d contains d, so c meets every partner member that
+d met.  Nor is c comparable with a retained member r: c inside r puts d
+inside r, and r inside c forces r = c (retained ranks exceed rank i),
+which again contains d; either breaks the antichain.  A shadow set of a
+removed top-rank member is likewise comparable with no retained member,
+and it meets every partner member once those all have size >= n/2, as
+down steps start only above the band, so the shadow set has more than
+n/2 elements.  The counting bound (n-i)/(i+1) >= 1 below the band, and
+its mirror above it, keep every pool at least as large as the rank it
+replaces.  The all-pairs audit in ``verifier.normalization_pair_sweep``
+checks the outcome independently at every n <= 5 instead of trusting it.
+
+The kernel works on member tuples sorted by (rank, colex), the order
+``Family.members`` keeps, so the minimum and maximum rank are the first
+and last member.  Per ground size n it builds, on first use, two tables
+indexed by subset mask whose entries are bitsets over the 2^n subset
+indices: the shade and the shadow of each subset.  A step's pool is the
+union of the removed members' bitsets, and the greedy choice is its
+lowest set bits: subset index order on one rank is squashed order.  The
+partner is read only to validate the input and, before a down step, to
+check its member sizes.  The ``Family`` functions are thin wrappers that
+call the kernel and build a ``Family`` only for a result that moved.
 """
 
 from __future__ import annotations
@@ -62,22 +71,12 @@ class SelectionError(RuntimeError):
         self.found = found
         super().__init__(
             f"selection failure pushing {direction} from rank {rank}: "
-            f"needed {needed} replacement sets, only {found} pass the filter")
+            f"needed {needed} replacement sets, the pool holds only {found}")
 
 
-def middle_band(n: int, mode: str | None = None) -> tuple[int, int]:
-    """Target rank band (lo, hi) for the requested mode.
-
-    even mode: [n/2, n/2 + 1]; odd mode: [ceil(n/2), ceil(n/2) + 1],
-    capped at n.  The mode defaults to the parity of n and must match it.
-    """
-    if mode is None:
-        mode = "even" if n % 2 == 0 else "odd"
-    if mode not in ("even", "odd"):
-        raise ValueError(f"mode must be 'even' or 'odd', got {mode!r}")
-    if (mode == "even") != (n % 2 == 0):
-        raise ValueError(f"mode {mode!r} does not match the parity of n={n}")
-    lo = n // 2 if mode == "even" else (n + 1) // 2
+def middle_band(n: int) -> tuple[int, int]:
+    """Target rank band (lo, hi) = [ceil(n/2), ceil(n/2) + 1], capped at n."""
+    lo = (n + 1) // 2
     return lo, min(lo + 1, n)
 
 
@@ -86,46 +85,24 @@ def middle_band(n: int, mode: str | None = None) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """(shade, shadow, comparable, disjoint) bitsets per subset of {1..n}."""
+def _tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(shade, shadow) bitsets per subset of {1..n}."""
     if n > MAX_NORMALIZE:
         raise ValueError(f"normalization supports n <= {MAX_NORMALIZE}, got {n}")
-    size = 1 << n
-    full = size - 1
-    shade = [0] * size
-    shadow = [0] * size
-    below = [0] * size      # subsets of x
-    above = [0] * size      # supersets of x
-    below[0] = 1
-    above[full] = 1 << full
-    for x in range(size):
-        for c in _covers(x, n):
-            shade[x] |= 1 << c
-        for c in _facets(x):
-            shadow[x] |= 1 << c
-        if x:
-            # a subset of x either avoids its lowest element or is a
-            # subset of the rest plus that element (index + low)
-            low = x & -x
-            below[x] = below[x ^ low] | (below[x ^ low] << low)
-    for x in range(full - 1, -1, -1):
-        # a superset of x either holds its lowest missing element or is
-        # such a superset without it (index - low)
-        free = full ^ x
-        low = free & -free
-        above[x] = above[x | low] | (above[x | low] >> low)
-    comparable = tuple(below[x] | above[x] for x in range(size))
-    disjoint = tuple(below[full ^ x] for x in range(size))
-    return tuple(shade), tuple(shadow), comparable, disjoint
+    shade = []
+    shadow = []
+    for x in range(1 << n):
+        shade.append(sum(1 << c for c in _covers(x, n)))
+        shadow.append(sum(1 << c for c in _facets(x)))
+    return tuple(shade), tuple(shadow)
 
 
-def _step(n: int, members: tuple[int, ...], partner: tuple[int, ...],
+def _step(n: int, members: tuple[int, ...],
           up: bool) -> tuple[Step, tuple[int, ...]]:
     """Replace every member of the minimum (up) or maximum (down) rank by
-    the first shade (shadow) sets in squashed order that are independent
-    of every retained member and meet every partner member; too few
-    survivors raises SelectionError."""
-    shade, shadow, comparable, disjoint = _tables(n)
+    the first shade (shadow) sets in squashed order; too small a pool
+    raises SelectionError."""
+    shade, shadow = _tables(n)
     if up:
         rank = members[0].bit_count()
         cut = bisect_right(members, rank, key=int.bit_count)
@@ -136,14 +113,9 @@ def _step(n: int, members: tuple[int, ...], partner: tuple[int, ...],
         cut = bisect_left(members, rank, key=int.bit_count)
         doomed, retained = members[cut:], members[:cut]
         moves = shadow
-    pool = blocked = 0
+    pool = 0
     for m in doomed:
         pool |= moves[m]
-    for r in retained:
-        blocked |= comparable[r]
-    for y in partner:
-        blocked |= disjoint[y]
-    pool &= ~blocked
     need = len(doomed)
     chosen = []
     while pool and len(chosen) < need:
@@ -158,17 +130,8 @@ def _step(n: int, members: tuple[int, ...], partner: tuple[int, ...],
             sort_members(retained + inserted))
 
 
-def _check_partner_sizes(n: int, partner: tuple[int, ...]) -> None:
-    # members of size below n/2 form a prefix of the sorted partner
-    small = bisect_left(partner, (n + 1) // 2, key=int.bit_count)
-    if small:
-        raise ValueError(
-            "push down needs every partner member to have size >= n/2; "
-            f"{small} partner member(s) are smaller")
-
-
-def _settle(n: int, members: tuple[int, ...], partner: tuple[int, ...],
-            up: bool, bound: int) -> tuple[list[Step], tuple[int, ...]]:
+def _settle(n: int, members: tuple[int, ...], up: bool,
+            bound: int) -> tuple[list[Step], tuple[int, ...]]:
     """Repeated up steps until the minimum rank reaches bound, or down
     steps until the maximum rank does.  Each step moves the extreme rank
     one toward the band, so n steps always suffice."""
@@ -178,11 +141,18 @@ def _settle(n: int, members: tuple[int, ...], partner: tuple[int, ...],
         if len(steps) == n:
             raise RuntimeError(f"{'up' if up else 'down'} phase failed to "
                                f"terminate within {n} rounds")
-        if not up and not steps:
-            _check_partner_sizes(n, partner)
-        step, members = _step(n, members, partner, up)
+        step, members = _step(n, members, up)
         steps.append(step)
     return steps, members
+
+
+def _push(n: int, members: tuple[int, ...]
+          ) -> tuple[list[Step], tuple[int, ...]]:
+    """Up steps to the band floor, then down steps to its ceiling."""
+    lo, hi = middle_band(n)
+    up, members = _settle(n, members, True, lo)
+    down, members = _settle(n, members, False, hi)
+    return up + down, members
 
 
 # ---------------------------------------------------------------------------
@@ -198,77 +168,74 @@ def _validate(f: Family, partner: Family) -> None:
         raise ValueError("family and partner are not cross-intersecting")
 
 
+def _check_partner_sizes(f: Family, partner: Family) -> None:
+    """If f reaches above the band, its down steps need every partner
+    member to have size >= n/2; that is what keeps cross-intersection
+    automatic after them."""
+    _, hi = middle_band(f.n)
+    if not f.members or f.members[-1].bit_count() <= hi:
+        return
+    # members of size below n/2 form a prefix of the sorted partner
+    small = bisect_left(partner.members, (f.n + 1) // 2, key=int.bit_count)
+    if small:
+        raise ValueError(
+            "push down needs every partner member to have size >= n/2; "
+            f"{small} partner member(s) are smaller")
+
+
 def _trace(f: Family, steps: list[Step],
            members: tuple[int, ...]) -> NormalizationTrace:
     return NormalizationTrace(tuple(steps),
                               Family(f.n, members) if steps else f)
 
 
-def push_up_min_rank(f: Family, partner: Family, mode: str | None = None,
-                     validate: bool = True) -> NormalizationTrace:
+def push_up_min_rank(f: Family, partner: Family) -> NormalizationTrace:
     """One up step: if the minimum rank i sits below the band floor,
     replace all rank-i members with shade sets.  Identity trace otherwise.
     """
-    lo, _ = middle_band(f.n, mode)
-    if validate:
-        _validate(f, partner)
+    _validate(f, partner)
+    lo, _ = middle_band(f.n)
     if not f.members or f.members[0].bit_count() >= lo:
         return NormalizationTrace((), f)
-    step, members = _step(f.n, f.members, partner.members, True)
+    step, members = _step(f.n, f.members, True)
     return _trace(f, [step], members)
 
 
-def push_down_max_rank(f: Family, partner: Family, mode: str | None = None,
-                       validate: bool = True) -> NormalizationTrace:
+def push_down_max_rank(f: Family, partner: Family) -> NormalizationTrace:
     """One down step: if the maximum rank j sits above the band ceiling,
-    replace all rank-j members with shadow sets.
-
-    A real step additionally requires every partner member to have size
-    >= n/2; that is what keeps cross-intersection automatic after the
-    replacement (|new member| + |partner member| > n)."""
-    _, hi = middle_band(f.n, mode)
-    if validate:
-        _validate(f, partner)
+    replace all rank-j members with shadow sets.  A real step requires
+    every partner member to have size >= n/2."""
+    _validate(f, partner)
+    _check_partner_sizes(f, partner)
+    _, hi = middle_band(f.n)
     if not f.members or f.members[-1].bit_count() <= hi:
         return NormalizationTrace((), f)
-    _check_partner_sizes(f.n, partner.members)
-    step, members = _step(f.n, f.members, partner.members, False)
+    step, members = _step(f.n, f.members, False)
     return _trace(f, [step], members)
 
 
-def normalize_to_middle(f: Family, partner: Family, mode: str | None = None,
-                        validate: bool = True) -> NormalizationTrace:
+def normalize_to_middle(f: Family, partner: Family) -> NormalizationTrace:
     """Repeated up steps, then repeated down steps, until every member of
-    f sits inside the middle band.  The partner is left untouched; the
-    down phase therefore requires all partner members to have size >= n/2
-    already (see push_down_max_rank)."""
-    if validate:
-        _validate(f, partner)
-        if not is_antichain(partner):
-            raise ValueError("partner family is not an antichain")
-    n = f.n
-    lo, hi = middle_band(n, mode)
-    up, f1 = _settle(n, f.members, partner.members, True, lo)
-    down, f2 = _settle(n, f1, partner.members, False, hi)
-    return _trace(f, up + down, f2)
+    f sits inside the middle band.  The partner is left untouched; a
+    family reaching above the band therefore requires all partner members
+    to have size >= n/2 already (see push_down_max_rank)."""
+    _validate(f, partner)
+    if not is_antichain(partner):
+        raise ValueError("partner family is not an antichain")
+    _check_partner_sizes(f, partner)
+    return _trace(f, *_push(f.n, f.members))
 
 
-def normalize_pair(a: Family, b: Family, mode: str | None = None,
-                   validate: bool = True
+def normalize_pair(a: Family, b: Family, validate: bool = True
                    ) -> tuple[NormalizationTrace, NormalizationTrace]:
     """Normalize both families of a cross-intersecting antichain pair.
 
-    Stage order matters: both families are raised to the band floor first
-    (each against the other's current state), so that by the time the
-    down phases run every partner member already has size >= n/2."""
+    No step reads the partner, so each side is pushed on its own.  The
+    result is the one of raising both sides to the band floor first and
+    lowering them afterwards, the order under which every down step sees
+    partner members of size >= n/2 and so stays cross-intersecting."""
     if validate:
         _validate(a, b)
         if not is_antichain(b):
             raise ValueError("partner family is not an antichain")
-    n = a.n
-    lo, hi = middle_band(n, mode)
-    a_up, a1 = _settle(n, a.members, b.members, True, lo)
-    b_up, b1 = _settle(n, b.members, a1, True, lo)
-    a_down, a2 = _settle(n, a1, b1, False, hi)
-    b_down, b2 = _settle(n, b1, a2, False, hi)
-    return _trace(a, a_up + a_down, a2), _trace(b, b_up + b_down, b2)
+    return _trace(a, *_push(a.n, a.members)), _trace(b, *_push(b.n, b.members))

@@ -67,7 +67,9 @@ def unrank(n: int, k: int, index: int) -> int:
             a += 1
         rem -= comb(a, i)
         mask |= 1 << a  # element a+1
-    assert rem == 0 and mask.bit_count() == k
+    if rem or mask.bit_count() != k:
+        raise RuntimeError(f"unrank({n}, {k}, {index}) gave {mask:#b} "
+                           f"with remainder {rem}")
     return mask
 
 

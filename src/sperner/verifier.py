@@ -19,8 +19,10 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from .cascade import _facets, kkt_shadow_bound, shade_of_last_bound
-from .ground import Family, full_level, is_antichain, is_cross_intersecting
+from .cascade import (_facets, _level_new_shadow, kkt_shadow_bound,
+                      shade_of_last_bound)
+from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
+                     sort_members)
 from .normalize import SelectionError, middle_band, normalize_pair
 from .parallel import parallel_map
 from .squashed import level_masks
@@ -143,13 +145,9 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def _encode(members: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(members, key=lambda m: (m.bit_count(), m)))
-
-
 def canonical_family_key(f: Family) -> tuple[int, ...]:
     """Minimal member encoding over all ground-set permutations."""
-    return min(_encode([t[m] for m in f.members]) for t in _perm_tables(f.n))
+    return min(sort_members([t[m] for m in f.members]) for t in _perm_tables(f.n))
 
 
 def canonical_pair_key(a: Family, b: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -157,8 +155,8 @@ def canonical_pair_key(a: Family, b: Family) -> tuple[tuple[int, ...], tuple[int
     sides, and the pair stays ordered (no A/B swap)."""
     if a.n != b.n:
         raise ValueError("pair members live over different ground sizes")
-    return min((_encode([t[m] for m in a.members]),
-                _encode([t[m] for m in b.members]))
+    return min((sort_members([t[m] for m in a.members]),
+                sort_members([t[m] for m in b.members]))
                for t in _perm_tables(a.n))
 
 
@@ -185,21 +183,38 @@ class SearchCensus:
 
     raw_* lists hold ordered pairs (both orders of an asymmetric pair);
     the *_pairs lists are the distinct canonical forms, still ordered
-    (permutation-minimal, no A/B swap).
+    (permutation-minimal, no A/B swap).  The counts derive from raw_*.
     """
 
     n: int
     optimum: int
     optimum_pairs: tuple[tuple[Family, Family], ...]
     near_optimum_pairs: tuple[tuple[Family, Family], ...]
-    ordered_count_optimum: int
-    ordered_count_near: int
-    unordered_count_optimum: int
-    unordered_count_near: int
     raw_optimum: tuple[tuple[Family, Family], ...]
     raw_near: tuple[tuple[Family, Family], ...]
     reduction: str = "none"      # "middle_band" when the n=6 reduction ran
     incomplete: bool = False     # true when the wall-clock budget expired
+
+    @property
+    def ordered_count_optimum(self) -> int:
+        return len(self.raw_optimum)
+
+    @property
+    def ordered_count_near(self) -> int:
+        return len(self.raw_near)
+
+    @property
+    def unordered_count_optimum(self) -> int:
+        return _unordered_count(self.raw_optimum)
+
+    @property
+    def unordered_count_near(self) -> int:
+        return _unordered_count(self.raw_near)
+
+
+def _unordered_count(raw: tuple[tuple[Family, Family], ...]) -> int:
+    # raw holds both orders of a pair, and a pair (A, A) once
+    return (len(raw) + sum(a == b for a, b in raw)) // 2
 
 
 def _meets_table(n: int) -> list[int]:
@@ -300,7 +315,9 @@ def max_cross_sum(n: int, allow_long: bool = False,
         lo, hi = full_level(n, n // 2), full_level(n, n // 2 + 1)
         # (lo, hi) is cross-intersecting, so its sum is a sound seed and
         # only band antichains within 1 of it can matter for the buckets
-        assert all(x & y for x in lo.members for y in hi.members)
+        if not all(x & y for x in lo.members for y in hi.members):
+            raise RuntimeError(f"the n={n} census seed levels do not "
+                               "cross-intersect")
         seed_best = len(lo) + len(hi)
         floor_size = seed_best - 1 - comb(n, n // 2)
         cands = list(middle_band_antichains(n, floor_size))
@@ -333,10 +350,6 @@ def max_cross_sum(n: int, allow_long: bool = False,
         optimum=best,
         optimum_pairs=reduce(raw_opt),
         near_optimum_pairs=reduce(raw_near),
-        ordered_count_optimum=len(raw_opt),
-        ordered_count_near=len(raw_near),
-        unordered_count_optimum=len(buckets.get(best, [])),
-        unordered_count_near=len(buckets.get(best - 1, [])),
         raw_optimum=raw_opt,
         raw_near=raw_near,
         reduction=reduction,
@@ -476,11 +489,11 @@ def sweep_shadow_excess(n_max: int = 13, brute_max: int = 9) -> SweepReport:
         k = (n + 1) // 2 + 1
         brute_sizes = None
         if n <= brute_max:
+            # fresh facets partition the shadow, so prefix sums of their
+            # sizes are the shadow sizes of the first m k-sets
             brute_sizes = [0]
-            running: set[int] = set()
-            for mask in level_masks(n, k):
-                running |= set(_facets(mask))
-                brute_sizes.append(len(running))
+            for fresh in _level_new_shadow(n, k):
+                brute_sizes.append(brute_sizes[-1] + len(fresh))
         for m in range(1, comb(n, k) + 1):
             instances += 1
             bound = kkt_shadow_bound(m, k)

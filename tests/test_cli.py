@@ -149,12 +149,6 @@ class TestLemmas:
         data = json.loads(out)
         assert data[0]["id"] == "3.6" and data[0]["passed"]
 
-    def test_workers_same_output(self, capsys):
-        code1, out1, _ = run(capsys, "lemmas", "check", "--max", "8")
-        code2, out2, _ = run(capsys, "lemmas", "check", "--max", "8",
-                             "--workers", "2")
-        assert (code1, out1) == (code2, out2)
-
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "lemmas", "check", "--id", "9.9")
