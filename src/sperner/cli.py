@@ -18,7 +18,6 @@ from .ground import (Family, format_family, format_set, elements_of,
                      read_family)
 from .ground import full_level
 from .normalize import SelectionError, normalize_to_middle
-from .parallel import resolve_workers
 from .squashed import first_segment, last_segment
 from .verifier import (extremal_report, max_sum_formula, near_extremal_report,
                        normalization_pair_sweep, size4_antichain_classes_report,
@@ -61,16 +60,7 @@ def _pairs_json(pairs) -> list:
 
 
 def _cmd_order(args) -> int:
-    if args.first is not None and args.last is not None:
-        print("order list: --first and --last are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.first is not None:
-        fam = first_segment(args.n, args.k, args.first)
-    elif args.last is not None:
-        fam = last_segment(args.n, args.k, args.last)
-    else:
-        fam = full_level(args.n, args.k)
+    fam = _segment_or_file(args)
     if args.format == "json":
         print(json.dumps({"n": args.n, "k": args.k,
                           "sets": _family_json(fam)}))
@@ -81,7 +71,15 @@ def _cmd_order(args) -> int:
 
 
 def _segment_or_file(args) -> Family:
-    if args.family:
+    """The family read from --family, the --first or --last segment of
+    level k, or the whole level; at most one of the three options."""
+    given = [flag for flag, value in (("--family", args.family),
+                                      ("--first", args.first),
+                                      ("--last", args.last))
+             if value is not None]
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} are mutually exclusive")
+    if args.family is not None:
         return read_family(args.family)
     if args.n is None or args.k is None:
         raise ValueError("give either --family or both n and k")
@@ -248,7 +246,9 @@ def _cmd_verify(args) -> int:
 
     if target == "normalization":
         n = args.n if args.n is not None else 4
-        report = normalization_pair_sweep(n, workers=resolve_workers(args.workers))
+        if args.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {args.workers}")
+        report = normalization_pair_sweep(n, workers=args.workers)
         ok = report.passed and not report.selection_failures
         if args.format == "json":
             print(json.dumps({
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--first", type=int, metavar="M")
     p_list.add_argument("--last", type=int, metavar="M")
     add_format(p_list)
-    p_list.set_defaults(func=_cmd_order)
+    p_list.set_defaults(func=_cmd_order, family=None)
 
     for name, help_text in (("shadow", "sets one rank below a family"),
                             ("shade", "sets one rank above a family")):
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "normalization"))
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--budget-seconds", type=float)
-    p_verify.add_argument("--workers", type=int)
+    p_verify.add_argument("--workers", type=int, default=1)
     add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -140,12 +140,6 @@ class Family:
             out.setdefault(m.bit_count(), []).append(m)
         return {k: tuple(v) for k, v in out.items()}
 
-    def min_rank(self) -> int | None:
-        return min(self.by_rank) if self.members else None
-
-    def max_rank(self) -> int | None:
-        return max(self.by_rank) if self.members else None
-
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as ascending element tuples (for JSON and printing)."""
         return tuple(elements_of(m) for m in self.members)
@@ -224,7 +218,3 @@ def parse_family(text: str) -> Family:
 
 def read_family(path: str | Path) -> Family:
     return parse_family(Path(path).read_text())
-
-
-def write_family(path: str | Path, f: Family) -> None:
-    Path(path).write_text(format_family(f))

@@ -6,25 +6,11 @@ built on parallel_map produces identical output at any worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
-WORKERS_ENV = "SPERNER_WORKERS"
-
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Explicit value, else the SPERNER_WORKERS env var, else 1."""
-    if explicit is not None:
-        value = explicit
-    else:
-        value = int(os.environ.get(WORKERS_ENV, "1"))
-    if value < 1:
-        raise ValueError(f"worker count must be >= 1, got {value}")
-    return value
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],

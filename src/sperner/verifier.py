@@ -249,54 +249,46 @@ def _family_bitmasks(cands: Sequence[tuple[int, ...]], n: int,
 
 def _census_scan(cands: list[tuple[int, ...]], n: int,
                  deadline: float | None,
-                 seed_best: int = 0) -> tuple[int, dict[int, list], bool]:
-    """Two-phase scan over candidate antichains (mask tuples).
+                 seed_best: int) -> tuple[int, dict[int, list], bool]:
+    """One sweep over candidate antichains (mask tuples), largest first.
 
-    Phase 1 finds the optimum with size-sorted pruning; phase 2 recollects
-    every unordered pair at optimum and optimum-1 against the then-fixed
-    threshold, so the result is independent of scan order.
+    Every crossing pair with sum s >= best - 1 is collected, where best is
+    the running maximum (never below seed_best, the sum of a known crossing
+    pair); at the end only the pairs at the final best and best - 1 are
+    kept.  Nothing needed is pruned: the running best never exceeds the
+    final one and sizes are sorted descending, so each break skips only
+    pairs below the final best - 1.
     """
     meets = _meets_table(n)
     order = sorted(range(len(cands)), key=lambda i: (-len(cands[i]), cands[i]))
     sizes = [len(cands[i]) for i in order]
     mmask, avoid = _family_bitmasks([cands[i] for i in order], n, meets)
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
     incomplete = False
     best = seed_best
+    found = []
     for ii in range(len(order)):
-        if 2 * sizes[ii] <= best:
+        if 2 * sizes[ii] < best - 1:
             break
-        if out_of_time():
-            incomplete = True
-            break
-        for jj in range(ii, len(order)):
-            if sizes[ii] + sizes[jj] <= best:
-                break
-            if not (mmask[jj] & avoid[ii]):
-                best = sizes[ii] + sizes[jj]
-
-    buckets: dict[int, list] = {best: [], best - 1: []}
-    threshold = best - 1
-    for ii in range(len(order)):
-        if 2 * sizes[ii] < threshold:
-            break
-        if incomplete or out_of_time():
+        if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
         for jj in range(ii, len(order)):
             s = sizes[ii] + sizes[jj]
-            if s < threshold:
+            if s < best - 1:
                 break
             if not (mmask[jj] & avoid[ii]):
-                buckets[s].append((cands[order[ii]], cands[order[jj]]))
+                best = max(best, s)
+                found.append((s, cands[order[ii]], cands[order[jj]]))
+
+    buckets: dict[int, list] = {best: [], best - 1: []}
+    for s, a, b in found:
+        if s >= best - 1:
+            buckets[s].append((a, b))
     return best, buckets, incomplete
 
 
-def max_cross_sum(n: int, allow_long: bool = False,
-                  budget_seconds: float | None = None) -> SearchCensus:
+def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     """Exhaustive maximum of |A| + |B| over cross-intersecting antichain
     pairs, with every pair at the optimum and at optimum-1.
 
@@ -338,8 +330,8 @@ def max_cross_sum(n: int, allow_long: bool = False,
         ordered.sort(key=lambda p: (p[0].members, p[1].members))
         return tuple(ordered)
 
-    raw_opt = materialize(buckets.get(best, []))
-    raw_near = materialize(buckets.get(best - 1, []))
+    raw_opt = materialize(buckets[best])
+    raw_near = materialize(buckets[best - 1])
 
     def reduce(pairs) -> tuple[tuple[Family, Family], ...]:
         keys = sorted({canonical_pair_key(a, b) for a, b in pairs})
@@ -371,26 +363,14 @@ def expected_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
 
 
 def expected_near_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
-    """The ordered optimum-1 pairs: delete a single set from one side of
-    an optimal pair (odd: from one copy of the middle level; even: from
-    either level of the (lo, hi) pair), in both orders."""
-    pairs = []
-    if n % 2:
-        lv = full_level(n, (n + 1) // 2)
-        for x in lv.members:
-            rest = Family.from_masks(n, (m for m in lv.members if m != x))
-            pairs.append((lv, rest))
-            pairs.append((rest, lv))
-    else:
-        lo, hi = full_level(n, n // 2), full_level(n, n // 2 + 1)
-        for y in hi.members:
-            rest = Family.from_masks(n, (m for m in hi.members if m != y))
-            pairs.append((lo, rest))
-            pairs.append((rest, lo))
-        for x in lo.members:
-            rest = Family.from_masks(n, (m for m in lo.members if m != x))
-            pairs.append((rest, hi))
-            pairs.append((hi, rest))
+    """The ordered optimum-1 pairs: an optimal pair with one set deleted
+    from one of its sides."""
+    pairs = set()
+    for a, b in expected_optimal_pairs(n):
+        for x in a.members:
+            pairs.add((Family.from_masks(n, (m for m in a.members if m != x)), b))
+        for y in b.members:
+            pairs.add((a, Family.from_masks(n, (m for m in b.members if m != y))))
     return tuple(sorted(pairs, key=lambda p: (p[0].members, p[1].members)))
 
 
@@ -399,10 +379,9 @@ def extremal_report(n: int, budget_seconds: float | None = None) -> dict:
     closed form and the expected canonical optimal pairs)."""
     census = max_cross_sum(n, budget_seconds=budget_seconds)
     formula = max_sum_formula(n)
-    expected = sorted(canonical_pair_key(a, b) for a, b in expected_optimal_pairs(n))
-    found = sorted(canonical_pair_key(a, b) for a, b in census.optimum_pairs)
+    expected = {canonical_pair(a, b) for a, b in expected_optimal_pairs(n)}
     match = (not census.incomplete and census.optimum == formula
-             and found == expected)
+             and set(census.optimum_pairs) == expected)
     return {"census": census, "formula_value": formula, "match": match}
 
 

@@ -99,6 +99,18 @@ class TestShadowShade:
         code, _, err = run(capsys, "shadow")
         assert code == 2
 
+    def test_first_and_last_exclusive(self, capsys):
+        code, out, err = run(capsys, "shadow", "5", "3", "--first", "2",
+                             "--last", "3")
+        assert code == 2 and out == "" and "mutually exclusive" in err
+
+    def test_family_and_segment_exclusive(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n{1,2,3}\n")
+        code, out, err = run(capsys, "shade", "--family", str(path),
+                             "--last", "1")
+        assert code == 2 and out == "" and "mutually exclusive" in err
+
 
 class TestCascade:
     def test_text(self, capsys):
@@ -237,6 +249,11 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "normalization", "--n", "4",
                              "--format", "json", "--workers", "2")
         assert (code1, out1) == (code2, out2)
+
+    def test_workers_below_one_is_usage(self, capsys):
+        code, out, err = run(capsys, "verify", "normalization", "--n", "3",
+                             "--workers", "0")
+        assert code == 2 and out == "" and "worker count" in err
 
     def test_theorem_1_6_band_n6(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", "6",

@@ -1,9 +1,11 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sperner"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sperner"
 
 
 def test_no_assert_statements():
@@ -16,3 +18,20 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_tracer_entry_points_exist():
+    # the traced benchmark looks these names up on the package, so a
+    # rename or deletion would break only its traced runs, outside tier-1
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    entry_points = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS"
+                for t in node.targets))
+    assert entry_points
+    missing = [f"{module}.{name}"
+               for module, names in entry_points.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"sperner.{module}"), name)]
+    assert missing == []

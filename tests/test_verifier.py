@@ -202,10 +202,15 @@ class TestTheoremReports:
         assert len(expected_optimal_pairs(4)) == 2
         assert len(expected_near_optimal_pairs(3)) == 6
         assert len(expected_near_optimal_pairs(4)) == 20
-        for a, b in expected_near_optimal_pairs(4):
-            assert is_antichain(a) and is_antichain(b)
-            assert is_cross_intersecting(a, b)
-            assert len(a) + len(b) == 9
+        for n in range(4, 9):
+            formula = max_sum_formula(n)
+            near = expected_near_optimal_pairs(n)
+            # one deletion per member of each side of each ordered optimum
+            assert len(near) == len(expected_optimal_pairs(n)) * formula
+            for a, b in near:
+                assert is_antichain(a) and is_antichain(b)
+                assert is_cross_intersecting(a, b)
+                assert len(a) + len(b) == formula - 1
 
     def test_n6_band_relative_reports(self):
         # the n=6 run searches only ranks {3,4}; bound and
