@@ -9,7 +9,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cascade import (cascade, new_shade, new_shadow, shade, shade_table,
                       shadow)
@@ -119,12 +118,11 @@ def _cmd_table1(args) -> int:
     rows = shade_table(4)
     cells = []
     for r in rows:
-        bound = Fraction(r.bound)
         cells.append([str(r.m), format_set(r.last_set, compact=True),
                       " ".join(format_set(s, compact=True) for s in r.new_shade)
                       or "-",
-                      str(r.shade_size), str(bound.numerator),
-                      str(bound.denominator)])
+                      str(r.shade_size), str(r.bound.numerator),
+                      str(r.bound.denominator)])
     headers = ["m", "last_set", "new_shade", "shade_size",
                "lemma_1_9_bound_num", "lemma_1_9_bound_den"]
     if args.format == "csv":
@@ -137,8 +135,7 @@ def _cmd_table1(args) -> int:
                            "bound": [r.bound.numerator, r.bound.denominator]}
                           for r in rows]))
     else:
-        text_rows = [[c[0], c[1], c[2], c[3],
-                      str(Fraction(int(c[4]), int(c[5])))] for c in cells]
+        text_rows = [c[:4] + [str(r.bound)] for c, r in zip(cells, rows)]
         print(_text_table(["m", "last_set", "new_shade", "shade_size", "bound"],
                           text_rows))
     return EXIT_OK

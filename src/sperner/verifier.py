@@ -19,8 +19,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from .cascade import (_facets, _level_new_shadow, kkt_shadow_bound,
-                      shade_of_last_bound)
+from .cascade import _level_new_shadow, kkt_shadow_bound, shade_of_last_bound
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
 from .normalize import SelectionError, middle_band, normalize_pair
@@ -40,6 +39,12 @@ def antichain_mask_tuples(universe: Sequence[int],
     """All antichains over the given candidate subsets, each exactly once,
     as tuples of masks in universe order (the empty antichain included
     when min_size == 0).  Branches that cannot reach min_size are pruned.
+
+    A depth-first walk over (chosen, allowed) nodes, where allowed holds
+    the later candidates incomparable to everything chosen.  Once the
+    allowed candidates are pairwise incomparable, every subset of them
+    extends chosen, so the node yields those subsets by size instead of
+    descending.
     """
     size = len(universe)
     comparable = []
@@ -50,34 +55,48 @@ def antichain_mask_tuples(universe: Sequence[int],
                 row |= 1 << j
         comparable.append(row)
     above = [(((1 << size) - 1) >> (i + 1)) << (i + 1) for i in range(size)]
+    clash = [comparable[i] & above[i] for i in range(size)]
+    keep = [above[i] & ~comparable[i] for i in range(size)]
 
-    def walk(chosen: tuple[int, ...], allowed: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) >= min_size:
-            yield chosen
+    stack = [((), (1 << size) - 1)]
+    while stack:
+        chosen, allowed = stack.pop()
+        if not allowed:
+            if len(chosen) >= min_size:
+                yield chosen
+            continue
+        rest = []
         cand = allowed
         while cand:
             low = cand & -cand
             i = low.bit_length() - 1
+            if clash[i] & allowed:
+                break
+            rest.append(universe[i])
             cand ^= low
-            nxt = allowed & ~comparable[i] & above[i]
+        else:  # allowed is pairwise incomparable
+            for r in range(max(min_size - len(chosen), 0), len(rest) + 1):
+                for extra in combinations(rest, r):
+                    yield chosen + extra
+            continue
+        if len(chosen) >= min_size:
+            yield chosen
+        # children pushed last-first, so they pop in universe order
+        cand = allowed
+        while cand:
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            nxt = allowed & keep[i]
             if len(chosen) + 1 + nxt.bit_count() >= min_size:
-                yield from walk(chosen + (universe[i],), nxt)
-
-    yield from walk((), (1 << size) - 1)
+                stack.append((chosen + (universe[i],), nxt))
 
 
-def enumerate_antichains(n: int, allow_long: bool = False) -> Iterator[Family]:
-    """Every antichain of the power set of {1..n}, Dedekind-number many.
-
-    n = 6 (7 828 354 antichains) must be requested explicitly; larger n
-    is rejected outright.
-    """
-    if not 1 <= n <= MAX_ENUMERATION:
-        raise ValueError(f"antichain enumeration supports 1 <= n <= {MAX_ENUMERATION}")
-    if n == MAX_ENUMERATION and not allow_long:
-        raise ValueError(
-            f"n={MAX_ENUMERATION} enumerates {DEDEKIND[MAX_ENUMERATION]} antichains; "
-            "pass allow_long=True to confirm")
+def enumerate_antichains(n: int) -> Iterator[Family]:
+    """Every antichain of the power set of {1..n}, Dedekind-number many,
+    for 1 <= n <= 5; the n = 6 walk is antichain_mask_tuples(range(64))."""
+    if not 1 <= n <= 5:
+        raise ValueError("antichain enumeration supports 1 <= n <= 5; walk "
+                         "antichain_mask_tuples(range(64)) for the n=6 mask tuples")
     for masks in antichain_mask_tuples(range(1 << n)):
         yield Family.from_masks(n, masks)
 
@@ -98,33 +117,12 @@ def count_antichains_oracle(n: int) -> int:
 
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
     """Antichains with all members in ranks {n/2, n/2+1} and at least
-    min_size members (even n).  Choosing the upper-level part U first
-    leaves the lower level freely choosable outside the shadow of U."""
+    min_size members (even n).  The upper level comes first, so the walk
+    branches over its sets and the lower level is the free tail."""
     if n % 2:
         raise ValueError("middle band enumeration needs even n")
     k = n // 2
-    lo_level = level_masks(n, k)
-    hi_level = level_masks(n, k + 1)
-    lo_index = {m: i for i, m in enumerate(lo_level)}
-    facet_bits = []
-    for h in hi_level:
-        bits = 0
-        for fct in _facets(h):
-            bits |= 1 << lo_index[fct]
-        facet_bits.append(bits)
-    for upper_bits in range(1 << len(hi_level)):
-        upper = [hi_level[i] for i in range(len(hi_level)) if upper_bits >> i & 1]
-        blocked = 0
-        for i in range(len(hi_level)):
-            if upper_bits >> i & 1:
-                blocked |= facet_bits[i]
-        pool = [lo_level[i] for i in range(len(lo_level)) if not (blocked >> i & 1)]
-        need = max(min_size - len(upper), 0)
-        if need > len(pool):
-            continue
-        for take in range(need, len(pool) + 1):
-            for lower in combinations(pool, take):
-                yield tuple(lower) + tuple(upper)
+    return antichain_mask_tuples(level_masks(n, k + 1) + level_masks(n, k), min_size)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
         lo, hi = full_level(n, n // 2), full_level(n, n // 2 + 1)
         # (lo, hi) is cross-intersecting, so its sum is a sound seed and
         # only band antichains within 1 of it can matter for the buckets
-        if not all(x & y for x in lo.members for y in hi.members):
+        if not is_cross_intersecting(lo, hi):
             raise RuntimeError(f"the n={n} census seed levels do not "
                                "cross-intersect")
         seed_best = len(lo) + len(hi)
@@ -494,7 +492,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     """Antichains of {1..n} with their member, avoid and complement
     bitmasks over the 2^n subset indices; each process builds this on
     first use."""
-    fams = [Family.from_masks(n, c) for c in antichain_mask_tuples(range(1 << n))]
+    fams = list(enumerate_antichains(n))
     mmask, avoid = _family_bitmasks([f.members for f in fams], n,
                                     _meets_table(n))
     full_mask = (1 << n) - 1

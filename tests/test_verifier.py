@@ -1,13 +1,16 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from sperner.ground import (Family, full_level, is_antichain,
                             is_cross_intersecting)
+from sperner.squashed import level_masks
 from sperner.verifier import (DEDEKIND, antichain_mask_tuples,
                               canonical_family_key, canonical_pair,
-                              canonical_pair_key, count_antichains_oracle,
+                              _census_scan, canonical_pair_key,
+                              count_antichains_oracle,
                               enumerate_antichains, expected_near_optimal_pairs,
                               expected_optimal_pairs, extremal_report,
                               max_cross_sum, max_sum_formula,
@@ -18,6 +21,28 @@ from sperner.verifier import (DEDEKIND, antichain_mask_tuples,
 
 def fam(n, *sets):
     return Family.from_sets(n, sets)
+
+
+def brute_antichains(universe, min_size):
+    """Every subset of the universe, in universe order, that is pairwise
+    incomparable and has at least min_size members."""
+    out = []
+    for bits in range(1 << len(universe)):
+        sub = tuple(m for i, m in enumerate(universe) if bits >> i & 1)
+        if len(sub) >= min_size and all(x & ~y and y & ~x
+                                        for x, y in combinations(sub, 2)):
+            out.append(sub)
+    return out
+
+
+WALK_UNIVERSES = {
+    "power3": list(range(8)),
+    "power3_reversed": list(range(8))[::-1],
+    "power4": list(range(16)),
+    "power4_reversed": list(range(16))[::-1],
+    "levels_3_2": list(level_masks(4, 3) + level_masks(4, 2)),
+    "levels_2_3": list(level_masks(4, 2) + level_masks(4, 3)),
+}
 
 
 class TestEnumeration:
@@ -54,6 +79,21 @@ class TestEnumeration:
         everything = [a for a in antichain_mask_tuples(universe) if len(a) >= 3]
         pruned = list(antichain_mask_tuples(universe, min_size=3))
         assert sorted(everything) == sorted(pruned)
+
+    @pytest.mark.parametrize("min_size", [0, 2, 4])
+    @pytest.mark.parametrize("name", sorted(WALK_UNIVERSES))
+    def test_walk_matches_brute_force(self, name, min_size):
+        universe = WALK_UNIVERSES[name]
+        walked = list(antichain_mask_tuples(universe, min_size))
+        assert len(set(walked)) == len(walked)
+        assert sorted(walked) == sorted(brute_antichains(universe, min_size))
+
+    def test_n6_band_is_the_walk_restricted_to_ranks_3_and_4(self):
+        band = [frozenset(a) for a in middle_band_antichains(6, 14)]
+        assert len(band) == len(set(band)) == 71972
+        walked = {frozenset(a) for a in antichain_mask_tuples(range(64), min_size=14)
+                  if all(m.bit_count() in (3, 4) for m in a)}
+        assert set(band) == walked
 
     def test_middle_band_covers_band_antichains(self):
         # cross-check the specialized band enumerator against filtering
@@ -144,6 +184,20 @@ class TestCensus:
         lo, hi = full_level(6, 3), full_level(6, 4)
         assert set(census.raw_optimum) == {(lo, hi), (hi, lo)}
         assert census.ordered_count_near == 70
+
+    def test_scan_ignores_candidate_order(self):
+        cands = list(antichain_mask_tuples(range(32)))
+        shuffled = [c[::-1] for c in cands]
+        random.Random(20261018).shuffle(shuffled)
+
+        def scan(cs):
+            best, buckets, incomplete = _census_scan(cs, 5, None, 0)
+            assert not incomplete
+            return best, {s: sorted(tuple(sorted((tuple(sorted(a)), tuple(sorted(b)))))
+                                    for a, b in pairs)
+                          for s, pairs in buckets.items()}
+
+        assert scan(shuffled) == scan(cands)
 
     def test_budget_marks_incomplete(self):
         census = max_cross_sum(5, budget_seconds=0.0)
