@@ -31,7 +31,9 @@ union of the removed members' bitsets, and the greedy choice is its
 lowest set bits: subset index order on one rank is squashed order.  The
 partner is read only to validate the input and, before a down step, to
 check its member sizes.  The ``Family`` functions are thin wrappers that
-call the kernel and build a ``Family`` only for a result that moved.
+call the kernel and build a ``Family`` only for a result that moved;
+``normalize_to_middle`` and ``normalize_pair`` share one memoized full
+push per distinct family, so an all-pairs audit pushes each family once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .ground import Family, is_antichain, is_cross_intersecting, sort_members
 MAX_NORMALIZE = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     direction: str               # "up" | "down"
     rank: int                    # rank whose members were replaced
@@ -55,7 +57,7 @@ class Step:
     inserted: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizationTrace:
     steps: tuple[Step, ...]
     final: Family
@@ -189,6 +191,14 @@ def _trace(f: Family, steps: list[Step],
                               Family(f.n, members) if steps else f)
 
 
+@lru_cache(maxsize=None)
+def _normalized(f: Family) -> NormalizationTrace:
+    """The full push of f; one trace per distinct family, kept for the
+    life of the process.  A SelectionError is raised again on every call,
+    since lru_cache stores only results."""
+    return _trace(f, *_push(f.n, f.members))
+
+
 def push_up_min_rank(f: Family, partner: Family) -> NormalizationTrace:
     """One up step: if the minimum rank i sits below the band floor,
     replace all rank-i members with shade sets.  Identity trace otherwise.
@@ -223,7 +233,7 @@ def normalize_to_middle(f: Family, partner: Family) -> NormalizationTrace:
     if not is_antichain(partner):
         raise ValueError("partner family is not an antichain")
     _check_partner_sizes(f, partner)
-    return _trace(f, *_push(f.n, f.members))
+    return _normalized(f)
 
 
 def normalize_pair(a: Family, b: Family, validate: bool = True
@@ -233,9 +243,14 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     No step reads the partner, so each side is pushed on its own.  The
     result is the one of raising both sides to the band floor first and
     lowering them afterwards, the order under which every down step sees
-    partner members of size >= n/2 and so stays cross-intersecting."""
+    partner members of size >= n/2 and so stays cross-intersecting.
+
+    The pushes are memoized: the process keeps one trace per distinct
+    family passed in (at most 7 581, the antichains, at n <= 5) and
+    returns that same trace object on every later call.  Validation runs
+    on every call, before the cache is consulted."""
     if validate:
         _validate(a, b)
         if not is_antichain(b):
             raise ValueError("partner family is not an antichain")
-    return _trace(a, *_push(a.n, a.members)), _trace(b, *_push(b.n, b.members))
+    return _normalized(a), _normalized(b)

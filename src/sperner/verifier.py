@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from .cascade import _level_new_shadow, kkt_shadow_bound, shade_of_last_bound
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
-from .normalize import SelectionError, middle_band, normalize_pair
+from .normalize import SelectionError, _normalized, middle_band, normalize_pair
 from .parallel import parallel_map
 from .squashed import level_masks
 
@@ -490,11 +490,11 @@ PAIR_SWEEP_STRIPES = 16
 @lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
     """Antichains of {1..n} with their member, avoid and complement
-    bitmasks over the 2^n subset indices; each process builds this on
-    first use."""
+    bitmasks over the 2^n subset indices, and the meets table; each
+    process builds this on first use."""
     fams = list(enumerate_antichains(n))
-    mmask, avoid = _family_bitmasks([f.members for f in fams], n,
-                                    _meets_table(n))
+    meets = _meets_table(n)
+    mmask, avoid = _family_bitmasks([f.members for f in fams], n, meets)
     full_mask = (1 << n) - 1
     cmask = []
     for f in fams:
@@ -502,23 +502,60 @@ def _pair_sweep_setup(n: int) -> tuple:
         for x in f.members:
             bits |= 1 << (full_mask ^ x)
         cmask.append(bits)
-    return fams, mmask, avoid, cmask
+    return fams, mmask, avoid, cmask, meets
 
 
 def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     """One stripe (i = stripe, stripe+nstripes, ...) of the all-pairs
-    normalization sweep; results merge associatively across stripes."""
+    normalization sweep; results merge associatively across stripes.
+
+    Every crossing pair goes through normalize_pair, but each trace is
+    audited once per family index: its final keeps the size, is an
+    antichain and lies in the band, and a trace without steps returns
+    its input.  A returned trace that is not the object audited for its
+    index is audited again, so the audit always covers what
+    normalize_pair returned for the pair, the diagonal pair included.  A
+    pair then costs the moved test and one bitmask test of
+    cross-intersection between the finals.
+    """
     n, stripe, nstripes = args
-    fams, mmask, avoid, cmask = _pair_sweep_setup(n)
+    fams, mmask, avoid, cmask, meets = _pair_sweep_setup(n)
+    # push every antichain into the per-process memo first, so the pushes
+    # a worker makes do not depend on which stripes it is dealt; a
+    # SelectionError is not cached, so the pairs it spoils still record it
+    for f in fams:
+        try:
+            _normalized(f)
+        except SelectionError:
+            pass
     lo, hi = middle_band(n)
+    count = len(fams)
+    audited: list = [None] * count
+    sound = [False] * count
+    stepped = [False] * count
+    pushed_members = [0] * count
+    pushed_avoid = [0] * count
+
+    def audit(k: int, trace) -> None:
+        f, final = fams[k], trace.final
+        m = final.members
+        audited[k] = trace
+        stepped[k] = bool(trace.steps)
+        sound[k] = (len(m) == len(f) and is_antichain(final)
+                    and (not m or lo <= m[0].bit_count()
+                         and m[-1].bit_count() <= hi)
+                    and (stepped[k] or final == f))
+        mm, av = _family_bitmasks([m], n, meets)
+        pushed_members[k], pushed_avoid[k] = mm[0], av[0]
+
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
-    for i in range(stripe, len(fams), nstripes):
+    for i in range(stripe, count, nstripes):
         av = avoid[i]
         ci = cmask[i]
         fi = fams[i]
-        for j in range(i, len(fams)):
+        for j in range(i, count):
             mj = mmask[j]
             if mj & av:
                 continue
@@ -533,22 +570,19 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             except SelectionError as exc:
                 failures.append((fi.sets(), fj.sets(), str(exc)))
                 continue
-            if not (ta.steps or tb.steps):
-                # zero-step traces return the inputs themselves; nothing
-                # can have been lost, so only confirm nothing changed
-                if ta.final == fi and tb.final == fj:
-                    continue
-                violations.append(("identity", fi.sets(), fj.sets()))
+            if ta is not audited[i]:
+                audit(i, ta)
+            # read a's side before b's audit: on the diagonal j == i
+            a_sound, a_stepped, a_avoid = sound[i], stepped[i], pushed_avoid[i]
+            if tb is not audited[j]:
+                audit(j, tb)
+            if not (a_stepped or stepped[j]):
+                # zero-step traces must return the inputs themselves
+                if not (a_sound and sound[j]):
+                    violations.append(("identity", fi.sets(), fj.sets()))
                 continue
             moved += 1
-            fa, fb = ta.final, tb.final
-            a, b = fa.members, fb.members
-            ok = (len(a) == len(fi) and len(b) == len(fj)
-                  and is_antichain(fa) and is_antichain(fb)
-                  and is_cross_intersecting(fa, fb)
-                  and (not a or lo <= a[0].bit_count() and a[-1].bit_count() <= hi)
-                  and (not b or lo <= b[0].bit_count() and b[-1].bit_count() <= hi))
-            if not ok:
+            if not (a_sound and sound[j] and not a_avoid & pushed_members[j]):
                 violations.append(("preservation", fi.sets(), fj.sets()))
     return crossing, moved, failures, violations
 

@@ -201,6 +201,75 @@ class TestNormalizePair:
         assert is_cross_intersecting(ta.final, tb.final)
         assert len(ta.final) == 1 and len(tb.final) == 1
 
+    def test_memo_skips_no_validation(self):
+        # the memoized push is looked up only after the pair is validated
+        a, b = fam(4, (1,)), fam(4, (1, 2))
+        normalize_pair(a, b)
+        with pytest.raises(ValueError, match="not cross-intersecting"):
+            normalize_pair(a, fam(4, (2,)))
+        with pytest.raises(ValueError, match="partner family is not an antichain"):
+            normalize_pair(a, fam(4, (1,), (1, 2)))
+        with pytest.raises(ValueError, match="input family is not an antichain"):
+            normalize_pair(fam(4, (1,), (1, 2)), b)
+        # a failed push is not cached: it fails again on the next call
+        n = MAX_NORMALIZE + 1
+        low = Family.from_sets(n, [(1,)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="normalization supports"):
+                normalize_pair(low, low)
+
+    def test_sweep_calls_normalize_pair_on_every_crossing_pair(self, monkeypatch):
+        from sperner import verifier
+        calls = []
+        real = verifier.normalize_pair
+
+        def counting(a, b, validate=True):
+            calls.append(1)
+            return real(a, b, validate=validate)
+
+        monkeypatch.setattr(verifier, "normalize_pair", counting)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.crossing_pairs == 3831
+        assert len(calls) == report.crossing_pairs
+
+    # the row of {{2}} shares its stripe with the earlier row of
+    # {{1},{2},{3},{4}}, which already met {{1,2,3,4}}: a sweep that
+    # audits a family index only on first sight misses the off-diagonal
+    # fake.  The diagonal fake needs both sides of one index kept apart.
+    @pytest.mark.parametrize("a_sets, b_sets", [
+        (((2,),), ((1, 2, 3, 4),)),
+        (((2,),), ((2,),)),
+    ], ids=["off-diagonal", "diagonal"])
+    def test_sweep_audits_the_trace_returned_for_each_pair(
+            self, monkeypatch, a_sets, b_sets):
+        from sperner import verifier
+        a, b = fam(4, *a_sets), fam(4, *b_sets)
+        real = verifier.normalize_pair
+        honest = verifier.normalization_pair_sweep(4)
+        assert honest.passed and not honest.selection_failures
+
+        def faking(x, y, validate=True):
+            tx, ty = real(x, y, validate=validate)
+            if (x, y) == (a, b):
+                # right size, in the band, an antichain, but disjoint from
+                # a's pushed member {1,2}
+                assert tx.final == fam(4, (1, 2)) and ty.steps
+                ty = NormalizationTrace(ty.steps, fam(4, (3, 4)))
+            return tx, ty
+
+        monkeypatch.setattr(verifier, "normalize_pair", faking)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.violations == (("preservation", a.sets(), b.sets()),)
+        assert (report.crossing_pairs, report.moved_pairs) == (
+            honest.crossing_pairs, honest.moved_pairs)
+
+        def fresh(x, y, validate=True):
+            return tuple(NormalizationTrace(t.steps, t.final)
+                         for t in real(x, y, validate=validate))
+
+        monkeypatch.setattr(verifier, "normalize_pair", fresh)
+        assert verifier.normalization_pair_sweep(4) == honest
+
     def test_sampled_pairs_n6(self):
         # the full n=6 pair space is out of reach (Dedekind(6)^2 pairs);
         # a seeded sample documents that greedy selection keeps working
