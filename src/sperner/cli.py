@@ -207,7 +207,6 @@ def _census_payload(census, formula: int, match: bool) -> dict:
             "unordered_optimum": census.unordered_count_optimum,
             "unordered_near": census.unordered_count_near,
         },
-        "reduction": census.reduction,
         "incomplete": census.incomplete,
     }
 
@@ -217,7 +216,7 @@ def _print_verify(payload: dict, fmt: str, extra_lines: list[str]) -> None:
         print(json.dumps(payload, indent=2))
         return
     print(f"n={payload['n']}  optimum={payload['optimum']}  "
-          f"formula={payload['formula_value']}  reduction={payload['reduction']}")
+          f"formula={payload['formula_value']}")
     for line in extra_lines:
         print(line)
     print("PASS" if payload["match"] else "FAIL")

@@ -151,6 +151,15 @@ class Family:
         return iter(self.members)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.members))
+
+    def __hash__(self) -> int:
+        # an explicit __hash__ survives @dataclass(frozen=True); the cached
+        # value spares the per-call rehash of the member tuple
+        return self._hash
+
+    @cached_property
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 

@@ -13,11 +13,12 @@ test is a single integer operation.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cascade import _level_new_shadow, kkt_shadow_bound, shade_of_last_bound
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
@@ -37,23 +38,24 @@ DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 def antichain_mask_tuples(universe: Sequence[int],
                           min_size: int = 0) -> Iterator[tuple[int, ...]]:
     """All antichains over the given candidate subsets, each exactly once,
-    as tuples of masks in universe order (the empty antichain included
-    when min_size == 0).  Branches that cannot reach min_size are pruned.
+    as tuples of masks in walk order (the empty antichain included when
+    min_size == 0).  Branches that cannot reach min_size are pruned.
 
     A depth-first walk over (chosen, allowed) nodes, where allowed holds
     the later candidates incomparable to everything chosen.  Once the
     allowed candidates are pairwise incomparable, every subset of them
     extends chosen, so the node yields those subsets by size instead of
-    descending.
+    descending.  The walk takes the candidates comparable to the most
+    others first (a stable sort): on a power set the outer ranks branch
+    and the widest rank is left as the free tail.
     """
-    size = len(universe)
-    comparable = []
-    for i, s in enumerate(universe):
-        row = 0
-        for j, t in enumerate(universe):
-            if not (s & ~t) or not (t & ~s):  # one contains the other (or equal)
-                row |= 1 << j
-        comparable.append(row)
+    def comparable_row(s: int, over: Sequence[int]) -> int:
+        # bit j set when s and over[j] contain one another (or are equal)
+        return sum(1 << j for j, t in enumerate(over) if not (s & ~t) or not (t & ~s))
+
+    cands = sorted(universe, key=lambda s: -comparable_row(s, universe).bit_count())
+    size = len(cands)
+    comparable = [comparable_row(s, cands) for s in cands]
     above = [(((1 << size) - 1) >> (i + 1)) << (i + 1) for i in range(size)]
     clash = [comparable[i] & above[i] for i in range(size)]
     keep = [above[i] & ~comparable[i] for i in range(size)]
@@ -72,7 +74,7 @@ def antichain_mask_tuples(universe: Sequence[int],
             i = low.bit_length() - 1
             if clash[i] & allowed:
                 break
-            rest.append(universe[i])
+            rest.append(cands[i])
             cand ^= low
         else:  # allowed is pairwise incomparable
             for r in range(max(min_size - len(chosen), 0), len(rest) + 1):
@@ -81,14 +83,14 @@ def antichain_mask_tuples(universe: Sequence[int],
             continue
         if len(chosen) >= min_size:
             yield chosen
-        # children pushed last-first, so they pop in universe order
+        # children pushed last-first, so they pop in walk order
         cand = allowed
         while cand:
             i = cand.bit_length() - 1
             cand ^= 1 << i
             nxt = allowed & keep[i]
             if len(chosen) + 1 + nxt.bit_count() >= min_size:
-                stack.append((chosen + (universe[i],), nxt))
+                stack.append((chosen + (cands[i],), nxt))
 
 
 def enumerate_antichains(n: int) -> Iterator[Family]:
@@ -117,8 +119,7 @@ def count_antichains_oracle(n: int) -> int:
 
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
     """Antichains with all members in ranks {n/2, n/2+1} and at least
-    min_size members (even n).  The upper level comes first, so the walk
-    branches over its sets and the lower level is the free tail."""
+    min_size members (even n)."""
     if n % 2:
         raise ValueError("middle band enumeration needs even n")
     k = n // 2
@@ -190,7 +191,6 @@ class SearchCensus:
     near_optimum_pairs: tuple[tuple[Family, Family], ...]
     raw_optimum: tuple[tuple[Family, Family], ...]
     raw_near: tuple[tuple[Family, Family], ...]
-    reduction: str = "none"      # "middle_band" when the n=6 reduction ran
     incomplete: bool = False     # true when the wall-clock budget expired
 
     @property
@@ -228,94 +228,89 @@ def _meets_table(n: int) -> list[int]:
     return meets
 
 
-def _family_bitmasks(cands: Sequence[tuple[int, ...]], n: int,
-                     meets: list[int]) -> tuple[list[int], list[int]]:
-    """Per candidate family: its member mask over subset indices, and the
-    complement of its transversal mask.  B crosses A iff
-    member_mask(B) & avoid(A) == 0."""
+def _family_bitmasks(members: Sequence[int], n: int,
+                     meets: list[int]) -> tuple[int, int]:
+    """A family's member mask over subset indices, and the complement of
+    its transversal mask.  B crosses A iff member_mask(B) & avoid(A) == 0."""
     full = (1 << (1 << n)) - 1
-    mmask, avoid = [], []
-    for c in cands:
-        mm, tm = 0, full
-        for m in c:
-            mm |= 1 << m
-            tm &= meets[m]
-        mmask.append(mm)
-        avoid.append(full ^ tm)
-    return mmask, avoid
+    mm, tm = 0, full
+    for m in members:
+        mm |= 1 << m
+        tm &= meets[m]
+    return mm, full ^ tm
 
 
-def _census_scan(cands: list[tuple[int, ...]], n: int,
+def _census_scan(cands: Iterable[tuple[int, ...]], n: int,
                  deadline: float | None,
                  seed_best: int) -> tuple[int, dict[int, list], bool]:
     """One sweep over candidate antichains (mask tuples), largest first.
 
+    Each candidate is kept only as its member mask over the 2^n subset
+    indices, and only the pairs found are decoded back to member tuples.
     Every crossing pair with sum s >= best - 1 is collected, where best is
     the running maximum (never below seed_best, the sum of a known crossing
     pair); at the end only the pairs at the final best and best - 1 are
     kept.  Nothing needed is pruned: the running best never exceeds the
-    final one and sizes are sorted descending, so each break skips only
-    pairs below the final best - 1.
+    final one and sizes are sorted descending, so each row's cut skips
+    only pairs below the final best - 1.
     """
+    masks = sorted((sum(1 << m for m in c) for c in cands),
+                   key=int.bit_count, reverse=True)
     meets = _meets_table(n)
-    order = sorted(range(len(cands)), key=lambda i: (-len(cands[i]), cands[i]))
-    sizes = [len(cands[i]) for i in order]
-    mmask, avoid = _family_bitmasks([cands[i] for i in order], n, meets)
+
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(m for m in range(1 << n) if mask >> m & 1)
 
     incomplete = False
     best = seed_best
     found = []
-    for ii in range(len(order)):
-        if 2 * sizes[ii] < best - 1:
+    for ii, a in enumerate(masks):
+        size_a = a.bit_count()
+        if 2 * size_a < best - 1:
             break
         if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
-        for jj in range(ii, len(order)):
-            s = sizes[ii] + sizes[jj]
-            if s < best - 1:
-                break
-            if not (mmask[jj] & avoid[ii]):
+        _, avoid = _family_bitmasks(members(a), n, meets)
+        # the partners of at least best - 1 - size_a members
+        stop = bisect_right(masks, size_a - best + 1, key=lambda m: -m.bit_count())
+        for jj in range(ii, stop):
+            b = masks[jj]
+            if not (b & avoid):
+                s = size_a + b.bit_count()
                 best = max(best, s)
-                found.append((s, cands[order[ii]], cands[order[jj]]))
+                found.append((s, a, b))
 
     buckets: dict[int, list] = {best: [], best - 1: []}
     for s, a, b in found:
         if s >= best - 1:
-            buckets[s].append((a, b))
+            buckets[s].append((members(a), members(b)))
     return best, buckets, incomplete
 
 
 def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     """Exhaustive maximum of |A| + |B| over cross-intersecting antichain
-    pairs, with every pair at the optimum and at optimum-1.
+    pairs of {1..n}, 1 <= n <= 6, with every pair at the optimum and at
+    optimum-1.
 
-    n <= 5 scans all antichain pairs; n = 6 searches only the middle band
-    (ranks 3 and 4), which is justified for the bound by normalization
-    but makes the uniqueness/near-optimal results band-relative.
+    A checked crossing pair of middle levels seeds the running best.  No
+    antichain has more than C(n, n//2) members (Sperner), so a pair within
+    1 of the seed has both sides of at least seed - 1 - C(n, n//2)
+    members, and the walk prunes below that floor.  The scan still finds
+    any optimum above the seed.
     """
+    if not 1 <= n <= MAX_ENUMERATION:
+        raise ValueError(f"census supports 1 <= n <= {MAX_ENUMERATION}, got {n}")
     deadline = None
     if budget_seconds is not None:
         deadline = time.monotonic() + budget_seconds
-    if n <= 5:
-        cands = list(antichain_mask_tuples(range(1 << n)))
-        reduction = "none"
-        seed_best = 0
-    elif n == 6:
-        lo, hi = full_level(n, n // 2), full_level(n, n // 2 + 1)
-        # (lo, hi) is cross-intersecting, so its sum is a sound seed and
-        # only band antichains within 1 of it can matter for the buckets
-        if not is_cross_intersecting(lo, hi):
-            raise RuntimeError(f"the n={n} census seed levels do not "
-                               "cross-intersect")
-        seed_best = len(lo) + len(hi)
-        floor_size = seed_best - 1 - comb(n, n // 2)
-        cands = list(middle_band_antichains(n, floor_size))
-        reduction = "middle_band"
-    else:
-        raise ValueError("census supports n <= 6 (middle band reduction at 6)")
-
-    best, buckets, incomplete = _census_scan(cands, n, deadline, seed_best)
+    lo, hi = full_level(n, (n + 1) // 2), full_level(n, n // 2 + 1)
+    if not is_cross_intersecting(lo, hi):
+        raise RuntimeError(f"the n={n} census seed levels do not cross-intersect")
+    seed_best = len(lo) + len(hi)
+    floor_size = seed_best - 1 - comb(n, n // 2)
+    best, buckets, incomplete = _census_scan(
+        antichain_mask_tuples(range(1 << n), floor_size), n, deadline, seed_best)
 
     def materialize(pairs: list) -> tuple[tuple[Family, Family], ...]:
         ordered = []
@@ -342,7 +337,6 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
         near_optimum_pairs=reduce(raw_near),
         raw_optimum=raw_opt,
         raw_near=raw_near,
-        reduction=reduction,
         incomplete=incomplete,
     )
 
@@ -494,7 +488,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     process builds this on first use."""
     fams = list(enumerate_antichains(n))
     meets = _meets_table(n)
-    mmask, avoid = _family_bitmasks([f.members for f in fams], n, meets)
+    mmask, avoid = zip(*(_family_bitmasks(f.members, n, meets) for f in fams))
     full_mask = (1 << n) - 1
     cmask = []
     for f in fams:
@@ -545,8 +539,7 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
                     and (not m or lo <= m[0].bit_count()
                          and m[-1].bit_count() <= hi)
                     and (stepped[k] or final == f))
-        mm, av = _family_bitmasks([m], n, meets)
-        pushed_members[k], pushed_avoid[k] = mm[0], av[0]
+        pushed_members[k], pushed_avoid[k] = _family_bitmasks(m, n, meets)
 
     crossing = moved = 0
     failures: list[tuple] = []

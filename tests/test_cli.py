@@ -33,12 +33,14 @@ m,last_set,new_shade,shade_size,lemma_1_9_bound_num,lemma_1_9_bound_den
 """
 
 
-def run_process(*argv, stdout=subprocess.PIPE, flags=()):
-    """The CLI as its own interpreter, with this checkout's sources."""
+def run_process(*argv, stdout=subprocess.PIPE, flags=(),
+                target=("-m", "sperner.cli")):
+    """The CLI (or another target) as its own interpreter, with this
+    checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *flags, "-m", "sperner.cli", *argv],
+    return subprocess.run([sys.executable, *flags, *target, *argv],
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
                           timeout=120)
 
@@ -261,8 +263,14 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         Draft202012Validator(CENSUS_SCHEMA).validate(payload)
-        assert payload["reduction"] == "middle_band"
+        assert "reduction" not in payload
         assert payload["optimum"] == 35
+
+    @pytest.mark.parametrize("n", ["-1", "0", "7"])
+    def test_census_range_is_usage(self, capsys, n):
+        code, out, err = run(capsys, "verify", "theorem-1.4", "--n", n)
+        assert code == 2 and out == ""
+        assert "census supports 1 <= n <= 6" in err
 
     def test_budget_exhaustion_exit_code(self, capsys):
         code, out, err = run(capsys, "verify", "theorem-1.4", "--n", "5",
@@ -299,6 +307,13 @@ class TestProcess:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+    def test_census_summary_script(self):
+        proc = run_process("--max-n", "4",
+                           target=(str(REPO_ROOT / "scripts" / "census_summary.py"),))
+        assert proc.returncode == 0
+        lines = proc.stdout.decode().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["n=3", "n=4"]
 
     def test_normalization_audit_under_optimize(self):
         # invariant checks are explicit raises, so -O runs the same audit

@@ -232,30 +232,33 @@ class TestNormalizePair:
         assert report.crossing_pairs == 3831
         assert len(calls) == report.crossing_pairs
 
-    # the row of {{2}} shares its stripe with the earlier row of
-    # {{1},{2},{3},{4}}, which already met {{1,2,3,4}}: a sweep that
-    # audits a family index only on first sight misses the off-diagonal
-    # fake.  The diagonal fake needs both sides of one index kept apart.
-    @pytest.mark.parametrize("a_sets, b_sets", [
-        (((2,),), ((1, 2, 3, 4),)),
-        (((2,),), ((2,),)),
+    # the row of {{4}} shares its stripe with the earlier row of
+    # {{1,2,3,4}}, which already met {{4}}: a sweep that audits a family
+    # index only on first sight misses the off-diagonal fake of {{4}}'s
+    # side.  The diagonal fake needs both sides of one index kept apart.
+    @pytest.mark.parametrize("a_sets, b_sets, side, fake_sets", [
+        (((4,),), ((1, 4),), 0, ((2, 3),)),
+        (((2,),), ((2,),), 1, ((3, 4),)),
     ], ids=["off-diagonal", "diagonal"])
     def test_sweep_audits_the_trace_returned_for_each_pair(
-            self, monkeypatch, a_sets, b_sets):
+            self, monkeypatch, a_sets, b_sets, side, fake_sets):
         from sperner import verifier
-        a, b = fam(4, *a_sets), fam(4, *b_sets)
+        a, b, fake = fam(4, *a_sets), fam(4, *b_sets), fam(4, *fake_sets)
+        fams = verifier._pair_sweep_setup(4)[0]
+        assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
         real = verifier.normalize_pair
         honest = verifier.normalization_pair_sweep(4)
         assert honest.passed and not honest.selection_failures
 
         def faking(x, y, validate=True):
-            tx, ty = real(x, y, validate=validate)
+            traces = list(real(x, y, validate=validate))
             if (x, y) == (a, b):
                 # right size, in the band, an antichain, but disjoint from
-                # a's pushed member {1,2}
-                assert tx.final == fam(4, (1, 2)) and ty.steps
-                ty = NormalizationTrace(ty.steps, fam(4, (3, 4)))
-            return tx, ty
+                # the other side's pushed member
+                t, other = traces[side], traces[1 - side]
+                assert t.steps and not is_cross_intersecting(fake, other.final)
+                traces[side] = NormalizationTrace(t.steps, fake)
+            return tuple(traces)
 
         monkeypatch.setattr(verifier, "normalize_pair", faking)
         report = verifier.normalization_pair_sweep(4)

@@ -84,9 +84,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("name", sorted(WALK_UNIVERSES))
     def test_walk_matches_brute_force(self, name, min_size):
         universe = WALK_UNIVERSES[name]
-        walked = list(antichain_mask_tuples(universe, min_size))
+        # members come in walk order, so compare the antichains as sets
+        walked = [frozenset(a) for a in antichain_mask_tuples(universe, min_size)]
         assert len(set(walked)) == len(walked)
-        assert sorted(walked) == sorted(brute_antichains(universe, min_size))
+        assert set(walked) == {frozenset(a) for a in brute_antichains(universe, min_size)}
 
     def test_n6_band_is_the_walk_restricted_to_ranks_3_and_4(self):
         band = [frozenset(a) for a in middle_band_antichains(6, 14)]
@@ -178,8 +179,10 @@ class TestCensus:
         assert census.raw_optimum == ((lv, lv),)
 
     def test_n6_middle_band(self):
+        # the census walks every n=6 antichain; the optimum is still the
+        # middle band
         census = max_cross_sum(6)
-        assert census.reduction == "middle_band"
+        assert not hasattr(census, "reduction")
         assert census.optimum == 35
         lo, hi = full_level(6, 3), full_level(6, 4)
         assert set(census.raw_optimum) == {(lo, hi), (hi, lo)}
@@ -204,8 +207,29 @@ class TestCensus:
         assert census.incomplete
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            max_cross_sum(7)
+        for n in (-1, 0, 7):
+            with pytest.raises(ValueError, match=r"1 <= n <= 6"):
+                max_cross_sum(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_seed_floor_keeps_every_pair(self, n):
+        # the seeded census walks only antichains of at least the floor
+        # size; an unseeded scan of every antichain is the reference
+        best, buckets, incomplete = _census_scan(
+            antichain_mask_tuples(range(1 << n)), n, None, 0)
+        assert not incomplete
+
+        def ordered(pairs):
+            out = set()
+            for a, b in pairs:
+                fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
+                out |= {(fa, fb), (fb, fa)}
+            return out
+
+        census = max_cross_sum(n)
+        assert census.optimum == best
+        assert set(census.raw_optimum) == ordered(buckets[best])
+        assert set(census.raw_near) == ordered(buckets[best - 1])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_against_naive_oracle(self, n):
@@ -267,11 +291,11 @@ class TestTheoremReports:
                 assert len(a) + len(b) == formula - 1
 
     def test_n6_band_relative_reports(self):
-        # the n=6 run searches only ranks {3,4}; bound and
-        # characterization are therefore band-relative
+        # the n=6 census walks every antichain, so the bound and the
+        # characterization hold over the whole lattice, not a band
         report = extremal_report(6)
         assert report["match"]
-        assert report["census"].reduction == "middle_band"
+        assert not hasattr(report["census"], "reduction")
         near = near_extremal_report(6)
         assert near["match"]
         assert near["expected_ordered"] == 70
