@@ -266,11 +266,13 @@ def _cmd_verify(args) -> int:
         print("verify: --n is required for this target", file=sys.stderr)
         return EXIT_USAGE
     n = args.n
-    if target == "theorem-1.5" and n % 2 == 0:
-        print("theorem-1.5 concerns odd ground sizes", file=sys.stderr)
+    # below these sizes the almost-extremal characterization does not
+    # hold, so a FAIL there would not refute the claim
+    if target == "theorem-1.5" and (n % 2 == 0 or n < 3):
+        print("theorem-1.5 concerns odd ground sizes n >= 3", file=sys.stderr)
         return EXIT_USAGE
-    if target == "theorem-1.6" and n % 2 == 1:
-        print("theorem-1.6 concerns even ground sizes", file=sys.stderr)
+    if target == "theorem-1.6" and (n % 2 == 1 or n < 4):
+        print("theorem-1.6 concerns even ground sizes n >= 4", file=sys.stderr)
         return EXIT_USAGE
 
     if target == "theorem-1.4":

@@ -6,7 +6,6 @@ built on parallel_map produces identical output at any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -19,5 +18,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T],
     seq: Sequence[T] = list(items)
     if workers <= 1 or len(seq) <= 1:
         return [fn(x) for x in seq]
+    # imported here: the pool machinery (multiprocessing, pickle, socket)
+    # would otherwise load on every CLI start
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(seq))) as pool:
         return list(pool.map(fn, seq))

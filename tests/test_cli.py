@@ -229,6 +229,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "theorem-1.6", "--n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("target,n,range_text", [
+        ("theorem-1.5", "1", "odd ground sizes n >= 3"),
+        ("theorem-1.6", "2", "even ground sizes n >= 4"),
+    ])
+    def test_below_characterization_range_is_usage(self, capsys, target, n,
+                                                    range_text):
+        code, out, err = run(capsys, "verify", target, "--n", n)
+        assert code == 2 and out == ""
+        assert range_text in err
+
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "verify", "theorem-1.4")
         assert code == 2

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +38,17 @@ def test_tracer_entry_points_exist():
                for name in names
                if not hasattr(importlib.import_module(f"sperner.{module}"), name)]
     assert missing == []
+
+
+def test_cli_import_skips_process_pool():
+    # the pool machinery loads only when a run asks for workers, so a
+    # plain CLI start does not pay for multiprocessing, pickle and socket
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, sperner.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

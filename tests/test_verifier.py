@@ -51,6 +51,14 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_antichains(n)) \
                 == count_antichains_oracle(n) == DEDEKIND[n]
 
+    def test_oracle_n6(self):
+        assert count_antichains_oracle(6) == DEDEKIND[6]
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_oracle_gating(self, n):
+        with pytest.raises(ValueError, match="oracle supports 1 <= n <= 6"):
+            count_antichains_oracle(n)
+
     def test_every_yield_is_an_antichain_and_unique(self):
         for n in (3, 4):
             seen = set()
@@ -274,6 +282,15 @@ class TestTheoremReports:
         assert report["match"]
         assert report["expected_ordered"] == expected_ordered
         assert not report["missing"] and not report["unexpected"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_near_extremal_fails_below_range(self, n):
+        # the characterization needs n >= 3 (odd) or n >= 4 (even); below
+        # that the census finds optimum-1 pairs it does not predict, and
+        # the CLI refuses these sizes rather than report a refutation
+        report = near_extremal_report(n)
+        assert not report["match"]
+        assert report["unexpected"]
 
     def test_expected_pair_constructions(self):
         assert len(expected_optimal_pairs(5)) == 1
