@@ -7,12 +7,13 @@ ground-set permutations."""
 import argparse
 import time
 
-from sperner.verifier import max_cross_sum, max_sum_formula
+from sperner.verifier import MAX_ENUMERATION, max_cross_sum, max_sum_formula
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6, choices=range(3, 7))
+    parser.add_argument("--max-n", type=int, default=MAX_ENUMERATION,
+                        choices=range(3, MAX_ENUMERATION + 1))
     args = parser.parse_args()
     for n in range(3, args.max_n + 1):
         t0 = time.monotonic()

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .ground import Family, check_ground
-from .squashed import last_segment, level_masks, rank
+from .squashed import level_masks, rank
 
 MAX_REPRESENTABLE = comb(60, 30)
 
@@ -68,65 +69,58 @@ def shade(f: Family) -> Family:
 
 
 @lru_cache(maxsize=None)
-def _level_new_shadow(n: int, k: int) -> tuple[frozenset[int], ...]:
-    """Per squashed-order position: facets not below any earlier k-set."""
-    seen: set[int] = set()
-    out = []
-    for m in level_masks(n, k):
-        facets = frozenset(_facets(m))
-        out.append(facets - seen)
-        seen |= facets
-    # fresh contributions partition the (k-1)-level
-    if not sum(len(fs) for fs in out) == len(seen) == comb(n, k - 1):
-        raise RuntimeError(f"fresh shadows of level {k} of n={n} do not "
-                           f"partition level {k - 1}")
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _level_new_shade(n: int, k: int) -> tuple[frozenset[int], ...]:
-    """Per squashed-order position: covers not above any later k-set."""
+def _level_fresh(n: int, k: int, up: bool) -> tuple[frozenset[int], ...]:
+    """Per squashed-order position of level k: the facets not below any
+    earlier k-set, walking forward; with `up`, the covers not above any
+    later k-set, walking backward."""
     lv = level_masks(n, k)
     seen: set[int] = set()
     out: list[frozenset[int]] = [frozenset()] * len(lv)
-    for i in reversed(range(len(lv))):
-        covers = frozenset(_covers(lv[i], n))
-        out[i] = covers - seen
-        seen |= covers
-    if not sum(len(fs) for fs in out) == len(seen) == comb(n, k + 1):
-        raise RuntimeError(f"fresh shades of level {k} of n={n} do not "
-                           f"partition level {k + 1}")
+    for i in (reversed(range(len(lv))) if up else range(len(lv))):
+        near = frozenset(_covers(lv[i], n) if up else _facets(lv[i]))
+        out[i] = near - seen
+        seen |= near
+    # fresh contributions partition the neighbouring level
+    j = k + 1 if up else k - 1
+    if not sum(len(fs) for fs in out) == len(seen) == comb(n, j):
+        raise RuntimeError(f"fresh {'shades' if up else 'shadows'} of level "
+                           f"{k} of n={n} do not partition level {j}")
     return tuple(out)
+
+
+def _fresh_sizes(n: int, k: int, up: bool) -> list[int]:
+    """Entry m is |shadow of the first m k-sets|, or with `up`, |shade of
+    the last m|.  Fresh contributions partition the shadow (shade), so
+    these are prefix sums of their sizes in the walking order."""
+    fresh = _level_fresh(n, k, up)
+    walk = reversed(fresh) if up else fresh
+    return [0, *accumulate(len(fs) for fs in walk)]
+
+
+def _fresh_union(f: Family, up: bool) -> Family:
+    if not f.members:
+        return Family(f.n, ())
+    k = _uniform_rank(f)
+    if k == (f.n if up else 0):
+        raise ValueError(f"new-shade undefined at rank n={f.n}" if up
+                         else "new-shadow undefined at rank 0")
+    fresh = _level_fresh(f.n, k, up)
+    out: set[int] = set()
+    for m in f.members:
+        out |= fresh[rank(m).index]
+    return Family.from_masks(f.n, out)
 
 
 def new_shadow(f: Family) -> Family:
     """Union over members S of the facets of S not in the shadow of any
     k-set preceding S in squashed order (predecessors range over the
     whole level, not just the family)."""
-    if not f.members:
-        return Family(f.n, ())
-    k = _uniform_rank(f)
-    if k == 0:
-        raise ValueError("new-shadow undefined at rank 0")
-    fresh = _level_new_shadow(f.n, k)
-    out: set[int] = set()
-    for m in f.members:
-        out |= fresh[rank(m).index]
-    return Family.from_masks(f.n, out)
+    return _fresh_union(f, up=False)
 
 
 def new_shade(f: Family) -> Family:
     """Dual of new_shadow: covers not above any later k-set."""
-    if not f.members:
-        return Family(f.n, ())
-    k = _uniform_rank(f)
-    if k == f.n:
-        raise ValueError(f"new-shade undefined at rank n={f.n}")
-    fresh = _level_new_shade(f.n, k)
-    out: set[int] = set()
-    for m in f.members:
-        out |= fresh[rank(m).index]
-    return Family.from_masks(f.n, out)
+    return _fresh_union(f, up=True)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,8 @@ def shade_table(n: int = 4) -> list[ShadeTableRow]:
         raise ValueError(f"shade table needs an even ground size, got {n}")
     k = n // 2
     lv = level_masks(n, k)
-    fresh = _level_new_shade(n, k)
+    fresh = _level_fresh(n, k, True)
+    sizes = _fresh_sizes(n, k, True)
     rows = []
     for m in range(1, len(lv) + 1):
         pos = len(lv) - m
@@ -265,7 +260,7 @@ def shade_table(n: int = 4) -> list[ShadeTableRow]:
             m=m,
             last_set=lv[pos],
             new_shade=tuple(sorted(fresh[pos])),
-            shade_size=len(shade(last_segment(n, k, m))),
+            shade_size=sizes[m],
             bound=Fraction(n * m, n + 2) + 1,
         ))
     return rows
@@ -285,31 +280,19 @@ def kkt_oracle_mismatches(n_max: int = 10) -> list[tuple]:
         shadow_sizes: dict[int, list[int]] = {}
         shade_sizes: dict[int, list[int]] = {}
         for k in range(0, n + 1):
-            # fresh contributions partition the shadow (shade), so the
-            # shadow of the first m k-sets (shade of the last m) has the
-            # size of a prefix (suffix) sum
             if k >= 1:
-                sizes = [0]
-                for fresh in _level_new_shadow(n, k):
-                    sizes.append(sizes[-1] + len(fresh))
-                shadow_sizes[k] = sizes
+                sizes = shadow_sizes[k] = _fresh_sizes(n, k, False)
                 for m in range(1, len(sizes)):
                     if kkt_shadow_bound(m, k) != sizes[m]:
                         bad.append((n, k, m, "shadow-closed-form"))
             if k <= n - 1:
-                sizes = [0]
-                for fresh in reversed(_level_new_shade(n, k)):
-                    sizes.append(sizes[-1] + len(fresh))
-                shade_sizes[k] = sizes
+                sizes = shade_sizes[k] = _fresh_sizes(n, k, True)
                 for m in range(1, len(sizes)):
                     if shade_of_last_bound(m, n, k) != sizes[m]:
                         bad.append((n, k, m, "shade-closed-form"))
         for k, sizes in shadow_sizes.items():
-            dual = shade_sizes.get(n - k)
-            if dual is None:
-                continue
-            for m in range(len(sizes)):
-                if sizes[m] != dual[m]:
+            for m, dual in enumerate(shade_sizes[n - k]):
+                if sizes[m] != dual:
                     bad.append((n, k, m, "duality"))
     return bad
 
@@ -334,28 +317,20 @@ def window_minimality_report(n_max: int = 8) -> WindowReport:
     bad: list[tuple] = []
     for n in range(1, n_max + 1):
         for k in range(0, n + 1):
-            lv = level_masks(n, k)
-            size = len(lv)
-            for what, fresh_of in (("new-shadow", _level_new_shadow),
-                                   ("new-shade", _level_new_shade)):
-                if what == "new-shadow" and k == 0:
+            size = comb(n, k)
+            for up, what in ((False, "new-shadow"), (True, "new-shade")):
+                if k == (n if up else 0):
                     continue
-                if what == "new-shade" and k == n:
-                    continue
-                sizes = [len(fs) for fs in fresh_of(n, k)]
-                prefix = [0]
-                for s in sizes:
-                    prefix.append(prefix[-1] + s)
                 # fresh contributions are disjoint across positions, so a
-                # window's new-shadow/new-shade size is a prefix-sum difference
+                # window's size is a prefix-sum difference in the walking
+                # order (backward for shades); the floor window is its far end
+                sizes = _fresh_sizes(n, k, up)
                 for m in range(1, size + 1):
-                    if what == "new-shadow":
-                        floor_value = prefix[size] - prefix[size - m]  # last m
-                    else:
-                        floor_value = prefix[m]  # first m
+                    floor_value = sizes[size] - sizes[size - m]
                     for start in range(0, size - m + 1):
                         checked += 1
-                        got = prefix[start + m] - prefix[start]
+                        lo = size - m - start if up else start  # walking start
+                        got = sizes[lo + m] - sizes[lo]
                         if got < floor_value:
                             bad.append((n, k, m, start, what, got, floor_value))
     return WindowReport(n_max, checked, tuple(bad))

@@ -224,6 +224,15 @@ def _print_verify(payload: dict, fmt: str, extra_lines: list[str]) -> None:
 
 def _cmd_verify(args) -> int:
     target = args.target
+    # an option the target never reads would be silently dropped
+    for flag, given, read in (
+            ("--workers", args.workers, target == "normalization"),
+            ("--budget-seconds", args.budget_seconds, target.startswith("theorem-")),
+            ("--n", args.n, target != "lemma-3.15")):
+        if given is not None and not read:
+            raise ValueError(f"verify {target} does not take {flag}")
+    if args.budget_seconds is not None and not args.budget_seconds >= 0:
+        raise ValueError(f"budget must be >= 0 seconds, got {args.budget_seconds}")
     if target == "lemma-3.15":
         report = size4_antichain_classes_report()
         if args.format == "json":
@@ -242,9 +251,10 @@ def _cmd_verify(args) -> int:
 
     if target == "normalization":
         n = args.n if args.n is not None else 4
-        if args.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {args.workers}")
-        report = normalization_pair_sweep(n, workers=args.workers)
+        workers = args.workers if args.workers is not None else 1
+        if workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {workers}")
+        report = normalization_pair_sweep(n, workers=workers)
         ok = report.passed and not report.selection_failures
         if args.format == "json":
             print(json.dumps({
@@ -303,9 +313,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.target == "lemma-3.8":
-        report = sweep_shadow_excess(args.max_n if args.max_n else 13)
+        report = sweep_shadow_excess(13 if args.max_n is None else args.max_n)
     else:
-        report = sweep_last_shade_margin(args.max_n if args.max_n else 12)
+        report = sweep_last_shade_margin(12 if args.max_n is None else args.max_n)
     if args.format == "json":
         print(json.dumps({"name": report.name, "instances": report.instances,
                           "violations": [list(v) for v in report.violations],
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "normalization"))
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--budget-seconds", type=float)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int)
     add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

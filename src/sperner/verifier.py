@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .cascade import _level_new_shadow, kkt_shadow_bound, shade_of_last_bound
+from .cascade import _fresh_sizes, kkt_shadow_bound, shade_of_last_bound
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
 from .normalize import SelectionError, _normalized, middle_band, normalize_pair
@@ -347,8 +347,8 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     raw_near = materialize(buckets[best - 1])
 
     def reduce(pairs) -> tuple[tuple[Family, Family], ...]:
-        keys = sorted({canonical_pair_key(a, b) for a, b in pairs})
-        return tuple((Family(n, ka), Family(n, kb)) for ka, kb in keys)
+        classes = {canonical_pair(a, b) for a, b in pairs}
+        return tuple(sorted(classes, key=lambda p: (p[0].members, p[1].members)))
 
     return SearchCensus(
         n=n,
@@ -478,13 +478,7 @@ def sweep_shadow_excess(n_max: int = 13, brute_max: int = 9) -> SweepReport:
     bad = []
     for n in range(3, n_max + 1, 2):
         k = (n + 1) // 2 + 1
-        brute_sizes = None
-        if n <= brute_max:
-            # fresh facets partition the shadow, so prefix sums of their
-            # sizes are the shadow sizes of the first m k-sets
-            brute_sizes = [0]
-            for fresh in _level_new_shadow(n, k):
-                brute_sizes.append(brute_sizes[-1] + len(fresh))
+        brute_sizes = _fresh_sizes(n, k, False) if n <= brute_max else None
         for m in range(1, comb(n, k) + 1):
             instances += 1
             bound = kkt_shadow_bound(m, k)

@@ -253,13 +253,26 @@ class TestWindowMinimality:
 
     def test_window_sums_match_set_union(self):
         # the prefix-sum shortcut must agree with a literal set union
-        from sperner.cascade import _level_new_shadow
+        from sperner.cascade import _level_fresh
         from sperner.squashed import segment
         n, k = 6, 3
-        fresh = _level_new_shadow(n, k)
+        fresh = _level_fresh(n, k, False)
         size = comb(n, k)
         for m in (1, 3, 7):
             for start in range(0, size - m + 1):
                 window = segment(n, k, start, m)
                 got = len(new_shadow(window))
+                assert got == sum(len(fresh[i]) for i in range(start, start + m))
+
+    def test_shade_window_sums_match_set_union(self):
+        # the backward walk of the table, against new_shade of each window
+        from sperner.cascade import _level_fresh
+        from sperner.squashed import segment
+        n, k = 6, 3
+        fresh = _level_fresh(n, k, True)
+        size = comb(n, k)
+        for m in (1, 3, 7):
+            for start in range(0, size - m + 1):
+                window = segment(n, k, start, m)
+                got = len(new_shade(window))
                 assert got == sum(len(fresh[i]) for i in range(start, start + m))

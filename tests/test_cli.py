@@ -267,7 +267,7 @@ class TestVerify:
                              "--workers", "0")
         assert code == 2 and out == "" and "worker count" in err
 
-    def test_theorem_1_6_band_n6(self, capsys):
+    def test_theorem_1_4_n6_json_schema(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", "6",
                            "--format", "json")
         assert code == 0
@@ -288,6 +288,27 @@ class TestVerify:
         assert code == 3
         assert "partial" in err
 
+    @pytest.mark.parametrize("args,flag", [
+        (("lemma-3.15", "--n", "9"), "--n"),
+        (("lemma-3.15", "--workers", "1"), "--workers"),
+        (("lemma-3.15", "--budget-seconds", "5"), "--budget-seconds"),
+        (("theorem-1.4", "--n", "3", "--workers", "-5"), "--workers"),
+        (("theorem-1.5", "--n", "3", "--workers", "1"), "--workers"),
+        (("normalization", "--n", "3", "--budget-seconds", "5"),
+         "--budget-seconds"),
+    ])
+    def test_option_the_target_never_reads_is_usage(self, capsys, args, flag):
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2 and out == ""
+        assert f"does not take {flag}" in err
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_negative_budget_is_usage(self, capsys, budget):
+        code, out, err = run(capsys, "verify", "theorem-1.4", "--n", "3",
+                             "--budget-seconds", budget)
+        assert code == 2 and out == ""
+        assert "budget must be >= 0" in err
+
 
 class TestSweepCommand:
     def test_lemma_3_8(self, capsys):
@@ -304,6 +325,13 @@ class TestSweepCommand:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "lemma-3.8", "--max-n", "15")
         assert code == 2
+
+    @pytest.mark.parametrize("target,range_text", [
+        ("lemma-3.8", "3..13"), ("lemma-3.14", "6..12")])
+    def test_max_n_zero_is_usage(self, capsys, target, range_text):
+        code, out, err = run(capsys, "sweep", target, "--max-n", "0")
+        assert code == 2 and out == ""
+        assert range_text in err
 
 
 class TestProcess:

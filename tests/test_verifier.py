@@ -186,7 +186,7 @@ class TestCensus:
         lv = full_level(5, 3)
         assert census.raw_optimum == ((lv, lv),)
 
-    def test_n6_middle_band(self):
+    def test_n6_optimum_is_the_middle_levels(self):
         # the census walks every n=6 antichain; the optimum is still the
         # middle band
         census = max_cross_sum(6)
@@ -307,7 +307,7 @@ class TestTheoremReports:
                 assert is_cross_intersecting(a, b)
                 assert len(a) + len(b) == formula - 1
 
-    def test_n6_band_relative_reports(self):
+    def test_n6_reports_cover_every_antichain(self):
         # the n=6 census walks every antichain, so the bound and the
         # characterization hold over the whole lattice, not a band
         report = extremal_report(6)
