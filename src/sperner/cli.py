@@ -79,6 +79,8 @@ def _segment_or_file(args) -> Family:
     if len(given) > 1:
         raise ValueError(f"{' and '.join(given)} are mutually exclusive")
     if args.family is not None:
+        if args.n is not None or args.k is not None:
+            raise ValueError("--family and positional n and k are mutually exclusive")
         return read_family(args.family)
     if args.n is None or args.k is None:
         raise ValueError("give either --family or both n and k")

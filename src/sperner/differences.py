@@ -180,7 +180,9 @@ def check_lemma(check_id: str, limit: int | None = None) -> CheckReport:
     """Run one catalogue check up to the given parameter limit.
 
     Returns a structured report; the violations list pinpoints every
-    offending parameter tuple rather than collapsing to a boolean.
+    offending parameter tuple rather than collapsing to a boolean.  A
+    limit that leaves the check no instance raises ValueError, so a pass
+    always checked something.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; "
@@ -195,6 +197,8 @@ def check_lemma(check_id: str, limit: int | None = None) -> CheckReport:
         instances += 1
         if not ok:
             violations.append(params)
+    if not instances:
+        raise ValueError(f"check {check_id} has no instance up to limit {limit}")
     return CheckReport(check_id, description, limit, instances, tuple(violations))
 
 

@@ -101,7 +101,7 @@ def sort_members(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Family:
     """A duplicate-free collection of subsets over a fixed ground size.
 

@@ -29,6 +29,7 @@ from .squashed import level_masks
 
 MAX_ENUMERATION = 6
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
+SHADOW_BRUTE_MAX = 9   # largest n that sweep_shadow_excess also checks by brute force
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +165,16 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def _images(*fams: Family) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The member encodings of the families under each ground-set
+    permutation, the same permutation applied to every family."""
+    return (tuple(sort_members([t[m] for m in f.members]) for f in fams)
+            for t in _perm_tables(fams[0].n))
+
+
 def canonical_family_key(f: Family) -> tuple[int, ...]:
     """Minimal member encoding over all ground-set permutations."""
-    return min(sort_members([t[m] for m in f.members]) for t in _perm_tables(f.n))
+    return min(_images(f))[0]
 
 
 def canonical_pair_key(a: Family, b: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,9 +182,7 @@ def canonical_pair_key(a: Family, b: Family) -> tuple[tuple[int, ...], tuple[int
     sides, and the pair stays ordered (no A/B swap)."""
     if a.n != b.n:
         raise ValueError("pair members live over different ground sizes")
-    return min((sort_members([t[m] for m in a.members]),
-                sort_members([t[m] for m in b.members]))
-               for t in _perm_tables(a.n))
+    return min(_images(a, b))
 
 
 def canonical_pair(a: Family, b: Family) -> tuple[Family, Family]:
@@ -200,9 +206,10 @@ def max_sum_formula(n: int) -> int:
 class SearchCensus:
     """Aggregate of one exhaustive pair search.
 
-    raw_* lists hold ordered pairs (both orders of an asymmetric pair);
-    the *_pairs lists are the distinct canonical forms, still ordered
-    (permutation-minimal, no A/B swap).  The counts derive from raw_*.
+    raw_* lists hold ordered pairs (both orders of an asymmetric pair).
+    *_pairs names each orbit of raw_* under ground permutations (no A/B
+    swap) by its least pair: the canonical form in a complete census,
+    the least found pair in a budget-cut one.  Counts derive from raw_*.
     """
 
     n: int
@@ -333,22 +340,26 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
         antichain_mask_tuples(range(1 << n), floor_size), n, deadline, seed_best)
 
     def materialize(pairs: list) -> tuple[tuple[Family, Family], ...]:
-        ordered = []
+        ordered = set()
         for a_masks, b_masks in pairs:
             fa = Family.from_masks(n, a_masks)
             fb = Family.from_masks(n, b_masks)
-            ordered.append((fa, fb))
-            if fa != fb:
-                ordered.append((fb, fa))
-        ordered.sort(key=lambda p: (p[0].members, p[1].members))
-        return tuple(ordered)
+            ordered |= {(fa, fb), (fb, fa)}
+        return tuple(sorted(ordered))
 
     raw_opt = materialize(buckets[best])
     raw_near = materialize(buckets[best - 1])
 
     def reduce(pairs) -> tuple[tuple[Family, Family], ...]:
-        classes = {canonical_pair(a, b) for a, b in pairs}
-        return tuple(sorted(classes, key=lambda p: (p[0].members, p[1].members)))
+        # pairs is sorted, so each orbit opens at its least raw pair
+        classes, seen = [], set()
+        for a, b in pairs:
+            if (a.members, b.members) not in seen:
+                classes.append((a, b))
+                seen.update(_images(a, b))
+        if not incomplete and seen != {(a.members, b.members) for a, b in pairs}:
+            raise RuntimeError(f"the n={n} census is not closed under permutations")
+        return tuple(classes)
 
     return SearchCensus(
         n=n,
@@ -383,17 +394,16 @@ def expected_near_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
             pairs.add((Family.from_masks(n, (m for m in a.members if m != x)), b))
         for y in b.members:
             pairs.add((a, Family.from_masks(n, (m for m in b.members if m != y))))
-    return tuple(sorted(pairs, key=lambda p: (p[0].members, p[1].members)))
+    return tuple(sorted(pairs))
 
 
 def extremal_report(n: int, budget_seconds: float | None = None) -> dict:
     """Bound + uniqueness of the optimum, by exhaustion (census vs the
-    closed form and the expected canonical optimal pairs)."""
+    closed form, raw optimal pairs vs the ones theorem 1.4 names)."""
     census = max_cross_sum(n, budget_seconds=budget_seconds)
     formula = max_sum_formula(n)
-    expected = {canonical_pair(a, b) for a, b in expected_optimal_pairs(n)}
     match = (not census.incomplete and census.optimum == formula
-             and set(census.optimum_pairs) == expected)
+             and set(census.raw_optimum) == set(expected_optimal_pairs(n)))
     return {"census": census, "formula_value": formula, "match": match}
 
 
@@ -410,10 +420,8 @@ def near_extremal_report(n: int, budget_seconds: float | None = None) -> dict:
         "census": census,
         "expected_ordered": len(expected),
         "found_ordered": len(found),
-        "missing": tuple(sorted(set(expected) - set(found),
-                                key=lambda p: (p[0].members, p[1].members))),
-        "unexpected": tuple(sorted(set(found) - set(expected),
-                                   key=lambda p: (p[0].members, p[1].members))),
+        "missing": tuple(sorted(set(expected) - set(found))),
+        "unexpected": tuple(sorted(set(found) - set(expected))),
         "match": match,
     }
 
@@ -468,17 +476,17 @@ class SweepReport:
         return not self.violations
 
 
-def sweep_shadow_excess(n_max: int = 13, brute_max: int = 9) -> SweepReport:
+def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
     """Odd n, level k = ceil(n/2)+1: the shadow of the first m k-sets has
     at least m+2 members, for every m up to C(n,k).  Closed form for all
-    n <= n_max, cross-checked against brute force for n <= brute_max."""
+    n <= n_max, cross-checked against brute force for n <= SHADOW_BRUTE_MAX."""
     if not 3 <= n_max <= 13:
         raise ValueError("supported n_max range is 3..13 (odd levels only)")
     instances = 0
     bad = []
     for n in range(3, n_max + 1, 2):
         k = (n + 1) // 2 + 1
-        brute_sizes = _fresh_sizes(n, k, False) if n <= brute_max else None
+        brute_sizes = _fresh_sizes(n, k, False) if n <= SHADOW_BRUTE_MAX else None
         for m in range(1, comb(n, k) + 1):
             instances += 1
             bound = kkt_shadow_bound(m, k)

@@ -121,7 +121,7 @@ def test_criterion_6_inequality_sweeps():
         report = check_lemma(check_id, limit)
         if not report.passed:
             failures.append((check_id, report.violations[:3]))
-    shadow_excess = sweep_shadow_excess(13, brute_max=9)
+    shadow_excess = sweep_shadow_excess(13)
     if not shadow_excess.passed:
         failures.append(("lemma-3.8", shadow_excess.violations[:3]))
     margin = sweep_last_shade_margin(12)

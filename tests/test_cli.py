@@ -113,6 +113,17 @@ class TestShadowShade:
                              "--last", "1")
         assert code == 2 and out == "" and "mutually exclusive" in err
 
+    @pytest.mark.parametrize("command", ["shadow", "shade"])
+    @pytest.mark.parametrize("positional", [("5", "3"), ("5",)])
+    def test_family_and_positional_exclusive(self, capsys, tmp_path,
+                                             command, positional):
+        # the file's n=4 family would be used with the 5 and 3 ignored
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n{1,2,3}\n")
+        code, out, err = run(capsys, command, *positional,
+                             "--family", str(path))
+        assert code == 2 and out == "" and "mutually exclusive" in err
+
 
 class TestCascade:
     def test_text(self, capsys):
@@ -166,6 +177,16 @@ class TestLemmas:
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "lemmas", "check", "--id", "9.9")
+
+    @pytest.mark.parametrize("args,check_id,limit",
+                             [(("--max", "1"), "3.4", 1),
+                              (("--id", "3.7", "--max", "2"), "3.7", 2)])
+    def test_limit_without_instances_is_usage(self, capsys, args, check_id,
+                                              limit):
+        # a check that ran over no instance must not print pass
+        code, out, err = run(capsys, "lemmas", "check", *args)
+        assert code == 2 and out == ""
+        assert f"check {check_id} " in err and f"limit {limit}" in err
 
 
 class TestNormalizeCommand:

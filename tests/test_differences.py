@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -75,6 +76,13 @@ class TestCatalogue:
         assert total == Fraction(2, 3)
         # odd-level gain at the smallest admissible point
         assert term_gain(3, 3) == 2
+
+    @pytest.mark.parametrize("check_id,limit", [("3.4", 1), ("3.6", 1),
+                                                ("3.7", 2), ("3.13", 1)])
+    def test_limit_without_instances_raises(self, check_id, limit):
+        message = f"check {check_id} has no instance up to limit {limit}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_lemma(check_id, limit)
 
     def test_violation_reporting(self):
         # a deliberately broken claim must pinpoint offenders, so feed

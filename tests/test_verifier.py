@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from sperner import verifier
 from sperner.ground import (Family, full_level, is_antichain,
                             is_cross_intersecting)
 from sperner.squashed import level_masks
@@ -267,6 +269,78 @@ class TestCensus:
         assert set(census.raw_near) == ordered(pairs.get(best - 1, []))
         assert census.unordered_count_optimum == len(pairs[best])
         assert census.unordered_count_near == len(pairs.get(best - 1, []))
+
+
+def _drop_one_near_pair(monkeypatch, incomplete):
+    """Make the census scan lose its first optimum-1 pair, and report the
+    scan as complete or budget-cut; returns the dropped ordered pairs."""
+    scan = verifier._census_scan
+    dropped = []
+
+    def lossy(cands, n, deadline, seed_best):
+        best, buckets, _ = scan(cands, n, deadline, seed_best)
+        a, b = buckets[best - 1].pop(0)
+        fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
+        dropped.extend({(fa, fb), (fb, fa)})
+        return best, buckets, incomplete
+
+    monkeypatch.setattr(verifier, "_census_scan", lossy)
+    return dropped
+
+
+class TestOrbitClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_classes_are_the_canonical_forms(self, n):
+        # the per-pair canonical form is the reference definition
+        census = max_cross_sum(n)
+        for classes, raw in ((census.optimum_pairs, census.raw_optimum),
+                             (census.near_optimum_pairs, census.raw_near)):
+            assert classes == tuple(sorted({canonical_pair(a, b)
+                                            for a, b in raw}))
+
+    def test_complete_census_must_be_closed(self, monkeypatch):
+        # every optimum-1 orbit at n=4 has at least 4 ordered pairs, so
+        # losing one unordered pair leaves an orbit open
+        _drop_one_near_pair(monkeypatch, incomplete=False)
+        with pytest.raises(RuntimeError, match="not closed"):
+            max_cross_sum(4)
+
+    def test_budget_cut_census_lists_found_pairs(self, monkeypatch):
+        dropped = _drop_one_near_pair(monkeypatch, incomplete=True)
+        census = max_cross_sum(4)
+        assert census.incomplete
+        assert not set(dropped) & set(census.raw_near)
+        assert set(census.near_optimum_pairs) <= set(census.raw_near)
+        # still one class per orbit that the search found a pair of
+        assert len(census.near_optimum_pairs) == len(
+            {canonical_pair(a, b) for a, b in census.raw_near})
+
+    def test_theorem_1_4_compares_raw_pairs(self, monkeypatch):
+        # (hi, lo) has the same canonical form as (lo, hi) only if the
+        # check forgets the pair order; a raw comparison sees it missing
+        real = max_cross_sum(4)
+        lo, hi = full_level(4, 2), full_level(4, 3)
+        swapped = replace(real, raw_optimum=tuple(
+            p for p in real.raw_optimum if p != (hi, lo)))
+        assert swapped.raw_optimum == ((lo, hi),)
+        monkeypatch.setattr(verifier, "max_cross_sum",
+                            lambda n, budget_seconds=None: swapped)
+        assert not extremal_report(4)["match"]
+
+    def test_images_once_per_class(self, monkeypatch):
+        calls = {"_images": 0, "canonical_pair": 0, "canonical_pair_key": 0}
+        for name in calls:
+            real = getattr(verifier, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(verifier, name, counted)
+        assert extremal_report(6)["match"]
+        # 2 optimal classes and 4 optimum-1 classes
+        assert calls == {"_images": 6, "canonical_pair": 0,
+                         "canonical_pair_key": 0}
 
 
 class TestTheoremReports:
