@@ -172,10 +172,6 @@ CHECKS: dict[str, tuple[str, int, Checker]] = {
 }
 
 
-def available_checks() -> tuple[str, ...]:
-    return tuple(CHECKS)
-
-
 def check_lemma(check_id: str, limit: int | None = None) -> CheckReport:
     """Run one catalogue check up to the given parameter limit.
 

@@ -222,7 +222,7 @@ def parse_family(text: str) -> Family:
         masks.append(parse_set(line, n))
     if n is None:
         raise ValueError("family file has no 'n=<int>' header")
-    return Family.from_masks(n, masks)
+    return Family(n, tuple(masks))
 
 
 def read_family(path: str | Path) -> Family:

@@ -506,8 +506,10 @@ PAIR_SWEEP_STRIPES = 16
 @lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
     """Antichains of {1..n} with their member, avoid and complement
-    bitmasks over the 2^n subset indices, and the meets table; each
-    process builds this on first use."""
+    bitmasks over the 2^n subset indices, the meets table, and each
+    antichain's pushed trace (None on SelectionError) and its _audit.  A
+    process builds this on first use, so it enumerates, pushes and audits
+    each antichain once, whichever stripes it runs."""
     fams = list(enumerate_antichains(n))
     meets = _meets_table(n)
     mmask, avoid = zip(*(_family_bitmasks(f.members, n, meets) for f in fams))
@@ -518,51 +520,48 @@ def _pair_sweep_setup(n: int) -> tuple:
         for x in f.members:
             bits |= 1 << (full_mask ^ x)
         cmask.append(bits)
-    return fams, mmask, avoid, cmask, meets
+    traces = []
+    for f in fams:
+        try:
+            traces.append(_normalized(f))
+        except SelectionError:
+            # not cached by _normalized, so each pair it spoils raises it
+            # again in normalize_pair and records it there
+            traces.append(None)
+    audits = [None if t is None else _audit(f, t, meets)
+              for f, t in zip(fams, traces)]
+    return fams, mmask, avoid, cmask, meets, traces, audits
+
+
+def _audit(f: Family, trace, meets: list[int]) -> tuple[bool, bool, int, int]:
+    """(sound, stepped, member mask, avoid mask) of f's pushed trace; the
+    masks are the final's.  Sound: the final keeps f's size, is an
+    antichain and lies in the band, and a trace without steps returns f."""
+    final = trace.final
+    m = final.members
+    lo, hi = middle_band(f.n)
+    stepped = bool(trace.steps)
+    sound = (len(m) == len(f) and is_antichain(final)
+             and all(lo <= x.bit_count() <= hi for x in m)
+             and (stepped or final == f))
+    return (sound, stepped, *_family_bitmasks(m, f.n, meets))
 
 
 def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     """One stripe (i = stripe, stripe+nstripes, ...) of the all-pairs
-    normalization sweep; results merge associatively across stripes.
+    normalization sweep, with the antichain count; results merge
+    associatively across stripes.
 
-    Every crossing pair goes through normalize_pair, but each trace is
-    audited once per family index: its final keeps the size, is an
-    antichain and lies in the band, and a trace without steps returns
-    its input.  A returned trace that is not the object audited for its
-    index is audited again, so the audit always covers what
-    normalize_pair returned for the pair, the diagonal pair included.  A
-    pair then costs the moved test and one bitmask test of
-    cross-intersection between the finals.
+    Every crossing pair goes through normalize_pair.  A returned trace
+    that is the table's trace for its family takes the table's audit;
+    any other trace is audited for that pair alone and not stored, so
+    the audit always covers what normalize_pair returned for the pair,
+    the diagonal pair included.  A pair then costs the moved test and
+    one bitmask test of cross-intersection between the finals.
     """
     n, stripe, nstripes = args
-    fams, mmask, avoid, cmask, meets = _pair_sweep_setup(n)
-    # push every antichain into the per-process memo first, so the pushes
-    # a worker makes do not depend on which stripes it is dealt; a
-    # SelectionError is not cached, so the pairs it spoils still record it
-    for f in fams:
-        try:
-            _normalized(f)
-        except SelectionError:
-            pass
-    lo, hi = middle_band(n)
+    fams, mmask, avoid, cmask, meets, traces, audits = _pair_sweep_setup(n)
     count = len(fams)
-    audited: list = [None] * count
-    sound = [False] * count
-    stepped = [False] * count
-    pushed_members = [0] * count
-    pushed_avoid = [0] * count
-
-    def audit(k: int, trace) -> None:
-        f, final = fams[k], trace.final
-        m = final.members
-        audited[k] = trace
-        stepped[k] = bool(trace.steps)
-        sound[k] = (len(m) == len(f) and is_antichain(final)
-                    and (not m or lo <= m[0].bit_count()
-                         and m[-1].bit_count() <= hi)
-                    and (stepped[k] or final == f))
-        pushed_members[k], pushed_avoid[k] = _family_bitmasks(m, n, meets)
-
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
@@ -585,21 +584,19 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             except SelectionError as exc:
                 failures.append((fi.sets(), fj.sets(), str(exc)))
                 continue
-            if ta is not audited[i]:
-                audit(i, ta)
-            # read a's side before b's audit: on the diagonal j == i
-            a_sound, a_stepped, a_avoid = sound[i], stepped[i], pushed_avoid[i]
-            if tb is not audited[j]:
-                audit(j, tb)
-            if not (a_stepped or stepped[j]):
+            a_sound, a_stepped, _, a_avoid = (
+                audits[i] if ta is traces[i] else _audit(fi, ta, meets))
+            b_sound, b_stepped, b_members, _ = (
+                audits[j] if tb is traces[j] else _audit(fj, tb, meets))
+            if not (a_stepped or b_stepped):
                 # zero-step traces must return the inputs themselves
-                if not (a_sound and sound[j]):
+                if not (a_sound and b_sound):
                     violations.append(("identity", fi.sets(), fj.sets()))
                 continue
             moved += 1
-            if not (a_sound and sound[j] and not a_avoid & pushed_members[j]):
+            if not (a_sound and b_sound and not a_avoid & b_members):
                 violations.append(("preservation", fi.sets(), fj.sets()))
-    return crossing, moved, failures, violations
+    return count, crossing, moved, failures, violations
 
 
 @dataclass(frozen=True)
@@ -631,13 +628,13 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     """
     if not 1 <= n <= 5:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
-    antichains = len(_pair_sweep_setup(n)[0])
     tasks = [(n, s, PAIR_SWEEP_STRIPES) for s in range(PAIR_SWEEP_STRIPES)]
     results = parallel_map(_pair_sweep_stripe, tasks, workers)
-    crossing = sum(r[0] for r in results)
-    moved = sum(r[1] for r in results)
-    failures = sorted(f for r in results for f in r[2])
-    violations = sorted(v for r in results for v in r[3])
+    antichains = results[0][0]
+    crossing = sum(r[1] for r in results)
+    moved = sum(r[2] for r in results)
+    failures = sorted(f for r in results for f in r[3])
+    violations = sorted(v for r in results for v in r[4])
     return PairSweepReport(n, antichains, crossing, moved,
                            tuple(failures), tuple(violations))
 

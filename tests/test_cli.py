@@ -124,6 +124,12 @@ class TestShadowShade:
                              "--family", str(path))
         assert code == 2 and out == "" and "mutually exclusive" in err
 
+    def test_family_file_repeating_a_set_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n{1,2}\n{2,1}\n")
+        code, out, err = run(capsys, "shadow", "--family", str(path))
+        assert code == 2 and out == "" and "pairwise distinct" in err
+
 
 class TestCascade:
     def test_text(self, capsys):

@@ -165,3 +165,8 @@ class TestTextFormats:
     def test_family_file_requires_header(self):
         with pytest.raises(ValueError):
             parse_family("{1,2}\n")
+
+    def test_family_file_rejects_repeated_set(self):
+        # {2,1} is {1,2} again; the file must not be read as a smaller family
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            parse_family("n=4\n{1,2}\n{2,1}\n")

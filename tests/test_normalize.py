@@ -232,10 +232,36 @@ class TestNormalizePair:
         assert report.crossing_pairs == 3831
         assert len(calls) == report.crossing_pairs
 
-    # the row of {{4}} shares its stripe with the earlier row of
-    # {{1,2,3,4}}, which already met {{4}}: a sweep that audits a family
-    # index only on first sight misses the off-diagonal fake of {{4}}'s
-    # side.  The diagonal fake needs both sides of one index kept apart.
+    def test_sweep_audits_each_antichain_once(self, monkeypatch):
+        # one is_antichain call per antichain, in the table's audit; the
+        # stripes only read that table
+        from sperner import verifier
+        verifier._pair_sweep_setup.cache_clear()
+        calls = []
+        real = verifier.is_antichain
+
+        def counting(f):
+            calls.append(1)
+            return real(f)
+
+        monkeypatch.setattr(verifier, "is_antichain", counting)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.antichains == 168
+        assert len(calls) == 168
+
+    def test_sweep_builds_no_table_in_the_caller(self):
+        # with a pool, only the worker processes build the audit table
+        from sperner import verifier
+        verifier._pair_sweep_setup.cache_clear()
+        report = verifier.normalization_pair_sweep(4, workers=2)
+        assert report.antichains == 168
+        assert verifier._pair_sweep_setup.cache_info().currsize == 0
+
+    # each case fakes one side's trace for a single pair.  Off the
+    # diagonal, a sweep that takes the stored audit of {{4}} without
+    # checking that the returned trace is the table's misses the fake.
+    # On the diagonal, both sides are the same antichain: the faked side
+    # must be audited apart from the honest one.
     @pytest.mark.parametrize("a_sets, b_sets, side, fake_sets", [
         (((4,),), ((1, 4),), 0, ((2, 3),)),
         (((2,),), ((2,),), 1, ((3, 4),)),
