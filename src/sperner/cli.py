@@ -194,119 +194,94 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _census_payload(census, formula: int, match: bool) -> dict:
-    return {
-        "n": census.n,
-        "optimum": census.optimum,
-        "formula_value": formula,
-        "match": match,
-        "optimal_pairs": _pairs_json(census.optimum_pairs),
-        "near_optimal_pairs": _pairs_json(census.near_optimum_pairs),
-        "reduced_by_isomorphism": True,
-        "counts": {
-            "ordered_optimum": census.ordered_count_optimum,
-            "ordered_near": census.ordered_count_near,
-            "unordered_optimum": census.unordered_count_optimum,
-            "unordered_near": census.unordered_count_near,
-        },
-        "incomplete": census.incomplete,
-    }
+def _cmd_lemma_3_15(args) -> int:
+    report = size4_antichain_classes_report()
+    if args.format == "json":
+        print(json.dumps({
+            "scanned": report["scanned"],
+            "eligible": report["eligible"],
+            "oversize": len(report["oversize"]),
+            "classes_found": len(report["found_classes"]),
+            "match": report["match"]}))
+    else:
+        print(f"antichains scanned: {report['scanned']}; with a 1-set or "
+              f"3-set: {report['eligible']}; size-4 classes: "
+              f"{len(report['found_classes'])} (expected 4)")
+        print("PASS" if report["match"] else "FAIL")
+    return EXIT_OK if report["match"] else EXIT_CLAIM_FAILED
 
 
-def _print_verify(payload: dict, fmt: str, extra_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return
-    print(f"n={payload['n']}  optimum={payload['optimum']}  "
-          f"formula={payload['formula_value']}")
-    for line in extra_lines:
-        print(line)
-    print("PASS" if payload["match"] else "FAIL")
+def _cmd_normalization(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {args.workers}")
+    report = normalization_pair_sweep(args.n, workers=args.workers)
+    if args.format == "json":
+        print(json.dumps({
+            "n": report.n, "antichains": report.antichains,
+            "crossing_pairs": report.crossing_pairs,
+            "moved_pairs": report.moved_pairs,
+            "selection_failures": len(report.selection_failures),
+            "violations": len(report.violations),
+            "match": report.passed}))
+    else:
+        print(f"n={report.n}: {report.crossing_pairs} crossing pairs, "
+              f"{report.moved_pairs} moved, "
+              f"{len(report.selection_failures)} selection failures, "
+              f"{len(report.violations)} violations")
+        print("PASS" if report.passed else "FAIL")
+    return EXIT_OK if report.passed else EXIT_CLAIM_FAILED
 
 
-def _cmd_verify(args) -> int:
-    target = args.target
-    # an option the target never reads would be silently dropped
-    for flag, given, read in (
-            ("--workers", args.workers, target == "normalization"),
-            ("--budget-seconds", args.budget_seconds, target.startswith("theorem-")),
-            ("--n", args.n, target != "lemma-3.15")):
-        if given is not None and not read:
-            raise ValueError(f"verify {target} does not take {flag}")
-    if args.budget_seconds is not None and not args.budget_seconds >= 0:
-        raise ValueError(f"budget must be >= 0 seconds, got {args.budget_seconds}")
-    if target == "lemma-3.15":
-        report = size4_antichain_classes_report()
-        if args.format == "json":
-            print(json.dumps({
-                "scanned": report["scanned"],
-                "eligible": report["eligible"],
-                "oversize": len(report["oversize"]),
-                "classes_found": len(report["found_classes"]),
-                "match": report["match"]}))
-        else:
-            print(f"antichains scanned: {report['scanned']}; with a 1-set or "
-                  f"3-set: {report['eligible']}; size-4 classes: "
-                  f"{len(report['found_classes'])} (expected 4)")
-            print("PASS" if report["match"] else "FAIL")
-        return EXIT_OK if report["match"] else EXIT_CLAIM_FAILED
-
-    if target == "normalization":
-        n = args.n if args.n is not None else 4
-        workers = args.workers if args.workers is not None else 1
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
-        report = normalization_pair_sweep(n, workers=workers)
-        ok = report.passed and not report.selection_failures
-        if args.format == "json":
-            print(json.dumps({
-                "n": report.n, "antichains": report.antichains,
-                "crossing_pairs": report.crossing_pairs,
-                "moved_pairs": report.moved_pairs,
-                "selection_failures": len(report.selection_failures),
-                "violations": len(report.violations),
-                "match": ok}))
-        else:
-            print(f"n={report.n}: {report.crossing_pairs} crossing pairs, "
-                  f"{report.moved_pairs} moved, "
-                  f"{len(report.selection_failures)} selection failures, "
-                  f"{len(report.violations)} violations")
-            print("PASS" if ok else "FAIL")
-        return EXIT_OK if ok else EXIT_CLAIM_FAILED
-
-    if args.n is None:
-        print("verify: --n is required for this target", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.n
+def _cmd_theorem(args) -> int:
+    target, n, budget = args.target, args.n, args.budget_seconds
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be >= 0 seconds, got {budget}")
     # below these sizes the almost-extremal characterization does not
     # hold, so a FAIL there would not refute the claim
     if target == "theorem-1.5" and (n % 2 == 0 or n < 3):
-        print("theorem-1.5 concerns odd ground sizes n >= 3", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("theorem-1.5 concerns odd ground sizes n >= 3")
     if target == "theorem-1.6" and (n % 2 == 1 or n < 4):
-        print("theorem-1.6 concerns even ground sizes n >= 4", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("theorem-1.6 concerns even ground sizes n >= 4")
 
     if target == "theorem-1.4":
-        report = extremal_report(n, budget_seconds=args.budget_seconds)
-        census = report["census"]
-        payload = _census_payload(census, report["formula_value"], report["match"])
-        _print_verify(payload, args.format,
-                      [f"optimal pair classes: {len(census.optimum_pairs)}"])
+        report = extremal_report(n, budget_seconds=budget)
+        extra = {}
+        detail = f"optimal pair classes: {len(report['census'].optimum_pairs)}"
     else:
-        report = near_extremal_report(n, budget_seconds=args.budget_seconds)
-        census = report["census"]
-        payload = _census_payload(census, max_sum_formula(n), report["match"])
-        payload["characterization"] = {
+        report = near_extremal_report(n, budget_seconds=budget)
+        extra = {"characterization": {
             "expected_ordered": report["expected_ordered"],
             "found_ordered": report["found_ordered"],
             "missing": _pairs_json(report["missing"]),
             "unexpected": _pairs_json(report["unexpected"]),
-        }
-        _print_verify(payload, args.format,
-                      [f"near-optimal ordered pairs: expected "
-                       f"{report['expected_ordered']}, found "
-                       f"{report['found_ordered']}"])
+        }}
+        detail = (f"near-optimal ordered pairs: expected "
+                  f"{report['expected_ordered']}, found "
+                  f"{report['found_ordered']}")
+    census = report["census"]
+    formula = max_sum_formula(n)
+    if args.format == "json":
+        print(json.dumps({
+            "n": census.n,
+            "optimum": census.optimum,
+            "formula_value": formula,
+            "match": report["match"],
+            "optimal_pairs": _pairs_json(census.optimum_pairs),
+            "near_optimal_pairs": _pairs_json(census.near_optimum_pairs),
+            "reduced_by_isomorphism": True,
+            "counts": {
+                "ordered_optimum": census.ordered_count_optimum,
+                "ordered_near": census.ordered_count_near,
+                "unordered_optimum": census.unordered_count_optimum,
+                "unordered_near": census.unordered_count_near,
+            },
+            "incomplete": census.incomplete,
+            **extra,
+        }, indent=2))
+    else:
+        print(f"n={census.n}  optimum={census.optimum}  formula={formula}")
+        print(detail)
+        print("PASS" if report["match"] else "FAIL")
     if census.incomplete:
         print("search budget exhausted; results are partial", file=sys.stderr)
         return EXIT_BUDGET
@@ -314,10 +289,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.target == "lemma-3.8":
-        report = sweep_shadow_excess(13 if args.max_n is None else args.max_n)
-    else:
-        report = sweep_last_shade_margin(12 if args.max_n is None else args.max_n)
+    # looked up per call, not once at import, so a later rebinding of
+    # these module names (perfbench's tracer wraps them) is the one called
+    sweep = {"lemma-3.8": sweep_shadow_excess,
+             "lemma-3.14": sweep_last_shade_margin}[args.target]
+    report = sweep() if args.max_n is None else sweep(args.max_n)
     if args.format == "json":
         print(json.dumps({"name": report.name, "instances": report.instances,
                           "violations": [list(v) for v in report.violations],
@@ -397,14 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.set_defaults(func=_cmd_normalize)
 
     p_verify = sub.add_parser("verify", help="exhaustive theorem checks")
-    p_verify.add_argument("target", choices=("theorem-1.4", "theorem-1.5",
-                                             "theorem-1.6", "lemma-3.15",
-                                             "normalization"))
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--budget-seconds", type=float)
-    p_verify.add_argument("--workers", type=int)
-    add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    targets = p_verify.add_subparsers(dest="target", required=True)
+    for name in ("theorem-1.4", "theorem-1.5", "theorem-1.6"):
+        p = targets.add_parser(name)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--budget-seconds", type=float)
+        add_format(p)
+        p.set_defaults(func=_cmd_theorem)
+    p = targets.add_parser("lemma-3.15")
+    add_format(p)
+    p.set_defaults(func=_cmd_lemma_3_15)
+    p = targets.add_parser("normalization")
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--workers", type=int, default=1)
+    add_format(p)
+    p.set_defaults(func=_cmd_normalization)
 
     p_sweep = sub.add_parser("sweep", help="closed-form inequality sweeps")
     p_sweep.add_argument("target", choices=("lemma-3.8", "lemma-3.14"))

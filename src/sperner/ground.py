@@ -78,6 +78,9 @@ def parse_set(text: str, n: int | None = None) -> int:
         if not s.isdigit():
             raise ValueError(f"cannot parse set literal: {text!r}")
         elems = [int(c) for c in s]
+    if len(set(elems)) != len(elems):
+        # "{1,1,2}" would otherwise read as {1,2}
+        raise ValueError(f"set literal repeats an element: {text!r}")
     mask = mask_of(elems)
     if n is not None:
         check_mask(mask, n)
@@ -158,13 +161,6 @@ class Family:
         # an explicit __hash__ survives @dataclass(frozen=True); the cached
         # value spares the per-call rehash of the member tuple
         return self._hash
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
 
 
 def is_antichain(f: Family) -> bool:

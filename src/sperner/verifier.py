@@ -601,9 +601,11 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
 
 @dataclass(frozen=True)
 class PairSweepReport:
-    """All-pairs normalization audit: every cross-intersecting antichain
-    pair either normalizes into the middle band preserving sizes, the
-    antichain property and cross-intersection, or fails selection loudly."""
+    """All-pairs normalization audit: whether every cross-intersecting
+    antichain pair normalizes into the middle band preserving sizes, the
+    antichain property and cross-intersection.  A pair whose push fails
+    selection is recorded in selection_failures and, like a violation,
+    fails the audit."""
 
     n: int
     antichains: int
@@ -614,7 +616,7 @@ class PairSweepReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not (self.violations or self.selection_failures)
 
 
 def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:

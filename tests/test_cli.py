@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from sperner.cli import main
+from sperner.cli import build_parser, main
+from sperner.ground import Family
+from sperner.normalize import SelectionError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CENSUS_SCHEMA = json.loads((REPO_ROOT / "schemas" / "census.schema.json").read_text())
@@ -49,6 +52,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_rejected(capsys, *argv):
+    """A command line that argparse itself ends (an error or --help)."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 class TestOrder:
@@ -227,6 +238,13 @@ class TestNormalizeCommand:
         code, _, err = run(capsys, "normalize", "--family", str(path))
         assert code == 2
 
+    def test_family_file_repeating_an_element_is_usage(self, capsys, tmp_path):
+        # the compact line 112 must not be read as {1,2}
+        path = tmp_path / "f.txt"
+        path.write_text("n=4\n112\n")
+        code, out, err = run(capsys, "normalize", "--family", str(path))
+        assert code == 2 and out == "" and "repeats an element" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("n", ["3", "4", "5"])
@@ -267,8 +285,9 @@ class TestVerify:
         assert range_text in err
 
     def test_missing_n(self, capsys):
-        code, _, err = run(capsys, "verify", "theorem-1.4")
-        assert code == 2
+        code, out, err = run_rejected(capsys, "verify", "theorem-1.4")
+        assert code == 2 and out == ""
+        assert "required: --n" in err
 
     def test_lemma_3_15(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma-3.15", "--format", "json")
@@ -288,6 +307,25 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "normalization", "--n", "4",
                              "--format", "json", "--workers", "2")
         assert (code1, out1) == (code2, out2)
+
+    def test_selection_failure_fails_the_audit(self, capsys, monkeypatch):
+        from sperner import verifier
+        real = verifier.normalize_pair
+        empty = Family(3, ())
+
+        def one_failure(x, y, validate=True):
+            # the empty family crosses itself vacuously: fail that pair
+            if x == y == empty:
+                raise SelectionError("up", 1, 2, 1)
+            return real(x, y, validate=validate)
+
+        monkeypatch.setattr(verifier, "normalize_pair", one_failure)
+        report = verifier.normalization_pair_sweep(3)
+        assert len(report.selection_failures) == 1 and not report.violations
+        assert not report.passed
+        code, out, _ = run(capsys, "verify", "normalization", "--n", "3",
+                           "--format", "json")
+        assert code == 1 and json.loads(out)["match"] is False
 
     def test_workers_below_one_is_usage(self, capsys):
         code, out, err = run(capsys, "verify", "normalization", "--n", "3",
@@ -325,9 +363,14 @@ class TestVerify:
          "--budget-seconds"),
     ])
     def test_option_the_target_never_reads_is_usage(self, capsys, args, flag):
-        code, out, err = run(capsys, "verify", *args)
+        code, out, err = run_rejected(capsys, "verify", *args)
         assert code == 2 and out == ""
-        assert f"does not take {flag}" in err
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_target_help_lists_only_its_options(self, capsys):
+        code, out, _ = run_rejected(capsys, "verify", "theorem-1.4", "--help")
+        assert code == 0
+        assert "--budget-seconds" in out and "--workers" not in out
 
     @pytest.mark.parametrize("budget", ["-1", "nan"])
     def test_negative_budget_is_usage(self, capsys, budget):
@@ -359,6 +402,19 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", target, "--max-n", "0")
         assert code == 2 and out == ""
         assert range_text in err
+
+
+def readme_cli_lines():
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sperner ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "sperner"
+    build_parser().parse_args(argv[1:])
 
 
 class TestProcess:

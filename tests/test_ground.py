@@ -148,6 +148,12 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_set("{12}", 4)  # element out of range
 
+    @pytest.mark.parametrize("literal", ["{1,1,2}", "112"])
+    def test_set_literal_rejects_repeated_element(self, literal):
+        # ORing the elements would read either literal as {1,2}
+        with pytest.raises(ValueError, match="repeats an element"):
+            parse_set(literal, 4)
+
     def test_format_round_trip(self):
         for n in (4, 9):
             for x in (0, mask_of([1]), mask_of([2, 3]), (1 << n) - 1):
