@@ -17,7 +17,6 @@ from .ground import (
     read_family,
 )
 from .squashed import (
-    SquashRank,
     first_segment,
     last_segment,
     level_masks,

@@ -107,7 +107,7 @@ def _fresh_union(f: Family, up: bool) -> Family:
     fresh = _level_fresh(f.n, k, up)
     out: set[int] = set()
     for m in f.members:
-        out |= fresh[rank(m).index]
+        out |= fresh[rank(m)]
     return Family.from_masks(f.n, out)
 
 
@@ -270,11 +270,31 @@ def shade_table(n: int = 4) -> list[ShadeTableRow]:
 # exhaustive cross-checks of the closed forms
 
 
-def kkt_oracle_mismatches(n_max: int = 10) -> list[tuple]:
+@dataclass(frozen=True)
+class SweepReport:
+    """An exhaustive closed-form cross-check: the instances it checked and
+    one tuple per failing instance.  A check over no instance is refused."""
+
+    name: str
+    instances: int
+    violations: tuple[tuple, ...]
+    notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.instances < 1:
+            raise ValueError(f"{self.name} checked no instance")
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def kkt_oracle_mismatches(n_max: int = 10) -> SweepReport:
     """Compare closed forms against brute force for every n <= n_max, k, m:
     kkt_shadow_bound vs |shadow of first segments|, shade_of_last_bound vs
-    |shade of last segments|, and the shadow/shade duality across co-levels.
-    Returns the list of mismatching (n, k, m, what) tuples."""
+    |shade of last segments|, and the shadow/shade duality across co-levels;
+    each comparison is an instance, each mismatch an (n, k, m, what)."""
+    instances = 0
     bad: list[tuple] = []
     for n in range(1, n_max + 1):
         shadow_sizes: dict[int, list[int]] = {}
@@ -283,37 +303,28 @@ def kkt_oracle_mismatches(n_max: int = 10) -> list[tuple]:
             if k >= 1:
                 sizes = shadow_sizes[k] = _fresh_sizes(n, k, False)
                 for m in range(1, len(sizes)):
+                    instances += 1
                     if kkt_shadow_bound(m, k) != sizes[m]:
                         bad.append((n, k, m, "shadow-closed-form"))
             if k <= n - 1:
                 sizes = shade_sizes[k] = _fresh_sizes(n, k, True)
                 for m in range(1, len(sizes)):
+                    instances += 1
                     if shade_of_last_bound(m, n, k) != sizes[m]:
                         bad.append((n, k, m, "shade-closed-form"))
         for k, sizes in shadow_sizes.items():
             for m, dual in enumerate(shade_sizes[n - k]):
+                instances += 1
                 if sizes[m] != dual:
                     bad.append((n, k, m, "duality"))
-    return bad
+    return SweepReport("kkt-oracle", instances, tuple(bad))
 
 
-@dataclass(frozen=True)
-class WindowReport:
-    """Result of the consecutive-window minimality sweep: among all windows
-    of m consecutive k-sets, the last window minimizes the new-shadow size
-    and the first window minimizes the new-shade size."""
-
-    n_max: int
-    windows_checked: int
-    violations: tuple[tuple, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def window_minimality_report(n_max: int = 8) -> WindowReport:
-    checked = 0
+def window_minimality_report(n_max: int = 8) -> SweepReport:
+    """Among all windows of m consecutive k-sets, the last window minimizes
+    the new-shadow size and the first window minimizes the new-shade size;
+    each window of each n <= n_max is an instance."""
+    instances = 0
     bad: list[tuple] = []
     for n in range(1, n_max + 1):
         for k in range(0, n + 1):
@@ -328,9 +339,9 @@ def window_minimality_report(n_max: int = 8) -> WindowReport:
                 for m in range(1, size + 1):
                     floor_value = sizes[size] - sizes[size - m]
                     for start in range(0, size - m + 1):
-                        checked += 1
+                        instances += 1
                         lo = size - m - start if up else start  # walking start
                         got = sizes[lo + m] - sizes[lo]
                         if got < floor_value:
                             bad.append((n, k, m, start, what, got, floor_value))
-    return WindowReport(n_max, checked, tuple(bad))
+    return SweepReport("window-minimality", instances, tuple(bad))

@@ -13,9 +13,8 @@ import sys
 from .cascade import (cascade, new_shade, new_shadow, shade, shade_table,
                       shadow)
 from .differences import CHECKS, check_lemma
-from .ground import (Family, format_family, format_set, elements_of,
-                     read_family)
-from .ground import full_level
+from .ground import (Family, elements_of, format_family, format_set,
+                     full_level, read_family)
 from .normalize import SelectionError, normalize_to_middle
 from .squashed import first_segment, last_segment
 from .verifier import (extremal_report, max_sum_formula, near_extremal_report,
@@ -46,14 +45,6 @@ def _print_csv(headers: list[str], rows: list[list[str]]) -> None:
     writer.writerows(rows)
 
 
-def _family_json(f: Family) -> list[list[int]]:
-    return [list(elements_of(m)) for m in f.members]
-
-
-def _pairs_json(pairs) -> list:
-    return [[_family_json(a), _family_json(b)] for a, b in pairs]
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -62,7 +53,7 @@ def _cmd_order(args) -> int:
     fam = _segment_or_file(args)
     if args.format == "json":
         print(json.dumps({"n": args.n, "k": args.k,
-                          "sets": _family_json(fam)}))
+                          "sets": fam.sets()}))
     else:
         for m in fam.members:
             print(format_set(m))
@@ -99,7 +90,7 @@ def _cmd_shadow(args, direction: str) -> int:
         out = new_shade(fam) if args.new else shade(fam)
     if args.format == "json":
         print(json.dumps({"n": fam.n, "size": len(out),
-                          "sets": _family_json(out)}))
+                          "sets": out.sets()}))
     else:
         for m in out.members:
             print(format_set(m))
@@ -177,10 +168,10 @@ def _cmd_normalize(args) -> int:
         print(json.dumps({
             "ok": True,
             "steps": [{"direction": s.direction, "rank": s.rank,
-                       "removed": [list(elements_of(m)) for m in s.removed],
-                       "inserted": [list(elements_of(m)) for m in s.inserted]}
+                       "removed": [elements_of(m) for m in s.removed],
+                       "inserted": [elements_of(m) for m in s.inserted]}
                       for s in trace.steps],
-            "final": _family_json(trace.final)}))
+            "final": trace.final.sets()}))
     else:
         for i, s in enumerate(trace.steps, 1):
             removed = " ".join(format_set(m) for m in s.removed)
@@ -252,8 +243,9 @@ def _cmd_theorem(args) -> int:
         extra = {"characterization": {
             "expected_ordered": report["expected_ordered"],
             "found_ordered": report["found_ordered"],
-            "missing": _pairs_json(report["missing"]),
-            "unexpected": _pairs_json(report["unexpected"]),
+            "missing": [[a.sets(), b.sets()] for a, b in report["missing"]],
+            "unexpected": [[a.sets(), b.sets()]
+                           for a, b in report["unexpected"]],
         }}
         detail = (f"near-optimal ordered pairs: expected "
                   f"{report['expected_ordered']}, found "
@@ -266,8 +258,10 @@ def _cmd_theorem(args) -> int:
             "optimum": census.optimum,
             "formula_value": formula,
             "match": report["match"],
-            "optimal_pairs": _pairs_json(census.optimum_pairs),
-            "near_optimal_pairs": _pairs_json(census.near_optimum_pairs),
+            "optimal_pairs": [[a.sets(), b.sets()]
+                              for a, b in census.optimum_pairs],
+            "near_optimal_pairs": [[a.sets(), b.sets()]
+                                   for a, b in census.near_optimum_pairs],
             "reduced_by_isomorphism": True,
             "counts": {
                 "ordered_optimum": census.ordered_count_optimum,

@@ -33,17 +33,22 @@ def check_mask(x: int, n: int) -> int:
 
 
 def mask_of(elements: Iterable[int]) -> int:
-    """Bit mask of a collection of 1-indexed elements."""
+    """Bit mask of a collection of distinct 1-indexed elements."""
     m = 0
     for e in elements:
         if e < 1:
             raise ValueError(f"elements are 1-indexed, got {e}")
-        m |= 1 << (e - 1)
+        bit = 1 << (e - 1)
+        if m & bit:
+            raise ValueError(f"set repeats an element: {e}")
+        m |= bit
     return m
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-indexed elements of a mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"a set mask is non-negative, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -71,16 +76,16 @@ def parse_set(text: str, n: int | None = None) -> int:
         if not s.endswith("}"):
             raise ValueError(f"unterminated set literal: {text!r}")
         body = s[1:-1].strip()
-        elems = [int(p) for p in body.replace(",", " ").split()] if body else []
+        items = body.split(",") if body else []
+        if not all(p.strip() for p in items):
+            raise ValueError(f"set literal has an empty item: {text!r}")
+        elems = [int(e) for p in items for e in p.split()]
     else:
         if n is not None and n > COMPACT_LIMIT:
             raise ValueError(f"compact notation needs n <= {COMPACT_LIMIT}: {text!r}")
         if not s.isdigit():
             raise ValueError(f"cannot parse set literal: {text!r}")
         elems = [int(c) for c in s]
-    if len(set(elems)) != len(elems):
-        # "{1,1,2}" would otherwise read as {1,2}
-        raise ValueError(f"set literal repeats an element: {text!r}")
     mask = mask_of(elems)
     if n is not None:
         check_mask(mask, n)
@@ -129,11 +134,14 @@ class Family:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> Family:
+        """A mask given more than once is kept once: shadow and shade union
+        overlapping facet and cover lists this way."""
         return cls(n, tuple(set(masks)))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> Family:
-        return cls.from_masks(n, (mask_of(s) for s in sets))
+        """Pairwise distinct sets, each listing an element at most once."""
+        return cls(n, tuple(mask_of(s) for s in sets))
 
     @cached_property
     def by_rank(self) -> dict[int, tuple[int, ...]]:

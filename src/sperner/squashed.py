@@ -10,7 +10,6 @@ enumerating the level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -31,16 +30,10 @@ def squash_compare(a: int, b: int) -> int:
     return LT if a < b else GT
 
 
-@dataclass(frozen=True)
-class SquashRank:
-    """Position of a k-set inside the squashed order of its level."""
-
-    k: int
-    index: int
-
-
-def rank(x: int) -> SquashRank:
+def rank(x: int) -> int:
     """Number of equal-size sets strictly preceding x in squashed order."""
+    if x < 0:
+        raise ValueError(f"a set mask is non-negative, got {x}")
     idx = 0
     i = 0
     m = x
@@ -49,7 +42,7 @@ def rank(x: int) -> SquashRank:
         i += 1
         idx += comb(low.bit_length() - 1, i)
         m ^= low
-    return SquashRank(x.bit_count(), idx)
+    return idx
 
 
 def unrank(n: int, k: int, index: int) -> int:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .cascade import _fresh_sizes, kkt_shadow_bound, shade_of_last_bound
+from .cascade import (SweepReport, _fresh_sizes, kkt_shadow_bound,
+                      shade_of_last_bound)
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
 from .normalize import SelectionError, _normalized, middle_band, normalize_pair
@@ -29,7 +30,6 @@ from .squashed import level_masks
 
 MAX_ENUMERATION = 6
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
-SHADOW_BRUTE_MAX = 9   # largest n that sweep_shadow_excess also checks by brute force
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +464,23 @@ def size4_antichain_classes_report() -> dict:
 # closed-form sweeps that need shadow machinery
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    name: str
-    instances: int
-    violations: tuple[tuple, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
     """Odd n, level k = ceil(n/2)+1: the shadow of the first m k-sets has
-    at least m+2 members, for every m up to C(n,k).  Closed form for all
-    n <= n_max, cross-checked against brute force for n <= SHADOW_BRUTE_MAX."""
+    at least m+2 members, for every m up to C(n,k).  The closed form is
+    cross-checked against brute force at every instance."""
     if not 3 <= n_max <= 13:
         raise ValueError("supported n_max range is 3..13 (odd levels only)")
     instances = 0
     bad = []
     for n in range(3, n_max + 1, 2):
         k = (n + 1) // 2 + 1
-        brute_sizes = _fresh_sizes(n, k, False) if n <= SHADOW_BRUTE_MAX else None
+        brute_sizes = _fresh_sizes(n, k, False)
         for m in range(1, comb(n, k) + 1):
             instances += 1
             bound = kkt_shadow_bound(m, k)
             if bound < m + 2:
                 bad.append((n, m, bound))
-            if brute_sizes is not None and brute_sizes[m] != bound:
+            if brute_sizes[m] != bound:
                 bad.append((n, m, "brute-force mismatch", brute_sizes[m], bound))
     return SweepReport("shadow-excess", instances, tuple(bad))
 
@@ -644,7 +632,8 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
 def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
     """Even n >= 6, level k = n/2: |shade of the last m k-sets| strictly
     exceeds n/(n+2)*m + 1 for every 1 <= m < C(n,k) - 1.  Comparisons are
-    integer cross-multiplied; also confirms that the lone documented
+    integer cross-multiplied, and the closed form is cross-checked against
+    brute force at every instance; also confirms that the lone documented
     exception n=4, m=3 is an exact tie."""
     if not 6 <= n_max <= 12:
         raise ValueError("supported n_max range is 6..12")
@@ -653,14 +642,17 @@ def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
     notes = []
     for n in range(6, n_max + 1, 2):
         k = n // 2
+        brute_sizes = _fresh_sizes(n, k, True)
         for m in range(1, comb(n, k) - 1):
             instances += 1
             size = shade_of_last_bound(m, n, k)
             # size > n/(n+2)*m + 1  <=>  (size-1)*(n+2) > n*m
             if not (size - 1) * (n + 2) > n * m:
                 bad.append((n, m, size))
+            if brute_sizes[m] != size:
+                bad.append((n, m, "brute-force mismatch", brute_sizes[m], size))
     tie = shade_of_last_bound(3, 4, 2)
-    if (tie - 1) * 6 == 4 * 3:
+    if (tie - 1) * 6 == 4 * 3 and tie == _fresh_sizes(4, 2, True)[3]:
         notes.append("n=4, m=3 is an exact tie (|shade|=3 equals the bound)")
     else:
         bad.append((4, 3, tie, "expected an exact tie"))

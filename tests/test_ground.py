@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +136,20 @@ class TestFamily:
         with pytest.raises(ValueError):
             Family(4, (3, 3))
 
+    def test_from_sets_rejects_repeated_element(self):
+        # ORing the elements would read (1, 1, 2) as {1,2}
+        with pytest.raises(ValueError, match="repeats an element"):
+            mask_of([1, 1, 2])
+        with pytest.raises(ValueError, match="repeats an element"):
+            Family.from_sets(4, [(1, 1, 2)])
+
+    def test_from_sets_rejects_repeated_set(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Family.from_sets(4, [(1, 2), (2, 1)])
+
+    def test_from_masks_merges_repeats(self):
+        assert Family.from_masks(4, [3, 3]) == Family(4, (3,))
+
     def test_ground_cap(self):
         with pytest.raises(ValueError):
             Family(61, ())
@@ -152,6 +171,11 @@ class TestTextFormats:
     def test_set_literal_rejects_repeated_element(self, literal):
         # ORing the elements would read either literal as {1,2}
         with pytest.raises(ValueError, match="repeats an element"):
+            parse_set(literal, 4)
+
+    @pytest.mark.parametrize("literal", ["{,}", "{1,,2}", "{1,2,}", "{,1}"])
+    def test_set_literal_rejects_empty_item(self, literal):
+        with pytest.raises(ValueError, match="empty item"):
             parse_set(literal, 4)
 
     def test_format_round_trip(self):
@@ -176,3 +200,23 @@ class TestTextFormats:
         # {2,1} is {1,2} again; the file must not be read as a smaller family
         with pytest.raises(ValueError, match="pairwise distinct"):
             parse_family("n=4\n{1,2}\n{2,1}\n")
+
+
+@pytest.mark.parametrize("call", ["ground.elements_of(-3)",
+                                  "ground.format_set(-1)",
+                                  "squashed.rank(-1)"])
+def test_negative_mask_rejected(call):
+    # run in a child interpreter with a timeout: a low-bit loop over a
+    # negative mask never reaches 0, and must fail here, not stall the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("from sperner import ground, squashed\n"
+              f"try:\n    {call}\nexcept ValueError:\n    print('rejected')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{call} did not return within 10 s")
+    assert proc.stdout == "rejected\n", proc.stderr

@@ -6,6 +6,8 @@ from math import comb
 import pytest
 
 from sperner import verifier
+from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
+                             window_minimality_report)
 from sperner.ground import (Family, full_level, is_antichain,
                             is_cross_intersecting)
 from sperner.squashed import level_masks
@@ -441,3 +443,35 @@ class TestSweeps:
             sweep_shadow_excess(15)
         with pytest.raises(ValueError):
             sweep_last_shade_margin(4)
+        # a cross-check over no instance is refused, not passed
+        with pytest.raises(ValueError, match="no instance"):
+            kkt_oracle_mismatches(0)
+        with pytest.raises(ValueError, match="no instance"):
+            window_minimality_report(0)
+
+    def test_every_cross_check_reports_a_sweep_report(self):
+        for report in (sweep_shadow_excess(3), sweep_last_shade_margin(6),
+                       kkt_oracle_mismatches(3), window_minimality_report(3)):
+            assert type(report) is SweepReport and report.passed
+
+    def test_shadow_excess_brute_checks_every_n(self, monkeypatch):
+        # a closed form off by one at n=11 (k=7) still clears m+2, so only
+        # the brute-force comparison can see it
+        real = verifier.kkt_shadow_bound
+        monkeypatch.setattr(verifier, "kkt_shadow_bound",
+                            lambda m, k: real(m, k) + (k == 7))
+        report = sweep_shadow_excess(13)
+        assert not report.passed
+        assert {v[0] for v in report.violations} == {11}
+        assert all(v[2] == "brute-force mismatch" for v in report.violations)
+
+    def test_last_shade_margin_brute_checks_every_n(self, monkeypatch):
+        # raising the closed form at n=12 keeps the margin, so only the
+        # brute-force comparison can see it
+        real = verifier.shade_of_last_bound
+        monkeypatch.setattr(verifier, "shade_of_last_bound",
+                            lambda m, n, k: real(m, n, k) + (n == 12))
+        report = sweep_last_shade_margin(12)
+        assert not report.passed
+        assert {v[0] for v in report.violations} == {12}
+        assert all(v[2] == "brute-force mismatch" for v in report.violations)
