@@ -198,14 +198,20 @@ def kkt_shadow_bound(m: int, k: int) -> int:
     return cascade(m, k).shifted_sum(-1)
 
 
+def _check_segment(m: int, n: int, k: int, up: bool) -> None:
+    """m k-sets of {1..n} whose shade (`up`) or shadow is bounded."""
+    check_ground(n)
+    if not (0 <= k < n if up else 0 < k <= n):
+        raise ValueError(f"{'shade' if up else 'shadow'} level {k} out of "
+                         f"range for n={n}")
+    if not 0 <= m <= comb(n, k):
+        raise ValueError(f"m={m} out of range for C({n},{k})={comb(n, k)}")
+
+
 def shade_of_last_bound(m: int, n: int, k: int) -> int:
     """|shade of the last m k-sets of {1..n}|, via the complement duality
     |shade L_{n,k}(m)| = |shadow F_{n,n-k}(m)|."""
-    check_ground(n)
-    if not 0 <= k < n:
-        raise ValueError(f"shade level {k} out of range for n={n}")
-    if not 0 <= m <= comb(n, k):
-        raise ValueError(f"m={m} out of range for C({n},{k})={comb(n, k)}")
+    _check_segment(m, n, k, up=True)
     if m == 0:
         return 0
     return kkt_shadow_bound(m, n - k)
@@ -213,21 +219,13 @@ def shade_of_last_bound(m: int, n: int, k: int) -> int:
 
 def local_shade_bound(m: int, n: int, k: int) -> Fraction:
     """(n-k)/(k+1) * m: counting lower bound for the shade of m k-sets."""
-    check_ground(n)
-    if not 0 <= k < n:
-        raise ValueError(f"shade level {k} out of range for n={n}")
-    if not 0 <= m <= comb(n, k):
-        raise ValueError(f"m={m} out of range for C({n},{k})={comb(n, k)}")
+    _check_segment(m, n, k, up=True)
     return Fraction((n - k) * m, k + 1)
 
 
 def local_shadow_bound(m: int, n: int, k: int) -> Fraction:
     """k/(n-k+1) * m: counting lower bound for the shadow of m k-sets."""
-    check_ground(n)
-    if not 0 < k <= n:
-        raise ValueError(f"shadow level {k} out of range for n={n}")
-    if not 0 <= m <= comb(n, k):
-        raise ValueError(f"m={m} out of range for C({n},{k})={comb(n, k)}")
+    _check_segment(m, n, k, up=False)
     return Fraction(k * m, n - k + 1)
 
 

@@ -28,21 +28,34 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a killed writer
 
 
-def _text_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
+def _emit(args, payload, lines=(), table=None, csv_table=None, verdict=None,
+          indent=None) -> int:
+    """Write one result to stdout in the chosen format; return its exit code.
 
-
-def _print_csv(headers: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+    `payload` is the JSON document.  In text, `table` (headers, rows) is
+    laid out in aligned columns above `lines`; without a table, a
+    `verdict` closes the lines with PASS or FAIL (a table carries its own
+    status column).  CSV writes `csv_table`, by default `table`.  A false
+    verdict exits EXIT_CLAIM_FAILED, anything else EXIT_OK."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=indent))
+    elif args.format == "csv":
+        headers, rows = csv_table or table
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(rows)
+    else:
+        if table is not None:
+            headers, rows = table
+            widths = [max(map(len, column)) for column in zip(headers, *rows)]
+            aligned = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                       for row in (headers, *rows)]
+            lines = aligned + list(lines)
+        elif verdict is not None:
+            lines = [*lines, "PASS" if verdict else "FAIL"]
+        for line in lines:
+            print(line)
+    return EXIT_OK if verdict is None or verdict else EXIT_CLAIM_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +64,8 @@ def _print_csv(headers: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_order(args) -> int:
     fam = _segment_or_file(args)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "k": args.k,
-                          "sets": fam.sets()}))
-    else:
-        for m in fam.members:
-            print(format_set(m))
-    return EXIT_OK
+    return _emit(args, {"n": args.n, "k": args.k, "sets": fam.sets()},
+                 map(format_set, fam.members))
 
 
 def _segment_or_file(args) -> Family:
@@ -88,50 +96,35 @@ def _cmd_shadow(args, direction: str) -> int:
         out = new_shadow(fam) if args.new else shadow(fam)
     else:
         out = new_shade(fam) if args.new else shade(fam)
-    if args.format == "json":
-        print(json.dumps({"n": fam.n, "size": len(out),
-                          "sets": out.sets()}))
-    else:
-        for m in out.members:
-            print(format_set(m))
-    return EXIT_OK
+    return _emit(args, {"n": fam.n, "size": len(out), "sets": out.sets()},
+                 map(format_set, out.members))
 
 
 def _cmd_cascade(args) -> int:
     rep = cascade(args.m, args.k)
-    if args.format == "json":
-        print(json.dumps({"m": args.m, "k": args.k,
-                          "terms": [list(t) for t in rep.terms]}))
-    else:
-        print(str(rep))
-    return EXIT_OK
+    return _emit(args, {"m": args.m, "k": args.k,
+                        "terms": [list(t) for t in rep.terms]}, [str(rep)])
 
 
 def _cmd_table1(args) -> int:
     rows = shade_table(4)
-    cells = []
-    for r in rows:
-        cells.append([str(r.m), format_set(r.last_set, compact=True),
-                      " ".join(format_set(s, compact=True) for s in r.new_shade)
-                      or "-",
-                      str(r.shade_size), str(r.bound.numerator),
-                      str(r.bound.denominator)])
-    headers = ["m", "last_set", "new_shade", "shade_size",
-               "lemma_1_9_bound_num", "lemma_1_9_bound_den"]
-    if args.format == "csv":
-        _print_csv(headers, cells)
-    elif args.format == "json":
-        print(json.dumps([{"m": r.m,
-                           "last_set": list(elements_of(r.last_set)),
-                           "new_shade": [list(elements_of(s)) for s in r.new_shade],
-                           "shade_size": r.shade_size,
-                           "bound": [r.bound.numerator, r.bound.denominator]}
-                          for r in rows]))
-    else:
-        text_rows = [c[:4] + [str(r.bound)] for c, r in zip(cells, rows)]
-        print(_text_table(["m", "last_set", "new_shade", "shade_size", "bound"],
-                          text_rows))
-    return EXIT_OK
+    cells = [[str(r.m), format_set(r.last_set, compact=True),
+              " ".join(format_set(s, compact=True) for s in r.new_shade) or "-",
+              str(r.shade_size)] for r in rows]
+    payload = [{"m": r.m,
+                "last_set": list(elements_of(r.last_set)),
+                "new_shade": [list(elements_of(s)) for s in r.new_shade],
+                "shade_size": r.shade_size,
+                "bound": [r.bound.numerator, r.bound.denominator]}
+               for r in rows]
+    headers = ["m", "last_set", "new_shade", "shade_size"]
+    return _emit(
+        args, payload,
+        table=(headers + ["bound"],
+               [c + [str(r.bound)] for c, r in zip(cells, rows)]),
+        csv_table=(headers + ["lemma_1_9_bound_num", "lemma_1_9_bound_den"],
+                   [c + [str(r.bound.numerator), str(r.bound.denominator)]
+                    for c, r in zip(cells, rows)]))
 
 
 def _cmd_lemmas(args) -> int:
@@ -140,20 +133,16 @@ def _cmd_lemmas(args) -> int:
     rows = [[r.check_id, str(r.limit), str(r.instances),
              str(len(r.violations)), "pass" if r.passed else "FAIL"]
             for r in reports]
-    headers = ["id", "limit", "instances", "violations", "status"]
-    if args.format == "csv":
-        _print_csv(headers, rows)
-    elif args.format == "json":
-        print(json.dumps([{"id": r.check_id, "description": r.description,
-                           "limit": r.limit, "instances": r.instances,
-                           "violations": [list(v) for v in r.violations],
-                           "passed": r.passed} for r in reports]))
-    else:
-        print(_text_table(headers, rows))
-        for r in reports:
-            for v in r.violations:
-                print(f"  violation {r.check_id}: {v}")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CLAIM_FAILED
+    payload = [{"id": r.check_id, "description": r.description,
+                "limit": r.limit, "instances": r.instances,
+                "violations": [list(v) for v in r.violations],
+                "passed": r.passed} for r in reports]
+    return _emit(args, payload,
+                 [f"  violation {r.check_id}: {v}"
+                  for r in reports for v in r.violations],
+                 table=(["id", "limit", "instances", "violations", "status"],
+                        rows),
+                 verdict=all(r.passed for r in reports))
 
 
 def _cmd_normalize(args) -> int:
@@ -164,63 +153,52 @@ def _cmd_normalize(args) -> int:
     except SelectionError as exc:
         print(f"selection failure: {exc}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
-    if args.format == "json":
-        print(json.dumps({
-            "ok": True,
-            "steps": [{"direction": s.direction, "rank": s.rank,
-                       "removed": [elements_of(m) for m in s.removed],
-                       "inserted": [elements_of(m) for m in s.inserted]}
-                      for s in trace.steps],
-            "final": trace.final.sets()}))
-    else:
-        for i, s in enumerate(trace.steps, 1):
-            removed = " ".join(format_set(m) for m in s.removed)
-            inserted = " ".join(format_set(m) for m in s.inserted)
-            print(f"step {i}: {s.direction} from rank {s.rank}: "
-                  f"removed {removed}; inserted {inserted}")
-        if not trace.steps:
-            print("no steps needed")
-        print("final:")
-        print(format_family(trace.final), end="")
-    return EXIT_OK
+    payload = {
+        "ok": True,
+        "steps": [{"direction": s.direction, "rank": s.rank,
+                   "removed": [elements_of(m) for m in s.removed],
+                   "inserted": [elements_of(m) for m in s.inserted]}
+                  for s in trace.steps],
+        "final": trace.final.sets()}
+    steps = [f"step {i}: {s.direction} from rank {s.rank}: "
+             f"removed {' '.join(map(format_set, s.removed))}; "
+             f"inserted {' '.join(map(format_set, s.inserted))}"
+             for i, s in enumerate(trace.steps, 1)]
+    return _emit(args, payload,
+                 [*(steps or ["no steps needed"]), "final:",
+                  *format_family(trace.final).splitlines()])
 
 
 def _cmd_lemma_3_15(args) -> int:
     report = size4_antichain_classes_report()
-    if args.format == "json":
-        print(json.dumps({
-            "scanned": report["scanned"],
-            "eligible": report["eligible"],
-            "oversize": len(report["oversize"]),
-            "classes_found": len(report["found_classes"]),
-            "match": report["match"]}))
-    else:
-        print(f"antichains scanned: {report['scanned']}; with a 1-set or "
-              f"3-set: {report['eligible']}; size-4 classes: "
-              f"{len(report['found_classes'])} (expected 4)")
-        print("PASS" if report["match"] else "FAIL")
-    return EXIT_OK if report["match"] else EXIT_CLAIM_FAILED
+    payload = {"scanned": report["scanned"],
+               "eligible": report["eligible"],
+               "oversize": len(report["oversize"]),
+               "classes_found": len(report["found_classes"]),
+               "match": report["match"]}
+    return _emit(args, payload,
+                 [f"antichains scanned: {report['scanned']}; with a 1-set or "
+                  f"3-set: {report['eligible']}; size-4 classes: "
+                  f"{len(report['found_classes'])} (expected 4)"],
+                 verdict=report["match"])
 
 
 def _cmd_normalization(args) -> int:
     if args.workers < 1:
         raise ValueError(f"worker count must be >= 1, got {args.workers}")
     report = normalization_pair_sweep(args.n, workers=args.workers)
-    if args.format == "json":
-        print(json.dumps({
-            "n": report.n, "antichains": report.antichains,
-            "crossing_pairs": report.crossing_pairs,
-            "moved_pairs": report.moved_pairs,
-            "selection_failures": len(report.selection_failures),
-            "violations": len(report.violations),
-            "match": report.passed}))
-    else:
-        print(f"n={report.n}: {report.crossing_pairs} crossing pairs, "
-              f"{report.moved_pairs} moved, "
-              f"{len(report.selection_failures)} selection failures, "
-              f"{len(report.violations)} violations")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_CLAIM_FAILED
+    payload = {"n": report.n, "antichains": report.antichains,
+               "crossing_pairs": report.crossing_pairs,
+               "moved_pairs": report.moved_pairs,
+               "selection_failures": len(report.selection_failures),
+               "violations": len(report.violations),
+               "match": report.passed}
+    return _emit(args, payload,
+                 [f"n={report.n}: {report.crossing_pairs} crossing pairs, "
+                  f"{report.moved_pairs} moved, "
+                  f"{len(report.selection_failures)} selection failures, "
+                  f"{len(report.violations)} violations"],
+                 verdict=report.passed)
 
 
 def _cmd_theorem(args) -> int:
@@ -252,34 +230,33 @@ def _cmd_theorem(args) -> int:
                   f"{report['found_ordered']}")
     census = report["census"]
     formula = max_sum_formula(n)
-    if args.format == "json":
-        print(json.dumps({
-            "n": census.n,
-            "optimum": census.optimum,
-            "formula_value": formula,
-            "match": report["match"],
-            "optimal_pairs": [[a.sets(), b.sets()]
-                              for a, b in census.optimum_pairs],
-            "near_optimal_pairs": [[a.sets(), b.sets()]
-                                   for a, b in census.near_optimum_pairs],
-            "reduced_by_isomorphism": True,
-            "counts": {
-                "ordered_optimum": census.ordered_count_optimum,
-                "ordered_near": census.ordered_count_near,
-                "unordered_optimum": census.unordered_count_optimum,
-                "unordered_near": census.unordered_count_near,
-            },
-            "incomplete": census.incomplete,
-            **extra,
-        }, indent=2))
-    else:
-        print(f"n={census.n}  optimum={census.optimum}  formula={formula}")
-        print(detail)
-        print("PASS" if report["match"] else "FAIL")
+    payload = {
+        "n": census.n,
+        "optimum": census.optimum,
+        "formula_value": formula,
+        "match": report["match"],
+        "optimal_pairs": [[a.sets(), b.sets()]
+                          for a, b in census.optimum_pairs],
+        "near_optimal_pairs": [[a.sets(), b.sets()]
+                               for a, b in census.near_optimum_pairs],
+        "reduced_by_isomorphism": True,
+        "counts": {
+            "ordered_optimum": census.ordered_count_optimum,
+            "ordered_near": census.ordered_count_near,
+            "unordered_optimum": census.unordered_count_optimum,
+            "unordered_near": census.unordered_count_near,
+        },
+        "incomplete": census.incomplete,
+        **extra,
+    }
+    code = _emit(args, payload,
+                 [f"n={census.n}  optimum={census.optimum}  formula={formula}",
+                  detail],
+                 verdict=report["match"], indent=2)
     if census.incomplete:
         print("search budget exhausted; results are partial", file=sys.stderr)
         return EXIT_BUDGET
-    return EXIT_OK if report["match"] else EXIT_CLAIM_FAILED
+    return code
 
 
 def _cmd_sweep(args) -> int:
@@ -288,20 +265,16 @@ def _cmd_sweep(args) -> int:
     sweep = {"lemma-3.8": sweep_shadow_excess,
              "lemma-3.14": sweep_last_shade_margin}[args.target]
     report = sweep() if args.max_n is None else sweep(args.max_n)
-    if args.format == "json":
-        print(json.dumps({"name": report.name, "instances": report.instances,
-                          "violations": [list(v) for v in report.violations],
-                          "notes": list(report.notes),
-                          "passed": report.passed}))
-    else:
-        print(f"{report.name}: {report.instances} instances, "
-              f"{len(report.violations)} violations")
-        for note in report.notes:
-            print(f"  note: {note}")
-        for v in report.violations:
-            print(f"  violation: {v}")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_CLAIM_FAILED
+    payload = {"name": report.name, "instances": report.instances,
+               "violations": [list(v) for v in report.violations],
+               "notes": list(report.notes),
+               "passed": report.passed}
+    return _emit(args, payload,
+                 [f"{report.name}: {report.instances} instances, "
+                  f"{len(report.violations)} violations",
+                  *(f"  note: {note}" for note in report.notes),
+                  *(f"  violation: {v}" for v in report.violations)],
+                 verdict=report.passed)
 
 
 # ---------------------------------------------------------------------------

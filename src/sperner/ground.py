@@ -124,8 +124,7 @@ class Family:
         check_ground(self.n)
         members = self.members
         for m in members:
-            if m < 0 or m >> self.n:
-                raise ValueError(f"set {m} uses elements outside 1..{self.n}")
+            check_mask(m, self.n)
         if len(set(members)) != len(members):
             raise ValueError("family members must be pairwise distinct")
         ordered = sort_members(members)

@@ -163,6 +163,20 @@ class TestClosedFormBounds:
         assert local_shade_bound(10, 6, 3) == Fraction(30, 4)
         assert local_shadow_bound(6, 4, 2) == 4
 
+    @pytest.mark.parametrize("bound,m,n,k,message", [
+        (shade_of_last_bound, 1, 4, 4, "shade level 4 out of range for n=4"),
+        (shade_of_last_bound, 7, 4, 2, "m=7 out of range for C(4,2)=6"),
+        (local_shade_bound, 1, 4, -1, "shade level -1 out of range for n=4"),
+        (local_shade_bound, -1, 4, 2, "m=-1 out of range for C(4,2)=6"),
+        (local_shadow_bound, 1, 4, 0, "shadow level 0 out of range for n=4"),
+        (local_shadow_bound, 5, 4, 3, "m=5 out of range for C(4,3)=4"),
+        (local_shadow_bound, 1, 0, 1, "ground size must be in 1..60, got 0"),
+    ])
+    def test_bound_rejects_bad_input(self, bound, m, n, k, message):
+        with pytest.raises(ValueError) as info:
+            bound(m, n, k)
+        assert str(info.value) == message
+
     def test_oracle_equivalence_small(self):
         assert kkt_oracle_mismatches(7).passed
 

@@ -404,6 +404,66 @@ class TestSweepCommand:
         assert range_text in err
 
 
+class TestExactOutput:
+    """Whole stdout and exit code of one command line per output shape."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("verify", "lemma-3.15"),
+         "antichains scanned: 168; with a 1-set or 3-set: 102; "
+         "size-4 classes: 4 (expected 4)\n"
+         "PASS\n"),
+        (("verify", "normalization", "--n", "3"),
+         "n=3: 90 crossing pairs, 45 moved, 0 selection failures, "
+         "0 violations\n"
+         "PASS\n"),
+        (("sweep", "lemma-3.14", "--max-n", "6"),
+         "last-shade-margin: 18 instances, 0 violations\n"
+         "  note: n=4, m=3 is an exact tie (|shade|=3 equals the bound)\n"
+         "PASS\n"),
+        (("lemmas", "check", "--format", "csv"),
+         "id,limit,instances,violations,status\n"
+         "3.2,40,820,0,pass\n"
+         "3.3,40,820,0,pass\n"
+         "3.4,20,2470,0,pass\n"
+         "3.5,30,961,0,pass\n"
+         "3.6,30,29,0,pass\n"
+         "3.7,25,78,0,pass\n"
+         "3.10,20,2869,0,pass\n"
+         "3.11,20,2660,0,pass\n"
+         "3.12,20,190,0,pass\n"
+         "3.13,20,19,0,pass\n"),
+        (("shadow", "5", "3", "--first", "5", "--format", "json"),
+         '{"n": 5, "size": 8, "sets": [[1, 2], [1, 3], [2, 3], [1, 4], '
+         '[2, 4], [3, 4], [1, 5], [2, 5]]}\n'),
+    ])
+    def test_passing_run(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_lemmas_violation_lines(self, capsys, monkeypatch):
+        from sperner import differences
+        monkeypatch.setattr(differences, "term_gain", lambda n, r: 0)
+        assert run(capsys, "lemmas", "check", "--id", "3.3", "--max", "2") == (
+            1,
+            "id   limit  instances  violations  status\n"
+            "3.3  2      3          2           FAIL\n"
+            "  violation 3.3: (2, 1)\n"
+            "  violation 3.3: (2, 2)\n",
+            "")
+
+    def test_sweep_violation_lines(self, capsys, monkeypatch):
+        from sperner import verifier
+        real = verifier.kkt_shadow_bound
+        monkeypatch.setattr(verifier, "kkt_shadow_bound",
+                            lambda m, k: real(m, k) - 1)
+        assert run(capsys, "sweep", "lemma-3.8", "--max-n", "3") == (
+            1,
+            "shadow-excess: 1 instances, 2 violations\n"
+            "  violation: (3, 1, 2)\n"
+            "  violation: (3, 1, 'brute-force mismatch', 3, 2)\n"
+            "FAIL\n",
+            "")
+
+
 def readme_cli_lines():
     readme = (REPO_ROOT / "README.md").read_text()
     block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]

@@ -1,0 +1,46 @@
+"""Input checks across the package: each bad call raises ValueError with
+its own message."""
+
+import pytest
+
+from sperner.differences import check_lemma
+from sperner.ground import Family, format_set, mask_of, parse_family, parse_set
+from sperner.normalize import normalize_pair, normalize_to_middle
+from sperner.squashed import unrank
+from sperner.verifier import (canonical_pair_key, middle_band_antichains,
+                              normalization_pair_sweep)
+
+ONE = Family.from_sets(4, [(1,)])
+CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Family(2, (4,)), "set 4 uses elements outside 1..2"),
+    (lambda: mask_of([0]), "elements are 1-indexed, got 0"),
+    (lambda: parse_set("{1,2"), "unterminated set literal"),
+    (lambda: parse_set("1a"), "cannot parse set literal"),
+    (lambda: format_set(1 << 9, compact=True),
+     "compact notation needs single-digit elements"),
+    (lambda: parse_family("# only a comment\n"),
+     "family file has no 'n=<int>' header"),
+    (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
+    (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
+    (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
+     "partner family is not an antichain"),
+    (lambda: normalize_pair(Family(3, ()), Family(4, ())),
+     "family and partner live over different ground sizes"),
+    (lambda: canonical_pair_key(Family(3, ()), Family(4, ())),
+     "pair members live over different ground sizes"),
+    (lambda: normalization_pair_sweep(6),
+     "the exhaustive pair sweep supports 1 <= n <= 5"),
+    (lambda: middle_band_antichains(5, 0),
+     "middle band enumeration needs even n"),
+], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
+        "parse_set-not-digits", "format_set-compact-10", "parse_family-no-header",
+        "unrank-level", "check_lemma-limit", "normalize_to_middle-partner",
+        "normalize_pair-ground", "canonical_pair_key-ground",
+        "normalization_pair_sweep-n6", "middle_band_antichains-odd"])
+def test_bad_input_raises(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)

@@ -52,3 +52,25 @@ def test_cli_import_skips_process_pool():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def _writes_stdout(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return (func.value.id, func.attr) in {("json", "dumps"),
+                                              ("csv", "writer")}
+    if isinstance(func, ast.Name) and func.id == "print":
+        return not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in call.keywords)
+    return False
+
+
+def test_cli_results_go_through_emit():
+    # one writer owns stdout, so the text, JSON and CSV formats are the
+    # only things a command prints there
+    tree = ast.parse((SRC / "cli.py").read_text())
+    writers = {(getattr(node, "name", "<module>"), call.lineno)
+               for node in tree.body
+               for call in ast.walk(node)
+               if isinstance(call, ast.Call) and _writes_stdout(call)}
+    assert writers and {name for name, _ in writers} == {"_emit"}
