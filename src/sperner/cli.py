@@ -249,14 +249,14 @@ def _cmd_theorem(args) -> int:
         "incomplete": census.incomplete,
         **extra,
     }
-    code = _emit(args, payload,
-                 [f"n={census.n}  optimum={census.optimum}  formula={formula}",
-                  detail],
-                 verdict=report["match"], indent=2)
+    lines = [f"n={census.n}  optimum={census.optimum}  formula={formula}",
+             detail]
     if census.incomplete:
+        # a cut census refutes nothing, so its text verdict is not FAIL
+        _emit(args, payload, [*lines, "INCOMPLETE"], indent=2)
         print("search budget exhausted; results are partial", file=sys.stderr)
         return EXIT_BUDGET
-    return code
+    return _emit(args, payload, lines, verdict=report["match"], indent=2)
 
 
 def _cmd_sweep(args) -> int:

@@ -8,6 +8,12 @@ mask, and each family is in turn a mask over the 2^n subset indices.  A
 family B cross-intersects A iff B's member mask is contained in A's
 transversal mask (the subsets meeting every member of A), so the pair
 test is a single integer operation.
+
+The all-pairs normalization audit turns this around, a third layer of
+bitsets: over antichain indices.  contains[x] holds the antichains with
+member x, so the partners of A are the complement of the OR of
+contains[y] over the subsets y that miss some member of A, and a row of
+the audit visits only those partners instead of testing every pair.
 """
 
 from __future__ import annotations
@@ -491,23 +497,60 @@ def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
 PAIR_SWEEP_STRIPES = 16
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of mask's set bits, ascending.  The scan runs in C
+    (bin and str.find), so the Python-level work is one step per set bit,
+    however wide the mask."""
+    digits = bin(mask)[:1:-1]  # lowest bit first
+    out = []
+    j = digits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = digits.find("1", j + 1)
+    return out
+
+
+def _or_rows(rows: Sequence[int], mask: int) -> int:
+    """The OR of rows[x] over the set bits x of mask."""
+    out = 0
+    for x in _bits(mask):
+        out |= rows[x]
+    return out
+
+
+def _holders(n: int, member_masks: Sequence[int]) -> list[int]:
+    """holders[x] = bitset over the positions j of member_masks (member
+    masks over the 2^n subset indices) whose mask has subset x."""
+    holders = [0] * (1 << n)
+    for j, mm in enumerate(member_masks):
+        bit = 1 << j
+        for x in _bits(mm):
+            holders[x] |= bit
+    return holders
+
+
 @lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
-    """Antichains of {1..n} with their member, avoid and complement
-    bitmasks over the 2^n subset indices, the meets table, and each
-    antichain's pushed trace (None on SelectionError) and its _audit.  A
-    process builds this on first use, so it enumerates, pushes and audits
-    each antichain once, whichever stripes it runs."""
+    """The antichains of {1..n} and their tables for the all-pairs sweep,
+    in this order:
+
+    - fams, the antichains, and avoid[i], the subsets (a bitset over the
+      2^n subset indices) that miss some member of fams[i];
+    - meets, the meets table;
+    - traces[i], the pushed trace of fams[i] (None on SelectionError),
+      and audits[i], its _audit;
+    - contains[x] and pushed[x], the antichains (a bitset over antichain
+      indices) that have subset x as a member, and whose audited final
+      does;
+    - stepped and sound, the antichains whose audit says so.
+
+    Every mask over antichains reads the audits, so the audit is the one
+    record of what a push did.  A process builds this on first use, so it
+    enumerates, pushes and audits each antichain once, whichever stripes
+    it runs."""
     fams = list(enumerate_antichains(n))
     meets = _meets_table(n)
-    mmask, avoid = zip(*(_family_bitmasks(f.members, n, meets) for f in fams))
-    full_mask = (1 << n) - 1
-    cmask = []
-    for f in fams:
-        bits = 0
-        for x in f.members:
-            bits |= 1 << (full_mask ^ x)
-        cmask.append(bits)
+    members, avoid = zip(*(_family_bitmasks(f.members, n, meets) for f in fams))
     traces = []
     for f in fams:
         try:
@@ -518,7 +561,11 @@ def _pair_sweep_setup(n: int) -> tuple:
             traces.append(None)
     audits = [None if t is None else _audit(f, t, meets)
               for f, t in zip(fams, traces)]
-    return fams, mmask, avoid, cmask, meets, traces, audits
+    contains = _holders(n, members)
+    pushed = _holders(n, [0 if a is None else a[2] for a in audits])
+    stepped = sum(1 << j for j, a in enumerate(audits) if a and a[1])
+    sound = sum(1 << j for j, a in enumerate(audits) if a and a[0])
+    return fams, avoid, meets, traces, audits, contains, pushed, stepped, sound
 
 
 def _audit(f: Family, trace, meets: list[int]) -> tuple[bool, bool, int, int]:
@@ -540,42 +587,55 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     normalization sweep, with the antichain count; results merge
     associatively across stripes.
 
-    Every crossing pair goes through normalize_pair.  A returned trace
-    that is the table's trace for its family takes the table's audit;
-    any other trace is audited for that pair alone and not stored, so
-    the audit always covers what normalize_pair returned for the pair,
-    the diagonal pair included.  A pair then costs the moved test and
-    one bitmask test of cross-intersection between the finals.
+    Row i works on bitsets over antichain indices.  Its partners, the
+    j >= i that cross fams[i], are those with no member in avoid[i]: the
+    complement of the OR of contains[y] over y in avoid[i].  Only their
+    set bits are visited, each by one normalize_pair call.  A pair whose
+    call raises SelectionError, or returns a trace that is not the
+    table's, is marked odd and audited on its own, so the audit always
+    covers what normalize_pair returned for the pair, the diagonal pair
+    included.  The other partners take the table's audits a whole row at
+    a time: a pair moved if either side stepped, an unmoved pair needs
+    both sides sound, and a moved pair also needs the finals to cross,
+    which fails exactly for the partners in pushed[y] for some y in the
+    avoid mask of i's final.  Only violating pairs are decoded to sets.
     """
     n, stripe, nstripes = args
-    fams, mmask, avoid, cmask, meets, traces, audits = _pair_sweep_setup(n)
+    (fams, avoid, meets, traces, audits,
+     contains, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
+    everything = (1 << count) - 1
+    full = (1 << n) - 1
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
     for i in range(stripe, count, nstripes):
-        av = avoid[i]
-        ci = cmask[i]
-        fi = fams[i]
-        for j in range(i, count):
-            mj = mmask[j]
-            if mj & av:
-                continue
-            crossing += 1
-            fj = fams[j]
-            # complement exclusion: a crossing pair never contains a
-            # member together with its complement on the other side
-            if ci & mj:
-                violations.append(("complement", fi.sets(), fj.sets()))
+        fi, ti = fams[i], traces[i]
+        partners = (everything >> i << i) & ~_or_rows(contains, avoid[i])
+        crossing += partners.bit_count()
+        # complement exclusion: a crossing pair never contains a member
+        # together with its complement on the other side
+        clash = 0
+        for x in fi.members:
+            clash |= contains[full ^ x]
+        for j in _bits(partners & clash):
+            violations.append(("complement", fi.sets(), fams[j].sets()))
+        odd = 0
+        for j in _bits(partners):
+            fj, tj = fams[j], traces[j]
             try:
                 ta, tb = normalize_pair(fi, fj, validate=False)
             except SelectionError as exc:
+                odd |= 1 << j
                 failures.append((fi.sets(), fj.sets(), str(exc)))
                 continue
+            if ta is ti and tb is tj:
+                continue
+            odd |= 1 << j
             a_sound, a_stepped, _, a_avoid = (
-                audits[i] if ta is traces[i] else _audit(fi, ta, meets))
+                audits[i] if ta is ti else _audit(fi, ta, meets))
             b_sound, b_stepped, b_members, _ = (
-                audits[j] if tb is traces[j] else _audit(fj, tb, meets))
+                audits[j] if tb is tj else _audit(fj, tb, meets))
             if not (a_stepped or b_stepped):
                 # zero-step traces must return the inputs themselves
                 if not (a_sound and b_sound):
@@ -584,6 +644,22 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             moved += 1
             if not (a_sound and b_sound and not a_avoid & b_members):
                 violations.append(("preservation", fi.sets(), fj.sets()))
+        table = partners & ~odd
+        if not table:
+            continue
+        # the partners that took the table's traces, a whole row at once:
+        # shifted pairs moved (a side stepped), still pairs did not
+        a_sound, a_stepped, _, a_avoid = audits[i]
+        shifted = table if a_stepped else table & stepped
+        still = table ^ shifted
+        moved += shifted.bit_count()
+        if a_sound:
+            still &= ~sound
+            shifted &= ~sound | _or_rows(pushed, a_avoid)
+        for j in _bits(still):
+            violations.append(("identity", fi.sets(), fams[j].sets()))
+        for j in _bits(shifted):
+            violations.append(("preservation", fi.sets(), fams[j].sets()))
     return count, crossing, moved, failures, violations
 
 

@@ -439,6 +439,16 @@ class TestExactOutput:
     def test_passing_run(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 
+    def test_budget_cut_census(self, capsys):
+        # a census cut by its budget refutes nothing: INCOMPLETE, not FAIL
+        assert run(capsys, "verify", "theorem-1.4", "--n", "6",
+                   "--budget-seconds", "0") == (
+            3,
+            "n=6  optimum=35  formula=35\n"
+            "optimal pair classes: 0\n"
+            "INCOMPLETE\n",
+            "search budget exhausted; results are partial\n")
+
     def test_lemmas_violation_lines(self, capsys, monkeypatch):
         from sperner import differences
         monkeypatch.setattr(differences, "term_gain", lambda n, r: 0)

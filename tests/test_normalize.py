@@ -299,6 +299,48 @@ class TestNormalizePair:
         monkeypatch.setattr(verifier, "normalize_pair", fresh)
         assert verifier.normalization_pair_sweep(4) == honest
 
+    # each case corrupts one antichain's audit while the table is built,
+    # so the whole-row bitset path reads it for every partner; the
+    # stepped and sound masks and pushed[] all follow the audit
+    @pytest.mark.parametrize("n, victim, fields, violations, moved", [
+        # unmoved pairs with an unsound side fail the identity check
+        (2, ((1,), (2,)), {"sound": False},
+         (("identity", (), ((1,), (2,))),
+          ("identity", ((1, 2),), ((1,), (2,)))), 1),
+        # {3,4} misses the final {1,2} of the partner {{1,2}} only
+        (4, ((1,), (2,)), {"final": ((1, 2), (3, 4))},
+         (("preservation", ((1,), (2,)), ((1, 2),)),), 687),
+        # a final {{}} claimed sound and stepped misses only itself; the
+        # pair with the empty family crosses vacuously and still moves
+        (1, ((1,),), {"sound": True, "stepped": True, "final": ((),)},
+         (("preservation", ((1,),), ((1,),)),), 3),
+    ], ids=["unsound", "disjoint-final", "diagonal"])
+    def test_sweep_reads_a_corrupted_audit_row_by_row(
+            self, monkeypatch, n, victim, fields, violations, moved):
+        from sperner import verifier
+        victim = fam(n, *victim)
+        real = verifier._audit
+
+        def corrupted(f, trace, meets):
+            sound, stepped, members, avoid = real(f, trace, meets)
+            if f != victim:
+                return sound, stepped, members, avoid
+            if "final" in fields:
+                members, avoid = verifier._family_bitmasks(
+                    fam(n, *fields["final"]).members, n, meets)
+            return (fields.get("sound", sound), fields.get("stepped", stepped),
+                    members, avoid)
+
+        verifier._pair_sweep_setup.cache_clear()
+        monkeypatch.setattr(verifier, "_audit", corrupted)
+        try:
+            report = verifier.normalization_pair_sweep(n)
+        finally:
+            verifier._pair_sweep_setup.cache_clear()
+        assert report.violations == violations
+        assert report.moved_pairs == moved
+        assert not report.selection_failures
+
     def test_sampled_pairs_n6(self):
         # the full n=6 pair space is out of reach (Dedekind(6)^2 pairs);
         # a seeded sample documents that greedy selection keeps working
@@ -418,6 +460,56 @@ def ref_normalize_pair(a, b):
     b_down, b2 = ref_phase(b1, a2, "down")
     return (NormalizationTrace(tuple(a_up + a_down), a2),
             NormalizationTrace(tuple(b_up + b_down), b2))
+
+
+def ref_pair_sweep(n):
+    """The all-pairs normalization audit pair by pair, with ground
+    predicates in place of the sweep's bitsets."""
+    from sperner.verifier import PairSweepReport, enumerate_antichains
+    fams = list(enumerate_antichains(n))
+    lo, hi = middle_band(n)
+
+    def sound(f, t):
+        final = t.final
+        return (len(final) == len(f) and is_antichain(final)
+                and all(lo <= len(s) <= hi for s in final.sets())
+                and (bool(t.steps) or final == f))
+
+    crossing = moved = 0
+    failures, violations = [], []
+    for i, a in enumerate(fams):
+        for b in fams[i:]:
+            if not is_cross_intersecting(a, b):
+                continue
+            crossing += 1
+            complements = {tuple(sorted(set(range(1, n + 1)) - set(s)))
+                           for s in a.sets()}
+            if complements & set(b.sets()):
+                violations.append(("complement", a.sets(), b.sets()))
+            try:
+                ta, tb = normalize_pair(a, b)
+            except SelectionError as exc:
+                failures.append((a.sets(), b.sets(), str(exc)))
+                continue
+            ok = sound(a, ta) and sound(b, tb)
+            if not (ta.steps or tb.steps):
+                if not ok:
+                    violations.append(("identity", a.sets(), b.sets()))
+                continue
+            moved += 1
+            if not (ok and is_cross_intersecting(ta.final, tb.final)):
+                violations.append(("preservation", a.sets(), b.sets()))
+    return PairSweepReport(n, len(fams), crossing, moved,
+                           tuple(sorted(failures)), tuple(sorted(violations)))
+
+
+class TestSweepAgainstReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_field_matches(self, n):
+        from sperner.verifier import normalization_pair_sweep
+        expected = ref_pair_sweep(n)
+        assert normalization_pair_sweep(n) == expected
+        assert normalization_pair_sweep(n, workers=2) == expected
 
 
 def outcome(fn, *args):
