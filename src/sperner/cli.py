@@ -32,13 +32,14 @@ def _emit(args, payload, lines=(), table=None, csv_table=None, verdict=None,
           indent=None) -> int:
     """Write one result to stdout in the chosen format; return its exit code.
 
-    `payload` is the JSON document.  In text, `table` (headers, rows) is
-    laid out in aligned columns above `lines`; without a table, a
-    `verdict` closes the lines with PASS or FAIL (a table carries its own
-    status column).  CSV writes `csv_table`, by default `table`.  A false
+    `payload` is a function of no arguments that builds the JSON
+    document; it is called only for JSON, so text and CSV skip its cost.
+    In text, `table` (headers, rows) is laid out in aligned columns above
+    `lines`; without a table, a `verdict` closes the lines with PASS or
+    FAIL (a table carries its own status column).  CSV writes `csv_table`, by default `table`.  A false
     verdict exits EXIT_CLAIM_FAILED, anything else EXIT_OK."""
     if args.format == "json":
-        print(json.dumps(payload, indent=indent))
+        print(json.dumps(payload(), indent=indent))
     elif args.format == "csv":
         headers, rows = csv_table or table
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -64,7 +65,7 @@ def _emit(args, payload, lines=(), table=None, csv_table=None, verdict=None,
 
 def _cmd_order(args) -> int:
     fam = _segment_or_file(args)
-    return _emit(args, {"n": args.n, "k": args.k, "sets": fam.sets()},
+    return _emit(args, lambda: {"n": args.n, "k": args.k, "sets": fam.sets()},
                  map(format_set, fam.members))
 
 
@@ -96,14 +97,15 @@ def _cmd_shadow(args, direction: str) -> int:
         out = new_shadow(fam) if args.new else shadow(fam)
     else:
         out = new_shade(fam) if args.new else shade(fam)
-    return _emit(args, {"n": fam.n, "size": len(out), "sets": out.sets()},
+    return _emit(args, lambda: {"n": fam.n, "size": len(out), "sets": out.sets()},
                  map(format_set, out.members))
 
 
 def _cmd_cascade(args) -> int:
     rep = cascade(args.m, args.k)
-    return _emit(args, {"m": args.m, "k": args.k,
-                        "terms": [list(t) for t in rep.terms]}, [str(rep)])
+    return _emit(args, lambda: {"m": args.m, "k": args.k,
+                                "terms": [list(t) for t in rep.terms]},
+                 [str(rep)])
 
 
 def _cmd_table1(args) -> int:
@@ -111,15 +113,15 @@ def _cmd_table1(args) -> int:
     cells = [[str(r.m), format_set(r.last_set, compact=True),
               " ".join(format_set(s, compact=True) for s in r.new_shade) or "-",
               str(r.shade_size)] for r in rows]
-    payload = [{"m": r.m,
-                "last_set": list(elements_of(r.last_set)),
-                "new_shade": [list(elements_of(s)) for s in r.new_shade],
-                "shade_size": r.shade_size,
-                "bound": [r.bound.numerator, r.bound.denominator]}
-               for r in rows]
     headers = ["m", "last_set", "new_shade", "shade_size"]
     return _emit(
-        args, payload,
+        args,
+        lambda: [{"m": r.m,
+                  "last_set": list(elements_of(r.last_set)),
+                  "new_shade": [list(elements_of(s)) for s in r.new_shade],
+                  "shade_size": r.shade_size,
+                  "bound": [r.bound.numerator, r.bound.denominator]}
+                 for r in rows],
         table=(headers + ["bound"],
                [c + [str(r.bound)] for c, r in zip(cells, rows)]),
         csv_table=(headers + ["lemma_1_9_bound_num", "lemma_1_9_bound_den"],
@@ -133,11 +135,11 @@ def _cmd_lemmas(args) -> int:
     rows = [[r.check_id, str(r.limit), str(r.instances),
              str(len(r.violations)), "pass" if r.passed else "FAIL"]
             for r in reports]
-    payload = [{"id": r.check_id, "description": r.description,
-                "limit": r.limit, "instances": r.instances,
-                "violations": [list(v) for v in r.violations],
-                "passed": r.passed} for r in reports]
-    return _emit(args, payload,
+    return _emit(args,
+                 lambda: [{"id": r.check_id, "description": r.description,
+                           "limit": r.limit, "instances": r.instances,
+                           "violations": [list(v) for v in r.violations],
+                           "passed": r.passed} for r in reports],
                  [f"  violation {r.check_id}: {v}"
                   for r in reports for v in r.violations],
                  table=(["id", "limit", "instances", "violations", "status"],
@@ -153,30 +155,30 @@ def _cmd_normalize(args) -> int:
     except SelectionError as exc:
         print(f"selection failure: {exc}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
-    payload = {
-        "ok": True,
-        "steps": [{"direction": s.direction, "rank": s.rank,
-                   "removed": [elements_of(m) for m in s.removed],
-                   "inserted": [elements_of(m) for m in s.inserted]}
-                  for s in trace.steps],
-        "final": trace.final.sets()}
     steps = [f"step {i}: {s.direction} from rank {s.rank}: "
              f"removed {' '.join(map(format_set, s.removed))}; "
              f"inserted {' '.join(map(format_set, s.inserted))}"
              for i, s in enumerate(trace.steps, 1)]
-    return _emit(args, payload,
+    return _emit(args,
+                 lambda: {
+                     "ok": True,
+                     "steps": [{"direction": s.direction, "rank": s.rank,
+                                "removed": [elements_of(m) for m in s.removed],
+                                "inserted": [elements_of(m) for m in s.inserted]}
+                               for s in trace.steps],
+                     "final": trace.final.sets()},
                  [*(steps or ["no steps needed"]), "final:",
                   *format_family(trace.final).splitlines()])
 
 
 def _cmd_lemma_3_15(args) -> int:
     report = size4_antichain_classes_report()
-    payload = {"scanned": report["scanned"],
-               "eligible": report["eligible"],
-               "oversize": len(report["oversize"]),
-               "classes_found": len(report["found_classes"]),
-               "match": report["match"]}
-    return _emit(args, payload,
+    return _emit(args,
+                 lambda: {"scanned": report["scanned"],
+                          "eligible": report["eligible"],
+                          "oversize": len(report["oversize"]),
+                          "classes_found": len(report["found_classes"]),
+                          "match": report["match"]},
                  [f"antichains scanned: {report['scanned']}; with a 1-set or "
                   f"3-set: {report['eligible']}; size-4 classes: "
                   f"{len(report['found_classes'])} (expected 4)"],
@@ -187,13 +189,13 @@ def _cmd_normalization(args) -> int:
     if args.workers < 1:
         raise ValueError(f"worker count must be >= 1, got {args.workers}")
     report = normalization_pair_sweep(args.n, workers=args.workers)
-    payload = {"n": report.n, "antichains": report.antichains,
-               "crossing_pairs": report.crossing_pairs,
-               "moved_pairs": report.moved_pairs,
-               "selection_failures": len(report.selection_failures),
-               "violations": len(report.violations),
-               "match": report.passed}
-    return _emit(args, payload,
+    return _emit(args,
+                 lambda: {"n": report.n, "antichains": report.antichains,
+                          "crossing_pairs": report.crossing_pairs,
+                          "moved_pairs": report.moved_pairs,
+                          "selection_failures": len(report.selection_failures),
+                          "violations": len(report.violations),
+                          "match": report.passed},
                  [f"n={report.n}: {report.crossing_pairs} crossing pairs, "
                   f"{report.moved_pairs} moved, "
                   f"{len(report.selection_failures)} selection failures, "
@@ -214,31 +216,44 @@ def _cmd_theorem(args) -> int:
 
     if target == "theorem-1.4":
         report = extremal_report(n, budget_seconds=budget)
-        extra = {}
         detail = f"optimal pair classes: {len(report['census'].optimum_pairs)}"
     else:
         report = near_extremal_report(n, budget_seconds=budget)
-        extra = {"characterization": {
-            "expected_ordered": report["expected_ordered"],
-            "found_ordered": report["found_ordered"],
-            "missing": [[a.sets(), b.sets()] for a, b in report["missing"]],
-            "unexpected": [[a.sets(), b.sets()]
-                           for a, b in report["unexpected"]],
-        }}
         detail = (f"near-optimal ordered pairs: expected "
                   f"{report['expected_ordered']}, found "
                   f"{report['found_ordered']}")
     census = report["census"]
     formula = max_sum_formula(n)
+    lines = [f"n={census.n}  optimum={census.optimum}  formula={formula}",
+             detail]
+    verdict = report["match"]
+    if census.incomplete:
+        # a cut census refutes nothing, so its text verdict is not FAIL
+        lines.append("INCOMPLETE")
+        verdict = None
+    code = _emit(args, lambda: _theorem_payload(report, formula), lines,
+                 verdict=verdict, indent=2)
+    if census.incomplete:
+        print("search budget exhausted; results are partial", file=sys.stderr)
+        return EXIT_BUDGET
+    return code
+
+
+def _theorem_payload(report: dict, formula: int) -> dict:
+    """The JSON document of a theorem target; a near-extremal report adds
+    its characterization."""
+    census = report["census"]
+
+    def sets(pairs):
+        return [[a.sets(), b.sets()] for a, b in pairs]
+
     payload = {
         "n": census.n,
         "optimum": census.optimum,
         "formula_value": formula,
         "match": report["match"],
-        "optimal_pairs": [[a.sets(), b.sets()]
-                          for a, b in census.optimum_pairs],
-        "near_optimal_pairs": [[a.sets(), b.sets()]
-                               for a, b in census.near_optimum_pairs],
+        "optimal_pairs": sets(census.optimum_pairs),
+        "near_optimal_pairs": sets(census.near_optimum_pairs),
         "reduced_by_isomorphism": True,
         "counts": {
             "ordered_optimum": census.ordered_count_optimum,
@@ -247,16 +262,15 @@ def _cmd_theorem(args) -> int:
             "unordered_near": census.unordered_count_near,
         },
         "incomplete": census.incomplete,
-        **extra,
     }
-    lines = [f"n={census.n}  optimum={census.optimum}  formula={formula}",
-             detail]
-    if census.incomplete:
-        # a cut census refutes nothing, so its text verdict is not FAIL
-        _emit(args, payload, [*lines, "INCOMPLETE"], indent=2)
-        print("search budget exhausted; results are partial", file=sys.stderr)
-        return EXIT_BUDGET
-    return _emit(args, payload, lines, verdict=report["match"], indent=2)
+    if "expected_ordered" in report:
+        payload["characterization"] = {
+            "expected_ordered": report["expected_ordered"],
+            "found_ordered": report["found_ordered"],
+            "missing": sets(report["missing"]),
+            "unexpected": sets(report["unexpected"]),
+        }
+    return payload
 
 
 def _cmd_sweep(args) -> int:
@@ -265,11 +279,11 @@ def _cmd_sweep(args) -> int:
     sweep = {"lemma-3.8": sweep_shadow_excess,
              "lemma-3.14": sweep_last_shade_margin}[args.target]
     report = sweep() if args.max_n is None else sweep(args.max_n)
-    payload = {"name": report.name, "instances": report.instances,
-               "violations": [list(v) for v in report.violations],
-               "notes": list(report.notes),
-               "passed": report.passed}
-    return _emit(args, payload,
+    return _emit(args,
+                 lambda: {"name": report.name, "instances": report.instances,
+                          "violations": [list(v) for v in report.violations],
+                          "notes": list(report.notes),
+                          "passed": report.passed},
                  [f"{report.name}: {report.instances} instances, "
                   f"{len(report.violations)} violations",
                   *(f"  note: {note}" for note in report.notes),

@@ -5,21 +5,21 @@ that need shadow machinery.
 
 The pair search works on bit masks twice over: each subset of {1..n} is a
 mask, and each family is in turn a mask over the 2^n subset indices.  A
-family B cross-intersects A iff B's member mask is contained in A's
-transversal mask (the subsets meeting every member of A), so the pair
-test is a single integer operation.
+family B cross-intersects A iff B's members lie in A's transversal (the
+subsets meeting every member of A).
 
-The all-pairs normalization audit turns this around, a third layer of
-bitsets: over antichain indices.  contains[x] holds the antichains with
-member x, so the partners of A are the complement of the OR of
-contains[y] over the subsets y that miss some member of A, and a row of
-the audit visits only those partners instead of testing every pair.
+The census and the all-pairs normalization audit turn this around, a
+third layer of bitsets: over antichain indices.  In the audit contains[x]
+holds the antichains with member x, so the partners of A are the
+complement of the OR of contains[y] over the subsets y that miss some
+member of A, and a row visits only those partners instead of testing
+every pair.  The census pairs its rows the same way, and walks a row's
+transversal for the partners too small to be rows.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -273,51 +273,75 @@ def _family_bitmasks(members: Sequence[int], n: int,
     return mm, full ^ tm
 
 
-def _census_scan(cands: Iterable[tuple[int, ...]], n: int,
-                 deadline: float | None,
+def _census_scan(n: int, deadline: float | None,
                  seed_best: int) -> tuple[int, dict[int, list], bool]:
-    """One sweep over candidate antichains (mask tuples), largest first.
+    """Every unordered crossing antichain pair of {1..n} (member tuples)
+    with sum at the optimum and at optimum - 1, where seed_best is the sum
+    of a known crossing pair.
 
-    Each candidate is kept only as its member mask over the 2^n subset
-    indices, and only the pairs found are decoded back to member tuples.
+    Such a pair sums to at least floor = seed_best - 1, so one side, its
+    row, has at least half = ceil(floor / 2) members.  The rows are walked
+    once and sorted largest first.  clash[y] is a bitset over row indices:
+    the rows with a member that misses subset y.  So the rows crossing row
+    i are those outside the OR of clash[x] over the members x of row i.  A
+    partner with fewer than half members lies inside row i's transversal
+    (the subsets meeting every member of row i) and has at least
+    best - 1 - |row i| members, so a walk of the transversal finds it.
+
     Every crossing pair with sum s >= best - 1 is collected, where best is
-    the running maximum (never below seed_best, the sum of a known crossing
-    pair); at the end only the pairs at the final best and best - 1 are
-    kept.  Nothing needed is pruned: the running best never exceeds the
-    final one and sizes are sorted descending, so each row's cut skips
-    only pairs below the final best - 1.
+    the running maximum (never below seed_best); at the end only the pairs
+    at the final best and best - 1 are kept.  Nothing needed is pruned:
+    the running best never exceeds the final one and rows shrink, so once
+    2 * |row i| < best - 1 no later pair can reach the final best - 1.
     """
-    masks = sorted((sum(1 << m for m in c) for c in cands),
-                   key=int.bit_count, reverse=True)
-    meets = _meets_table(n)
-
-    def members(mask: int) -> tuple[int, ...]:
-        return tuple(m for m in range(1 << n) if mask >> m & 1)
+    floor = seed_best - 1
+    half = (floor + 1) // 2
+    rows = sorted(antichain_mask_tuples(range(1 << n), half), key=len, reverse=True)
+    holders = _holders(n, rows)
+    clash = [0] * (1 << n)
+    for y in range(1 << n):
+        # the members x that miss y are the subsets of y's complement
+        rest = ((1 << n) - 1) ^ y
+        x = rest
+        while True:
+            clash[y] |= holders[x]
+            if not x:
+                break
+            x = (x - 1) & rest
 
     incomplete = False
     best = seed_best
     found = []
-    for ii, a in enumerate(masks):
-        size_a = a.bit_count()
+    everything = (1 << len(rows)) - 1
+    for i, a in enumerate(rows):
+        size_a = len(a)
         if 2 * size_a < best - 1:
             break
         if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
-        _, avoid = _family_bitmasks(members(a), n, meets)
-        # the partners of at least best - 1 - size_a members
-        stop = bisect_right(masks, size_a - best + 1, key=lambda m: -m.bit_count())
-        for jj in range(ii, stop):
-            b = masks[jj]
-            if not (b & avoid):
-                s = size_a + b.bit_count()
+        apart = 0
+        for x in a:
+            apart |= clash[x]
+        for j in _bits((everything >> i << i) & ~apart):
+            s = size_a + len(rows[j])
+            if s >= best - 1:
+                best = max(best, s)
+                found.append((s, a, rows[j]))
+        need = max(best - 1 - size_a, 0)
+        if need >= half:
+            continue
+        transversal = [y for y in range(1 << n) if not clash[y] >> i & 1]
+        for b in antichain_mask_tuples(transversal, need):
+            if len(b) < half:
+                s = size_a + len(b)
                 best = max(best, s)
                 found.append((s, a, b))
 
     buckets: dict[int, list] = {best: [], best - 1: []}
     for s, a, b in found:
         if s >= best - 1:
-            buckets[s].append((members(a), members(b)))
+            buckets[s].append((a, b))
     return best, buckets, incomplete
 
 
@@ -326,11 +350,13 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     pairs of {1..n}, 1 <= n <= 6, with every pair at the optimum and at
     optimum-1.
 
-    A checked crossing pair of middle levels seeds the running best.  No
-    antichain has more than C(n, n//2) members (Sperner), so a pair within
-    1 of the seed has both sides of at least seed - 1 - C(n, n//2)
-    members, and the walk prunes below that floor.  The scan still finds
-    any optimum above the seed.
+    A checked crossing pair of middle levels seeds the running best.  A
+    pair within 1 of the seed has a side of at least half = ceil((seed -
+    1) / 2) members, so the census walks the antichains of at least half
+    members once, pairs them through bitsets over their indices, and finds
+    each smaller partner by a walk of the larger side's transversal (the
+    subsets meeting all its members).  It reads no bound on antichain
+    size, and still finds any optimum above the seed.
     """
     if not 1 <= n <= MAX_ENUMERATION:
         raise ValueError(f"census supports 1 <= n <= {MAX_ENUMERATION}, got {n}")
@@ -340,10 +366,7 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     lo, hi = full_level(n, (n + 1) // 2), full_level(n, n // 2 + 1)
     if not is_cross_intersecting(lo, hi):
         raise RuntimeError(f"the n={n} census seed levels do not cross-intersect")
-    seed_best = len(lo) + len(hi)
-    floor_size = seed_best - 1 - comb(n, n // 2)
-    best, buckets, incomplete = _census_scan(
-        antichain_mask_tuples(range(1 << n), floor_size), n, deadline, seed_best)
+    best, buckets, incomplete = _census_scan(n, deadline, len(lo) + len(hi))
 
     def materialize(pairs: list) -> tuple[tuple[Family, Family], ...]:
         ordered = set()
@@ -518,13 +541,13 @@ def _or_rows(rows: Sequence[int], mask: int) -> int:
     return out
 
 
-def _holders(n: int, member_masks: Sequence[int]) -> list[int]:
-    """holders[x] = bitset over the positions j of member_masks (member
-    masks over the 2^n subset indices) whose mask has subset x."""
+def _holders(n: int, families: Iterable[Iterable[int]]) -> list[int]:
+    """holders[x] = bitset over the positions j of families (each given
+    by its members' subset indices) whose family has subset x."""
     holders = [0] * (1 << n)
-    for j, mm in enumerate(member_masks):
+    for j, members in enumerate(families):
         bit = 1 << j
-        for x in _bits(mm):
+        for x in members:
             holders[x] |= bit
     return holders
 
@@ -550,7 +573,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     it runs."""
     fams = list(enumerate_antichains(n))
     meets = _meets_table(n)
-    members, avoid = zip(*(_family_bitmasks(f.members, n, meets) for f in fams))
+    avoid = [_family_bitmasks(f.members, n, meets)[1] for f in fams]
     traces = []
     for f in fams:
         try:
@@ -561,8 +584,8 @@ def _pair_sweep_setup(n: int) -> tuple:
             traces.append(None)
     audits = [None if t is None else _audit(f, t, meets)
               for f, t in zip(fams, traces)]
-    contains = _holders(n, members)
-    pushed = _holders(n, [0 if a is None else a[2] for a in audits])
+    contains = _holders(n, (f.members for f in fams))
+    pushed = _holders(n, (() if a is None else _bits(a[2]) for a in audits))
     stepped = sum(1 << j for j, a in enumerate(audits) if a and a[1])
     sound = sum(1 << j for j, a in enumerate(audits) if a and a[0])
     return fams, avoid, meets, traces, audits, contains, pushed, stepped, sound

@@ -200,19 +200,22 @@ class TestCensus:
         assert set(census.raw_optimum) == {(lo, hi), (hi, lo)}
         assert census.ordered_count_near == 70
 
-    def test_scan_ignores_candidate_order(self):
-        cands = list(antichain_mask_tuples(range(32)))
-        shuffled = [c[::-1] for c in cands]
-        random.Random(20261018).shuffle(shuffled)
+    def test_n6_census_draws_few_antichains(self, monkeypatch):
+        # the rows walk and the transversal walks, not every antichain of
+        # the old Sperner floor (83 619 of them at n=6)
+        walk = verifier.antichain_mask_tuples
+        drawn = []
 
-        def scan(cs):
-            best, buckets, incomplete = _census_scan(cs, 5, None, 0)
-            assert not incomplete
-            return best, {s: sorted(tuple(sorted((tuple(sorted(a)), tuple(sorted(b)))))
-                                    for a, b in pairs)
-                          for s, pairs in buckets.items()}
+        def counted(universe, min_size=0):
+            drawn.append(0)
+            for masks in walk(universe, min_size):
+                drawn[-1] += 1
+                yield masks
 
-        assert scan(shuffled) == scan(cands)
+        monkeypatch.setattr(verifier, "antichain_mask_tuples", counted)
+        census = max_cross_sum(6)
+        assert census.optimum == 35 and census.ordered_count_near == 70
+        assert sum(drawn) < 10_000
 
     def test_budget_marks_incomplete(self):
         census = max_cross_sum(5, budget_seconds=0.0)
@@ -225,10 +228,10 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_seed_floor_keeps_every_pair(self, n):
-        # the seeded census walks only antichains of at least the floor
-        # size; an unseeded scan of every antichain is the reference
-        best, buckets, incomplete = _census_scan(
-            antichain_mask_tuples(range(1 << n)), n, None, 0)
+        # the seeded census walks only the rows of at least half the floor
+        # and the transversals of the largest rows; an unseeded scan takes
+        # every antichain as a row and is the reference
+        best, buckets, incomplete = _census_scan(n, None, 0)
         assert not incomplete
 
         def ordered(pairs):
@@ -279,8 +282,8 @@ def _drop_one_near_pair(monkeypatch, incomplete):
     scan = verifier._census_scan
     dropped = []
 
-    def lossy(cands, n, deadline, seed_best):
-        best, buckets, _ = scan(cands, n, deadline, seed_best)
+    def lossy(n, deadline, seed_best):
+        best, buckets, _ = scan(n, deadline, seed_best)
         a, b = buckets[best - 1].pop(0)
         fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
         dropped.extend({(fa, fb), (fb, fa)})
