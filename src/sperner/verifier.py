@@ -9,12 +9,12 @@ family B cross-intersects A iff B's members lie in A's transversal (the
 subsets meeting every member of A).
 
 The census and the all-pairs normalization audit turn this around, a
-third layer of bitsets: over antichain indices.  In the audit contains[x]
-holds the antichains with member x, so the partners of A are the
-complement of the OR of contains[y] over the subsets y that miss some
-member of A, and a row visits only those partners instead of testing
-every pair.  The census pairs its rows the same way, and walks a row's
-transversal for the partners too small to be rows.
+third layer of bitsets: over antichain indices.  Both build one table,
+missers[y], the antichains with a member that misses subset y, so the
+partners of A are the complement of the OR of missers[x] over the members
+x of A, and a row visits only those partners instead of testing every
+pair.  The census also walks a row's transversal for the partners too
+small to be rows.
 """
 
 from __future__ import annotations
@@ -248,31 +248,6 @@ def _unordered_count(raw: tuple[tuple[Family, Family], ...]) -> int:
     return (len(raw) + sum(a == b for a, b in raw)) // 2
 
 
-def _meets_table(n: int) -> list[int]:
-    """meets[x] = bitmask over all 2^n subset indices y with x & y != 0."""
-    universe = 1 << n
-    meets = [0] * universe
-    for x in range(universe):
-        row = 0
-        for y in range(universe):
-            if x & y:
-                row |= 1 << y
-        meets[x] = row
-    return meets
-
-
-def _family_bitmasks(members: Sequence[int], n: int,
-                     meets: list[int]) -> tuple[int, int]:
-    """A family's member mask over subset indices, and the complement of
-    its transversal mask.  B crosses A iff member_mask(B) & avoid(A) == 0."""
-    full = (1 << (1 << n)) - 1
-    mm, tm = 0, full
-    for m in members:
-        mm |= 1 << m
-        tm &= meets[m]
-    return mm, full ^ tm
-
-
 def _census_scan(n: int, deadline: float | None,
                  seed_best: int) -> tuple[int, dict[int, list], bool]:
     """Every unordered crossing antichain pair of {1..n} (member tuples)
@@ -281,12 +256,13 @@ def _census_scan(n: int, deadline: float | None,
 
     Such a pair sums to at least floor = seed_best - 1, so one side, its
     row, has at least half = ceil(floor / 2) members.  The rows are walked
-    once and sorted largest first.  clash[y] is a bitset over row indices:
-    the rows with a member that misses subset y.  So the rows crossing row
-    i are those outside the OR of clash[x] over the members x of row i.  A
-    partner with fewer than half members lies inside row i's transversal
-    (the subsets meeting every member of row i) and has at least
-    best - 1 - |row i| members, so a walk of the transversal finds it.
+    once and sorted largest first.  missers[y] (see _missers) is a bitset
+    over row indices: the rows with a member that misses subset y.  So the
+    rows crossing row i are those outside the OR of missers[x] over the
+    members x of row i.  A partner with fewer than half members lies
+    inside row i's transversal (the subsets meeting every member of row i)
+    and has at least best - 1 - |row i| members, so a walk of the
+    transversal finds it.
 
     Every crossing pair with sum s >= best - 1 is collected, where best is
     the running maximum (never below seed_best); at the end only the pairs
@@ -297,17 +273,7 @@ def _census_scan(n: int, deadline: float | None,
     floor = seed_best - 1
     half = (floor + 1) // 2
     rows = sorted(antichain_mask_tuples(range(1 << n), half), key=len, reverse=True)
-    holders = _holders(n, rows)
-    clash = [0] * (1 << n)
-    for y in range(1 << n):
-        # the members x that miss y are the subsets of y's complement
-        rest = ((1 << n) - 1) ^ y
-        x = rest
-        while True:
-            clash[y] |= holders[x]
-            if not x:
-                break
-            x = (x - 1) & rest
+    missers = _missers(n, _holders(n, rows))
 
     incomplete = False
     best = seed_best
@@ -320,10 +286,7 @@ def _census_scan(n: int, deadline: float | None,
         if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
-        apart = 0
-        for x in a:
-            apart |= clash[x]
-        for j in _bits((everything >> i << i) & ~apart):
+        for j in _bits((everything >> i << i) & ~_or_rows(missers, a)):
             s = size_a + len(rows[j])
             if s >= best - 1:
                 best = max(best, s)
@@ -331,7 +294,7 @@ def _census_scan(n: int, deadline: float | None,
         need = max(best - 1 - size_a, 0)
         if need >= half:
             continue
-        transversal = [y for y in range(1 << n) if not clash[y] >> i & 1]
+        transversal = [y for y in range(1 << n) if not missers[y] >> i & 1]
         for b in antichain_mask_tuples(transversal, need):
             if len(b) < half:
                 s = size_a + len(b)
@@ -533,10 +496,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _or_rows(rows: Sequence[int], mask: int) -> int:
-    """The OR of rows[x] over the set bits x of mask."""
+def _or_rows(rows: Sequence[int], indices: Iterable[int]) -> int:
+    """The OR of rows[x] over the given indices x."""
     out = 0
-    for x in _bits(mask):
+    for x in indices:
         out |= rows[x]
     return out
 
@@ -552,19 +515,36 @@ def _holders(n: int, families: Iterable[Iterable[int]]) -> list[int]:
     return holders
 
 
+def _missers(n: int, holders: Sequence[int]) -> list[int]:
+    """missers[y] = the OR of holders[x] over the subsets x disjoint from y:
+    the families with a member that misses y.  So the families crossing F
+    are the complement of _or_rows(missers, F.members).
+
+    The subsets disjoint from y are those of its complement 2^n - 1 - y,
+    so a subset-union pass (one per element, n * 2^(n-1) ORs) makes
+    under[z] the OR of holders over the subsets of z, and missers is
+    under read backwards."""
+    under = list(holders)
+    for b in range(n):
+        bit = 1 << b
+        for z in range(1 << n):
+            if z & bit:
+                under[z] |= under[z ^ bit]
+    return under[::-1]
+
+
 @lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
     """The antichains of {1..n} and their tables for the all-pairs sweep,
     in this order:
 
-    - fams, the antichains, and avoid[i], the subsets (a bitset over the
-      2^n subset indices) that miss some member of fams[i];
-    - meets, the meets table;
+    - fams, the antichains;
     - traces[i], the pushed trace of fams[i] (None on SelectionError),
       and audits[i], its _audit;
-    - contains[x] and pushed[x], the antichains (a bitset over antichain
-      indices) that have subset x as a member, and whose audited final
-      does;
+    - contains[x], the antichains (a bitset over antichain indices) that
+      have subset x as a member;
+    - missers[y] and pushed[y], the antichains with a member that misses
+      subset y, and those whose audited final has one (see _missers);
     - stepped and sound, the antichains whose audit says so.
 
     Every mask over antichains reads the audits, so the audit is the one
@@ -572,8 +552,6 @@ def _pair_sweep_setup(n: int) -> tuple:
     enumerates, pushes and audits each antichain once, whichever stripes
     it runs."""
     fams = list(enumerate_antichains(n))
-    meets = _meets_table(n)
-    avoid = [_family_bitmasks(f.members, n, meets)[1] for f in fams]
     traces = []
     for f in fams:
         try:
@@ -582,19 +560,20 @@ def _pair_sweep_setup(n: int) -> tuple:
             # not cached by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
             traces.append(None)
-    audits = [None if t is None else _audit(f, t, meets)
+    audits = [None if t is None else _audit(f, t)
               for f, t in zip(fams, traces)]
     contains = _holders(n, (f.members for f in fams))
-    pushed = _holders(n, (() if a is None else _bits(a[2]) for a in audits))
+    missers = _missers(n, contains)
+    pushed = _missers(n, _holders(n, (() if a is None else a[2] for a in audits)))
     stepped = sum(1 << j for j, a in enumerate(audits) if a and a[1])
     sound = sum(1 << j for j, a in enumerate(audits) if a and a[0])
-    return fams, avoid, meets, traces, audits, contains, pushed, stepped, sound
+    return fams, traces, audits, contains, missers, pushed, stepped, sound
 
 
-def _audit(f: Family, trace, meets: list[int]) -> tuple[bool, bool, int, int]:
-    """(sound, stepped, member mask, avoid mask) of f's pushed trace; the
-    masks are the final's.  Sound: the final keeps f's size, is an
-    antichain and lies in the band, and a trace without steps returns f."""
+def _audit(f: Family, trace) -> tuple[bool, bool, tuple[int, ...]]:
+    """(sound, stepped, final members) of f's pushed trace.  Sound: the
+    final keeps f's size, is an antichain and lies in the band, and a
+    trace without steps returns f."""
     final = trace.final
     m = final.members
     lo, hi = middle_band(f.n)
@@ -602,7 +581,7 @@ def _audit(f: Family, trace, meets: list[int]) -> tuple[bool, bool, int, int]:
     sound = (len(m) == len(f) and is_antichain(final)
              and all(lo <= x.bit_count() <= hi for x in m)
              and (stepped or final == f))
-    return (sound, stepped, *_family_bitmasks(m, f.n, meets))
+    return sound, stepped, m
 
 
 def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
@@ -611,21 +590,22 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     associatively across stripes.
 
     Row i works on bitsets over antichain indices.  Its partners, the
-    j >= i that cross fams[i], are those with no member in avoid[i]: the
-    complement of the OR of contains[y] over y in avoid[i].  Only their
-    set bits are visited, each by one normalize_pair call.  A pair whose
-    call raises SelectionError, or returns a trace that is not the
-    table's, is marked odd and audited on its own, so the audit always
-    covers what normalize_pair returned for the pair, the diagonal pair
-    included.  The other partners take the table's audits a whole row at
-    a time: a pair moved if either side stepped, an unmoved pair needs
-    both sides sound, and a moved pair also needs the finals to cross,
-    which fails exactly for the partners in pushed[y] for some y in the
-    avoid mask of i's final.  Only violating pairs are decoded to sets.
+    j >= i that cross fams[i], are those with no member that misses a
+    member of fams[i]: the complement of the OR of missers[x] over the
+    members x of fams[i].  Only their set bits are visited, each by one
+    normalize_pair call.  A pair whose call raises SelectionError, or
+    returns a trace that is not the table's, is marked odd and audited on
+    its own, so the audit always covers what normalize_pair returned for
+    the pair, the diagonal pair included.  The other partners take the
+    table's audits a whole row at a time: a pair moved if either side
+    stepped, an unmoved pair needs both sides sound, and a moved pair also
+    needs the finals to cross, which fails exactly for the partners in
+    pushed[x] for some member x of i's final.  Only violating pairs are
+    decoded to sets.
     """
     n, stripe, nstripes = args
-    (fams, avoid, meets, traces, audits,
-     contains, pushed, stepped, sound) = _pair_sweep_setup(n)
+    (fams, traces, audits, contains,
+     missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
     everything = (1 << count) - 1
     full = (1 << n) - 1
@@ -634,7 +614,7 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     violations: list[tuple] = []
     for i in range(stripe, count, nstripes):
         fi, ti = fams[i], traces[i]
-        partners = (everything >> i << i) & ~_or_rows(contains, avoid[i])
+        partners = (everything >> i << i) & ~_or_rows(missers, fi.members)
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
         # together with its complement on the other side
@@ -655,30 +635,29 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             if ta is ti and tb is tj:
                 continue
             odd |= 1 << j
-            a_sound, a_stepped, _, a_avoid = (
-                audits[i] if ta is ti else _audit(fi, ta, meets))
-            b_sound, b_stepped, b_members, _ = (
-                audits[j] if tb is tj else _audit(fj, tb, meets))
+            a_sound, a_stepped, a_final = audits[i] if ta is ti else _audit(fi, ta)
+            b_sound, b_stepped, b_final = audits[j] if tb is tj else _audit(fj, tb)
             if not (a_stepped or b_stepped):
                 # zero-step traces must return the inputs themselves
                 if not (a_sound and b_sound):
                     violations.append(("identity", fi.sets(), fj.sets()))
                 continue
             moved += 1
-            if not (a_sound and b_sound and not a_avoid & b_members):
+            if not (a_sound and b_sound
+                    and all(x & y for x in a_final for y in b_final)):
                 violations.append(("preservation", fi.sets(), fj.sets()))
         table = partners & ~odd
         if not table:
             continue
         # the partners that took the table's traces, a whole row at once:
         # shifted pairs moved (a side stepped), still pairs did not
-        a_sound, a_stepped, _, a_avoid = audits[i]
+        a_sound, a_stepped, a_final = audits[i]
         shifted = table if a_stepped else table & stepped
         still = table ^ shifted
         moved += shifted.bit_count()
         if a_sound:
             still &= ~sound
-            shifted &= ~sound | _or_rows(pushed, a_avoid)
+            shifted &= ~sound | _or_rows(pushed, a_final)
         for j in _bits(still):
             violations.append(("identity", fi.sets(), fams[j].sets()))
         for j in _bits(shifted):

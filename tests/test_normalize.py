@@ -321,15 +321,14 @@ class TestNormalizePair:
         victim = fam(n, *victim)
         real = verifier._audit
 
-        def corrupted(f, trace, meets):
-            sound, stepped, members, avoid = real(f, trace, meets)
+        def corrupted(f, trace):
+            sound, stepped, final = real(f, trace)
             if f != victim:
-                return sound, stepped, members, avoid
+                return sound, stepped, final
             if "final" in fields:
-                members, avoid = verifier._family_bitmasks(
-                    fam(n, *fields["final"]).members, n, meets)
+                final = fam(n, *fields["final"]).members
             return (fields.get("sound", sound), fields.get("stepped", stepped),
-                    members, avoid)
+                    final)
 
         verifier._pair_sweep_setup.cache_clear()
         monkeypatch.setattr(verifier, "_audit", corrupted)

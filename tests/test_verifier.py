@@ -276,6 +276,32 @@ class TestCensus:
         assert census.unordered_count_near == len(pairs.get(best - 1, []))
 
 
+class TestMissers:
+    @staticmethod
+    def family_lists(n):
+        full = (1 << n) - 1
+        return {
+            "antichains": list(antichain_mask_tuples(range(1 << n))),
+            "empty-family": [(full,), (), (0,)],
+            "repeated-family": [(1,), (full,), (1,)],
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_definition(self, n):
+        # missers[y]: the positions j where some member x of fams[j] has
+        # x & y == 0, checked subset by subset
+        for fams in self.family_lists(n).values():
+            missers = verifier._missers(n, verifier._holders(n, fams))
+            assert missers == [
+                sum(1 << j for j, members in enumerate(fams)
+                    if any(not x & y for x in members))
+                for y in range(1 << n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_holders_no_missers(self, n):
+        assert verifier._missers(n, [0] * (1 << n)) == [0] * (1 << n)
+
+
 def _drop_one_near_pair(monkeypatch, incomplete):
     """Make the census scan lose its first optimum-1 pair, and report the
     scan as complete or budget-cut; returns the dropped ordered pairs."""
