@@ -9,11 +9,11 @@ stay independently checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .ground import Family, check_ground
 from .squashed import level_masks, rank
@@ -127,8 +127,7 @@ def new_shade(f: Family) -> Family:
 # cascade representation and closed-form bounds
 
 
-@dataclass(frozen=True)
-class CascadeRep:
+class CascadeRep(NamedTuple):
     """The k-binomial representation m = C(a_k,k) + ... + C(a_t,t) with
     a_k > a_{k-1} > ... > a_t >= t >= 1 (terms with zero remainder are
     omitted, so every listed term is positive)."""
@@ -233,8 +232,7 @@ def local_shadow_bound(m: int, n: int, k: int) -> Fraction:
 # last-segment shade table (middle level of an even ground)
 
 
-@dataclass(frozen=True)
-class ShadeTableRow:
+class ShadeTableRow(NamedTuple):
     m: int
     last_set: int                 # the m-th k-set from the end
     new_shade: tuple[int, ...]    # its fresh contribution to the shade
@@ -268,19 +266,29 @@ def shade_table(n: int = 4) -> list[ShadeTableRow]:
 # exhaustive cross-checks of the closed forms
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """An exhaustive closed-form cross-check: the instances it checked and
-    one tuple per failing instance.  A check over no instance is refused."""
-
+class _SweepFields(NamedTuple):
     name: str
     instances: int
     violations: tuple[tuple, ...]
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ValueError(f"{self.name} checked no instance")
+
+class SweepReport(_SweepFields):
+    """An exhaustive closed-form cross-check: the instances it checked and
+    one tuple per failing instance.  A check over no instance is refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, instances: int, violations: tuple[tuple, ...],
+                notes: tuple[str, ...] = ()) -> SweepReport:
+        if instances < 1:
+            raise ValueError(f"{name} checked no instance")
+        return super().__new__(cls, name, instances, violations, notes)
+
+    @classmethod
+    def _make(cls, iterable) -> SweepReport:
+        # _replace builds through _make, so it meets the same refusal
+        return cls(*iterable)
 
     @property
     def passed(self) -> bool:

@@ -12,10 +12,9 @@ Fractions, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 
 def _check_positive(**kwargs: int) -> None:
@@ -54,8 +53,7 @@ def hockey_stick(r: int, k: int) -> int:
 # check catalogue
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     description: str
     limit: int

@@ -8,8 +8,7 @@ to single bit operations.  Families keep their members sorted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -109,27 +108,48 @@ def sort_members(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Family:
     """A duplicate-free collection of subsets over a fixed ground size.
 
     Immutable after construction; members are kept sorted by
-    (cardinality, colex) so equal families compare equal.
+    (cardinality, colex) so equal families compare equal, and families
+    order by (n, members).
     """
 
     n: int
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        members = self.members
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        check_ground(n)
         for m in members:
-            check_mask(m, self.n)
+            check_mask(m, n)
         if len(set(members)) != len(members):
             raise ValueError("family members must be pairwise distinct")
-        ordered = sort_members(members)
-        if ordered != members:
-            object.__setattr__(self, "members", ordered)
+        # written to the instance dict, past the __setattr__ that refuses
+        # every later assignment
+        fields = self.__dict__
+        fields["n"] = n
+        fields["members"] = sort_members(members)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Family is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Family is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, members={self.members!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.members == other.members
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.members) < (other.n, other.members)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> Family:
@@ -165,8 +185,7 @@ class Family:
         return hash((self.n, self.members))
 
     def __hash__(self) -> int:
-        # an explicit __hash__ survives @dataclass(frozen=True); the cached
-        # value spares the per-call rehash of the member tuple
+        # the cached value spares the per-call rehash of the member tuple
         return self._hash
 
 

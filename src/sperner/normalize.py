@@ -39,8 +39,8 @@ push per distinct family, so an all-pairs audit pushes each family once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cascade import _covers, _facets
 from .ground import Family, is_antichain, is_cross_intersecting, sort_members
@@ -49,16 +49,14 @@ from .ground import Family, is_antichain, is_cross_intersecting, sort_members
 MAX_NORMALIZE = 12
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     direction: str               # "up" | "down"
     rank: int                    # rank whose members were replaced
     removed: tuple[int, ...]
     inserted: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizationTrace:
+class NormalizationTrace(NamedTuple):
     steps: tuple[Step, ...]
     final: Family
 

@@ -20,11 +20,10 @@ small to be rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cascade import (SweepReport, _fresh_sizes, kkt_shadow_bound,
                       shade_of_last_bound)
@@ -42,32 +41,82 @@ DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # antichain enumeration
 
 
+# Candidates of a walk are subsets of {1..MAX_WALK_GROUND}: the walk table
+# holds 2^n bitsets of 2^n bits per list, 2 MB per list at n=12.
+MAX_WALK_GROUND = 12
+
+
+def _submasks(s: int) -> Iterator[int]:
+    """Every subset of mask s, s itself and 0 included."""
+    t = s
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & s
+
+
+@lru_cache(maxsize=None)
+def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The walk table of the power set of {1..n}, as four tuples:
+
+    - cands, the subsets by descending comparable count, a stable sort of
+      0..2^n-1 (a k-set has 2^k subsets and 2^(n-k) supersets, so the
+      outer ranks come first and the widest rank last);
+    - pos[s], the position of subset s in cands;
+    - clash[i] and keep[i], bitsets over positions: the later candidates
+      comparable to cands[i], and those incomparable to it.
+    """
+    full = (1 << n) - 1
+    cands = sorted(range(1 << n),
+                   key=lambda s: -(2 ** s.bit_count() + 2 ** (n - s.bit_count())))
+    pos = [0] * (1 << n)
+    for i, s in enumerate(cands):
+        pos[s] = i
+    everything = (1 << len(cands)) - 1
+    clash, keep = [], []
+    for i, s in enumerate(cands):
+        comparable = 0
+        for t in _submasks(s):
+            comparable |= 1 << pos[t]
+        for t in _submasks(full ^ s):
+            comparable |= 1 << pos[s | t]
+        above = everything >> (i + 1) << (i + 1)
+        clash.append(comparable & above)
+        keep.append(above & ~comparable)
+    return tuple(cands), tuple(pos), tuple(clash), tuple(keep)
+
+
 def antichain_mask_tuples(universe: Sequence[int],
                           min_size: int = 0) -> Iterator[tuple[int, ...]]:
-    """All antichains over the given candidate subsets, each exactly once,
-    as tuples of masks in walk order (the empty antichain included when
-    min_size == 0).  Branches that cannot reach min_size are pruned.
+    """All antichains over the given candidate subsets, each exactly once
+    (a candidate listed twice counts once), as tuples of masks in walk
+    order (the empty antichain included when min_size == 0).  Branches
+    that cannot reach min_size are pruned.
 
     A depth-first walk over (chosen, allowed) nodes, where allowed holds
     the later candidates incomparable to everything chosen.  Once the
     allowed candidates are pairwise incomparable, every subset of them
     extends chosen, so the node yields those subsets by size instead of
-    descending.  The walk takes the candidates comparable to the most
-    others first (a stable sort): on a power set the outer ranks branch
-    and the widest rank is left as the free tail.
+    descending.  The walk reads the table of the power set of {1..n}, n
+    the bit length of the largest candidate (see _walk_table), which
+    takes the candidates comparable to the most others first: the outer
+    ranks branch and the widest rank is left as the free tail.  The
+    universe only marks the start node's allowed candidates.
     """
-    def comparable_row(s: int, over: Sequence[int]) -> int:
-        # bit j set when s and over[j] contain one another (or are equal)
-        return sum(1 << j for j, t in enumerate(over) if not (s & ~t) or not (t & ~s))
+    universe = set(universe)
+    if any(s < 0 for s in universe):
+        raise ValueError(f"walk candidates are set masks, got {min(universe)}")
+    n = max(universe, default=0).bit_length()
+    if n > MAX_WALK_GROUND:
+        raise ValueError(f"walk candidates must be subsets of "
+                         f"{{1..{MAX_WALK_GROUND}}}, got a set on {{1..{n}}}")
+    cands, pos, clash, keep = _walk_table(n)
+    start = 0
+    for s in universe:
+        start |= 1 << pos[s]
 
-    cands = sorted(universe, key=lambda s: -comparable_row(s, universe).bit_count())
-    size = len(cands)
-    comparable = [comparable_row(s, cands) for s in cands]
-    above = [(((1 << size) - 1) >> (i + 1)) << (i + 1) for i in range(size)]
-    clash = [comparable[i] & above[i] for i in range(size)]
-    keep = [above[i] & ~comparable[i] for i in range(size)]
-
-    stack = [((), (1 << size) - 1)]
+    stack = [((), start)]
     while stack:
         chosen, allowed = stack.pop()
         if not allowed:
@@ -208,8 +257,7 @@ def max_sum_formula(n: int) -> int:
     return comb(n, n // 2) + comb(n, n // 2 + 1)
 
 
-@dataclass(frozen=True)
-class SearchCensus:
+class SearchCensus(NamedTuple):
     """Aggregate of one exhaustive pair search.
 
     raw_* lists hold ordered pairs (both orders of an asymmetric pair).
@@ -665,8 +713,7 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     return count, crossing, moved, failures, violations
 
 
-@dataclass(frozen=True)
-class PairSweepReport:
+class PairSweepReport(NamedTuple):
     """All-pairs normalization audit: whether every cross-intersecting
     antichain pair normalizes into the middle band preserving sizes, the
     antichain property and cross-intersection.  A pair whose push fails

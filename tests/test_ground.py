@@ -150,6 +150,37 @@ class TestFamily:
     def test_from_masks_merges_repeats(self):
         assert Family.from_masks(4, [3, 3]) == Family(4, (3,))
 
+    def test_value_contract(self):
+        f = Family(4, [3, 1])
+        assert f.members == (1, 3) and type(f.members) is tuple
+        assert repr(f) == "Family(n=4, members=(1, 3))"
+        same = Family(4, (1, 3))
+        assert f == same and not f != same and hash(f) == hash(same)
+        assert f != (4, (1, 3)) and not f == (4, (1, 3))
+        with pytest.raises(TypeError):
+            f < (4, (1, 3))
+
+    def test_order_is_ground_then_members(self):
+        small, large, wider = Family(4, (1,)), Family(4, (1, 3)), Family(5, ())
+        assert small < large < wider and not large < small
+        assert small <= large and small <= Family(4, (1,)) and not large <= small
+        assert large > small and wider > large and not small > large
+        assert large >= small and large >= Family(4, (1, 3)) and not small >= large
+        assert sorted([wider, large, small]) == [small, large, wider]
+
+    @pytest.mark.parametrize("change", [
+        lambda f: setattr(f, "n", 5),
+        lambda f: setattr(f, "members", ()),
+        lambda f: setattr(f, "label", "x"),
+        lambda f: delattr(f, "n"),
+        lambda f: delattr(f, "members"),
+    ], ids=["set-n", "set-members", "set-new", "del-n", "del-members"])
+    def test_immutable(self, change):
+        f = Family(4, (1, 3))
+        with pytest.raises(AttributeError):
+            change(f)
+        assert f == Family(4, (1, 3)) and f.members == (1, 3)
+
     def test_ground_cap(self):
         with pytest.raises(ValueError):
             Family(61, ())

@@ -40,18 +40,29 @@ def test_tracer_entry_points_exist():
     assert missing == []
 
 
-def test_cli_import_skips_process_pool():
-    # the pool machinery loads only when a run asks for workers, so a
-    # plain CLI start does not pay for multiprocessing, pickle and socket
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter holds module once it imports sperner.cli."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    probe = ("import sys, sperner.cli; "
-             "print('concurrent.futures' in sys.modules)")
+    probe = f"import sys, sperner.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_skips_process_pool():
+    # the pool machinery loads only when a run asks for workers, so a
+    # plain CLI start does not pay for multiprocessing, pickle and socket
+    assert not _loaded_by_cli_import("concurrent.futures")
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, and compiles the
+    # methods it generates when each record class is defined, which every
+    # CLI start would pay; the records are NamedTuples instead
+    assert not _loaded_by_cli_import("dataclasses")
 
 
 def _writes_stdout(call: ast.Call) -> bool:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -46,6 +45,8 @@ WALK_UNIVERSES = {
     "power4_reversed": list(range(16))[::-1],
     "levels_3_2": list(level_masks(4, 3) + level_masks(4, 2)),
     "levels_2_3": list(level_masks(4, 2) + level_masks(4, 3)),
+    # a transversal: the subsets meeting both {1,2} and {3,4}
+    "transversal_4": [y for y in range(16) if y & 0b0011 and y & 0b1100],
 }
 
 
@@ -100,6 +101,37 @@ class TestEnumeration:
         walked = [frozenset(a) for a in antichain_mask_tuples(universe, min_size)]
         assert len(set(walked)) == len(walked)
         assert set(walked) == {frozenset(a) for a in brute_antichains(universe, min_size)}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_walk_table_against_brute_force(self, n):
+        # the walk branches on the candidates comparable to the most
+        # others first: a stable sort of the power set by that count
+        def comparable(s, t):
+            return not s & ~t or not t & ~s
+        power = range(1 << n)
+        cands, pos, clash, keep = verifier._walk_table(n)
+        assert list(cands) == sorted(
+            power, key=lambda s: -sum(comparable(s, t) for t in power))
+        assert [pos[s] for s in cands] == list(power)
+        for i, s in enumerate(cands):
+            later = range(i + 1, 1 << n)
+            assert clash[i] == sum(1 << j for j in later if comparable(s, cands[j]))
+            assert keep[i] == sum(1 << j for j in later if not comparable(s, cands[j]))
+
+    def test_repeated_candidate_counts_once(self):
+        assert sorted(antichain_mask_tuples([1, 1])) == [(), (1,)]
+        walked = sorted(tuple(sorted(a)) for a in antichain_mask_tuples([3, 1, 3, 2, 1]))
+        assert walked == [(), (1,), (1, 2), (2,), (3,)]
+
+    @pytest.mark.parametrize("universe", [[-1, 2], [3, -4]])
+    def test_negative_candidate_rejected(self, universe):
+        with pytest.raises(ValueError, match="set masks"):
+            list(antichain_mask_tuples(universe))
+
+    def test_candidate_beyond_the_table_cap_rejected(self):
+        # a set on {1..13} would need a table of 2^13 bitsets of 2^13 bits
+        with pytest.raises(ValueError, match="subsets of"):
+            list(antichain_mask_tuples([1, 1 << verifier.MAX_WALK_GROUND]))
 
     def test_n6_band_is_the_walk_restricted_to_ranks_3_and_4(self):
         band = [frozenset(a) for a in middle_band_antichains(6, 14)]
@@ -351,7 +383,7 @@ class TestOrbitClasses:
         # check forgets the pair order; a raw comparison sees it missing
         real = max_cross_sum(4)
         lo, hi = full_level(4, 2), full_level(4, 3)
-        swapped = replace(real, raw_optimum=tuple(
+        swapped = real._replace(raw_optimum=tuple(
             p for p in real.raw_optimum if p != (hi, lo)))
         assert swapped.raw_optimum == ((lo, hi),)
         monkeypatch.setattr(verifier, "max_cross_sum",
@@ -477,6 +509,16 @@ class TestSweeps:
             kkt_oracle_mismatches(0)
         with pytest.raises(ValueError, match="no instance"):
             window_minimality_report(0)
+
+    def test_sweep_report_refuses_zero_instances_when_built(self):
+        report = SweepReport("probe", 1, ())
+        assert report.passed and report.notes == ()
+        assert report._replace(notes=("n",)) == SweepReport("probe", 1, (), ("n",))
+        for build in (lambda: SweepReport("probe", 0, ()),
+                      lambda: report._replace(instances=0),
+                      lambda: SweepReport._make(("probe", 0, (), ()))):
+            with pytest.raises(ValueError, match="probe checked no instance"):
+                build()
 
     def test_every_cross_check_reports_a_sweep_report(self):
         for report in (sweep_shadow_excess(3), sweep_last_shade_margin(6),
