@@ -9,14 +9,18 @@ stay independently checkable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ground import Family, check_ground
 from .squashed import level_masks, rank
+
+if TYPE_CHECKING:
+    # fractions loads decimal and numbers; the functions that build a
+    # Fraction import it when called, so a CLI start does not pay for it
+    from fractions import Fraction
 
 MAX_REPRESENTABLE = comb(60, 30)
 
@@ -218,12 +222,14 @@ def shade_of_last_bound(m: int, n: int, k: int) -> int:
 
 def local_shade_bound(m: int, n: int, k: int) -> Fraction:
     """(n-k)/(k+1) * m: counting lower bound for the shade of m k-sets."""
+    from fractions import Fraction
     _check_segment(m, n, k, up=True)
     return Fraction((n - k) * m, k + 1)
 
 
 def local_shadow_bound(m: int, n: int, k: int) -> Fraction:
     """k/(n-k+1) * m: counting lower bound for the shadow of m k-sets."""
+    from fractions import Fraction
     _check_segment(m, n, k, up=False)
     return Fraction(k * m, n - k + 1)
 
@@ -242,6 +248,7 @@ class ShadeTableRow(NamedTuple):
 
 def shade_table(n: int = 4) -> list[ShadeTableRow]:
     """Row-by-row profile of the last-segment shade at level n/2."""
+    from fractions import Fraction
     check_ground(n)
     if n % 2:
         raise ValueError(f"shade table needs an even ground size, got {n}")

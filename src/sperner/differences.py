@@ -12,9 +12,13 @@ Fractions, no floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    # fractions loads decimal and numbers; the functions that build a
+    # Fraction import it when called, so a CLI start does not pay for it
+    from fractions import Fraction
 
 
 def _check_positive(**kwargs: int) -> None:
@@ -33,6 +37,7 @@ def term_gain(n: int, r: int) -> int:
 
 def damped_term_gain(n: int, r: int, k: int) -> Fraction:
     """C(n,r-1) - k/(k+1)*C(n,r) if r <= n, else 0; exact rational."""
+    from fractions import Fraction
     _check_positive(n=n, r=r, k=k)
     if r > n:
         return Fraction(0)
@@ -71,6 +76,7 @@ Checker = Callable[[int], Iterator[tuple[tuple, bool]]]
 
 def _check_3_2(limit: int):
     # term_gain(n,r) == C(n,r-1) * (2r-1-n)/r as exact rationals
+    from fractions import Fraction
     for n in range(1, limit + 1):
         for r in range(1, n + 1):
             expect = comb(n, r - 1) * Fraction(2 * r - 1 - n, r)
@@ -125,6 +131,7 @@ def _check_3_7(limit: int):
 
 def _check_3_10(limit: int):
     # damped_term_gain(i,j,k) - damped_term_gain(i+1,j,k) >= 1/2
+    from fractions import Fraction
     half = Fraction(1, 2)
     for k in range(2, limit + 1):
         for j in range(1, k + 1):
@@ -151,6 +158,7 @@ def _check_3_12(limit: int):
 
 def _check_3_13(limit: int):
     # sum_{r=1..k} damped_term_gain(k-1+r,r,k) == k/(k+1)
+    from fractions import Fraction
     for k in range(2, limit + 1):
         total = sum(damped_term_gain(k - 1 + r, r, k) for r in range(1, k + 1))
         yield (k,), total == Fraction(k, k + 1)

@@ -33,7 +33,9 @@ partner is read only to validate the input and, before a down step, to
 check its member sizes.  The ``Family`` functions are thin wrappers that
 call the kernel and build a ``Family`` only for a result that moved;
 ``normalize_to_middle`` and ``normalize_pair`` share one memoized full
-push per distinct family, so an all-pairs audit pushes each family once.
+push per ``Family`` object, kept in that object's instance dict the way
+``cached_property`` keeps ``Family.by_rank``: an all-pairs audit that
+passes the same objects pushes each family once and never hashes one.
 """
 
 from __future__ import annotations
@@ -189,12 +191,22 @@ def _trace(f: Family, steps: list[Step],
                               Family(f.n, members) if steps else f)
 
 
-@lru_cache(maxsize=None)
+# the instance-dict key of a family's memoized full push
+_PUSHED = "_pushed"
+
+
 def _normalized(f: Family) -> NormalizationTrace:
-    """The full push of f; one trace per distinct family, kept for the
-    life of the process.  A SelectionError is raised again on every call,
-    since lru_cache stores only results."""
-    return _trace(f, *_push(f.n, f.members))
+    """The full push of f, stored on f and returned by identity on every
+    later call.  The memo is per object: an equal family built apart is
+    pushed apart, to an equal trace.  Storing it leaves f's equality,
+    hash, order and repr alone, which read only n and members.  A push
+    that raises (SelectionError, or n above MAX_NORMALIZE) stores nothing
+    and raises again on the next call."""
+    fields = f.__dict__
+    trace = fields.get(_PUSHED)
+    if trace is None:
+        trace = fields[_PUSHED] = _trace(f, *_push(f.n, f.members))
+    return trace
 
 
 def push_up_min_rank(f: Family, partner: Family) -> NormalizationTrace:
@@ -243,12 +255,17 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     lowering them afterwards, the order under which every down step sees
     partner members of size >= n/2 and so stays cross-intersecting.
 
-    The pushes are memoized: the process keeps one trace per distinct
-    family passed in (at most 7 581, the antichains, at n <= 5) and
-    returns that same trace object on every later call.  Validation runs
-    on every call, before the cache is consulted."""
+    The pushes are memoized on the Family objects (see _normalized):
+    each object passed in is pushed once, and every later call with it
+    returns that same trace object.  Equal families built apart each keep
+    their own, equal, trace.  Validation runs on every call, before the
+    memo is read; a hit is two instance-dict reads, so no family is
+    hashed or compared."""
     if validate:
         _validate(a, b)
         if not is_antichain(b):
             raise ValueError("partner family is not an antichain")
-    return _normalized(a), _normalized(b)
+    try:
+        return a.__dict__[_PUSHED], b.__dict__[_PUSHED]
+    except KeyError:
+        return _normalized(a), _normalized(b)

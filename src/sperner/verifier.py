@@ -588,7 +588,8 @@ def _pair_sweep_setup(n: int) -> tuple:
 
     - fams, the antichains;
     - traces[i], the pushed trace of fams[i] (None on SelectionError),
-      and audits[i], its _audit;
+      which _normalized also stores on fams[i] itself, and audits[i], its
+      _audit;
     - contains[x], the antichains (a bitset over antichain indices) that
       have subset x as a member;
     - missers[y] and pushed[y], the antichains with a member that misses
@@ -605,7 +606,7 @@ def _pair_sweep_setup(n: int) -> tuple:
         try:
             traces.append(_normalized(f))
         except SelectionError:
-            # not cached by _normalized, so each pair it spoils raises it
+            # not stored by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
             traces.append(None)
     audits = [None if t is None else _audit(f, t)
@@ -641,7 +642,9 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     j >= i that cross fams[i], are those with no member that misses a
     member of fams[i]: the complement of the OR of missers[x] over the
     members x of fams[i].  Only their set bits are visited, each by one
-    normalize_pair call.  A pair whose call raises SelectionError, or
+    normalize_pair call on the table's own Family objects, so the memo
+    on each object answers it with the table's traces by identity, with
+    no hashing.  A pair whose call raises SelectionError, or
     returns a trace that is not the table's, is marked odd and audited on
     its own, so the audit always covers what normalize_pair returned for
     the pair, the diagonal pair included.  The other partners take the
@@ -673,16 +676,18 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             violations.append(("complement", fi.sets(), fams[j].sets()))
         odd = 0
         for j in _bits(partners):
-            fj, tj = fams[j], traces[j]
+            # read as the module global on each call, not bound locally,
+            # so a wrapper set on verifier.normalize_pair sees every pair
             try:
-                ta, tb = normalize_pair(fi, fj, validate=False)
+                ta, tb = normalize_pair(fi, fams[j], False)
             except SelectionError as exc:
                 odd |= 1 << j
-                failures.append((fi.sets(), fj.sets(), str(exc)))
+                failures.append((fi.sets(), fams[j].sets(), str(exc)))
                 continue
-            if ta is ti and tb is tj:
+            if ta is ti and tb is traces[j]:
                 continue
             odd |= 1 << j
+            fj, tj = fams[j], traces[j]
             a_sound, a_stepped, a_final = audits[i] if ta is ti else _audit(fi, ta)
             b_sound, b_stepped, b_final = audits[j] if tb is tj else _audit(fj, tb)
             if not (a_stepped or b_stepped):

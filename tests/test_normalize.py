@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
+from sperner import normalize
 from sperner.normalize import (MAX_NORMALIZE, NormalizationTrace,
-                               SelectionError, Step, _step, middle_band,
-                               normalize_pair, normalize_to_middle,
-                               push_down_max_rank, push_up_min_rank)
+                               SelectionError, Step, _normalized, _step,
+                               middle_band, normalize_pair,
+                               normalize_to_middle, push_down_max_rank,
+                               push_up_min_rank)
 from sperner.squashed import squash_compare
 
 
@@ -395,6 +397,75 @@ class TestNormalizePair:
         assert is_cross_intersecting(ta.final, tb.final)
         for f in (ta.final, tb.final):
             assert all(lo <= m.bit_count() <= hi for m in f.members)
+
+
+class TestPushMemo:
+    """Each Family object keeps its own full push in its instance dict."""
+
+    def test_sweep_hashes_no_family(self, monkeypatch):
+        # the sweep calls normalize_pair on the table's own objects, so the
+        # memo answers by two dict reads; a cache keyed by the family
+        # hashed both sides of each of the 3 831 calls at n=4
+        from sperner import verifier
+        calls = []
+        real = Family.__hash__
+
+        def counting(f):
+            calls.append(1)
+            return real(f)
+
+        verifier._pair_sweep_setup.cache_clear()
+        monkeypatch.setattr(Family, "__hash__", counting)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.antichains == 168
+        assert len(calls) < report.antichains
+
+    def test_pair_returns_the_table_traces(self):
+        from sperner import verifier
+        assert verifier.normalization_pair_sweep(4).passed
+        fams, traces = verifier._pair_sweep_setup(4)[:2]
+        for f, t in zip(fams, traces):
+            ta, tb = normalize_pair(f, f, False)
+            assert ta is t and tb is t
+
+    def test_memo_leaves_the_value_alone(self):
+        pushed = [fam(4), fam(4, (1,)), fam(4, (1, 2), (3,)), fam(4, (2, 3)),
+                  fam(4, (1, 2, 3, 4))]
+        fresh = [Family(f.n, f.members) for f in pushed]
+        for f in pushed:
+            _normalized(f)
+            assert normalize._PUSHED in vars(f)
+        assert pushed == fresh
+        assert [hash(f) for f in pushed] == [hash(g) for g in fresh]
+        assert [repr(f) for f in pushed] == [repr(g) for g in fresh]
+        assert ([[f < g for g in fresh] for f in pushed]
+                == [[f < g for g in fresh] for f in fresh])
+
+    def test_equal_families_built_apart_get_equal_traces(self):
+        a = fam(5, (1, 2), (1, 3))
+        b = Family(5, tuple(reversed(a.members)))
+        assert a == b and a is not b
+        ta, tb = normalize_pair(a, b)
+        assert ta.steps and ta == tb
+        # one trace per object: b was pushed on its own
+        assert ta is not tb
+        assert normalize_pair(a, b) == (ta, tb)
+
+    def test_failed_push_stores_nothing(self, monkeypatch):
+        low = Family.from_sets(MAX_NORMALIZE + 1, [(1,)])
+        with pytest.raises(ValueError, match="normalization supports"):
+            _normalized(low)
+        assert normalize._PUSHED not in vars(low)
+
+        def failing(n, members):
+            raise SelectionError("up", 1, 2, 1)
+
+        monkeypatch.setattr(normalize, "_push", failing)
+        f = fam(4, (1,))
+        for _ in range(2):
+            with pytest.raises(SelectionError):
+                normalize_pair(f, f)
+            assert normalize._PUSHED not in vars(f)
 
 
 # ---------------------------------------------------------------------------

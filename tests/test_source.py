@@ -65,6 +65,13 @@ def test_cli_import_skips_dataclasses():
     assert not _loaded_by_cli_import("dataclasses")
 
 
+def test_cli_import_skips_fractions():
+    # fractions imports decimal and numbers; only the shade table, the
+    # local counting bounds and the lemma checks build a Fraction, so
+    # they import it when they run
+    assert not _loaded_by_cli_import("fractions")
+
+
 def _writes_stdout(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
