@@ -72,25 +72,29 @@ def level_masks(n: int, k: int) -> tuple[int, ...]:
     return full_level(n, k).members
 
 
-def _slice(n: int, k: int, start: int, stop: int) -> Family:
+def _checked_level(n: int, k: int, m: int, start: int = 0) -> tuple[int, ...]:
+    """The level, once m sets from position start are known to fit in it."""
     lv = level_masks(n, k)
-    if not 0 <= start <= stop <= len(lv):
-        raise ValueError(
-            f"window [{start},{stop}) out of range for C({n},{k})={len(lv)}")
-    return Family(n, lv[start:stop])
+    size = len(lv)
+    if not 0 <= start <= size:
+        raise ValueError(f"start={start} out of range for C({n},{k})={size}")
+    if not 0 <= m <= size - start:
+        after = f" from start={start}" if start else ""
+        raise ValueError(f"m={m} out of range for C({n},{k})={size}{after}")
+    return lv
 
 
 def first_segment(n: int, k: int, m: int) -> Family:
     """The first m k-subsets of {1..n} in squashed order."""
-    return _slice(n, k, 0, m)
+    return Family(n, _checked_level(n, k, m)[:m])
 
 
 def last_segment(n: int, k: int, m: int) -> Family:
     """The last m k-subsets of {1..n} in squashed order."""
-    size = len(level_masks(n, k))
-    return _slice(n, k, size - m, size)
+    lv = _checked_level(n, k, m)
+    return Family(n, lv[len(lv) - m:])
 
 
 def segment(n: int, k: int, start: int, m: int) -> Family:
     """m consecutive k-subsets starting at squashed-order position start."""
-    return _slice(n, k, start, start + m)
+    return Family(n, _checked_level(n, k, m, start)[start:start + m])

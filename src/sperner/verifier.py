@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -98,11 +98,14 @@ def antichain_mask_tuples(universe: Sequence[int],
     the later candidates incomparable to everything chosen.  Once the
     allowed candidates are pairwise incomparable, every subset of them
     extends chosen, so the node yields those subsets by size instead of
-    descending.  The walk reads the table of the power set of {1..n}, n
-    the bit length of the largest candidate (see _walk_table), which
-    takes the candidates comparable to the most others first: the outer
-    ranks branch and the widest rank is left as the free tail.  The
-    universe only marks the start node's allowed candidates.
+    descending: chosen plus the r-subsets of that free tail, rest, are
+    the first C(len(rest), r) combinations of chosen + rest of size
+    len(chosen) + r, so itertools builds each antichain once.  The walk
+    reads the table of the power set of {1..n}, n the bit length of the
+    largest candidate (see _walk_table), which takes the candidates
+    comparable to the most others first: the outer ranks branch and the
+    widest rank is left as the free tail.  The universe only marks the
+    start node's allowed candidates.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
@@ -119,8 +122,10 @@ def antichain_mask_tuples(universe: Sequence[int],
     stack = [((), start)]
     while stack:
         chosen, allowed = stack.pop()
+        c = len(chosen)
+        need = min_size - c  # members still missing below min_size
         if not allowed:
-            if len(chosen) >= min_size:
+            if need <= 0:
                 yield chosen
             continue
         rest = []
@@ -133,19 +138,26 @@ def antichain_mask_tuples(universe: Sequence[int],
             rest.append(cands[i])
             cand ^= low
         else:  # allowed is pairwise incomparable
-            for r in range(max(min_size - len(chosen), 0), len(rest) + 1):
-                for extra in combinations(rest, r):
-                    yield chosen + extra
+            if need <= 0:
+                yield chosen
+                need = 1  # chosen alone is out: extras of size 1 and up
+            k = len(rest)
+            if need <= k:
+                whole = chosen + tuple(rest)
+                for r in range(need, k):
+                    yield from islice(combinations(whole, c + r), comb(k, r))
+                yield whole
             continue
-        if len(chosen) >= min_size:
+        if need <= 0:
             yield chosen
         # children pushed last-first, so they pop in walk order
+        need -= 1  # a child has one member more
         cand = allowed
         while cand:
             i = cand.bit_length() - 1
             cand ^= 1 << i
             nxt = allowed & keep[i]
-            if len(chosen) + 1 + nxt.bit_count() >= min_size:
+            if nxt.bit_count() >= need:
                 stack.append((chosen + (cands[i],), nxt))
 
 

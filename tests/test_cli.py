@@ -135,6 +135,14 @@ class TestShadowShade:
                              "--family", str(path))
         assert code == 2 and out == "" and "mutually exclusive" in err
 
+    @pytest.mark.parametrize("flag,value", [("--last", "99"), ("--first", "-1"),
+                                            ("--first", "7")])
+    def test_segment_count_out_of_range_is_usage(self, capsys, flag, value):
+        # the message names the count given, not the window it would cut
+        code, out, err = run(capsys, "shade", "4", "2", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: m={value} out of range for C(4,2)=6\n"
+
     def test_family_file_repeating_a_set_is_usage(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("n=4\n{1,2}\n{2,1}\n")

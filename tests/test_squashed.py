@@ -143,6 +143,27 @@ class TestSegments:
         with pytest.raises(ValueError):
             first_segment(5, 3, 11)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: first_segment(4, 2, 7), "m=7 out of range for C(4,2)=6"),
+        (lambda: first_segment(4, 2, -1), "m=-1 out of range for C(4,2)=6"),
+        (lambda: last_segment(4, 2, 99), "m=99 out of range for C(4,2)=6"),
+        (lambda: last_segment(4, 2, -1), "m=-1 out of range for C(4,2)=6"),
+        (lambda: segment(5, 3, 8, 3), "m=3 out of range for C(5,3)=10 from start=8"),
+        (lambda: segment(5, 3, 2, -1), "m=-1 out of range for C(5,3)=10 from start=2"),
+        (lambda: segment(5, 3, 11, 0), "start=11 out of range for C(5,3)=10"),
+        (lambda: segment(5, 3, -1, 2), "start=-1 out of range for C(5,3)=10"),
+    ], ids=["first-over", "first-negative", "last-over", "last-negative",
+            "segment-past-end", "segment-negative-m", "segment-start-over",
+            "segment-start-negative"])
+    def test_bad_count_names_the_argument(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_segment_may_end_at_the_level_end(self):
+        assert segment(5, 3, 10, 0).members == ()
+        assert segment(5, 3, 7, 3).members == level_masks(5, 3)[7:]
+
     def test_materialization_cap(self):
         with pytest.raises(ValueError):
             first_segment(21, 2, 1)

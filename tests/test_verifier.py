@@ -3,6 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sperner import verifier
 from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
@@ -36,6 +37,46 @@ def brute_antichains(universe, min_size):
                                         for x, y in combinations(sub, 2)):
             out.append(sub)
     return out
+
+
+def reference_walk(universe, min_size=0):
+    """The walk with each free-tail antichain built as chosen + extra:
+    the same table, pruning and order as antichain_mask_tuples."""
+    universe = set(universe)
+    cands, pos, clash, keep = verifier._walk_table(max(universe, default=0).bit_length())
+    start = 0
+    for s in universe:
+        start |= 1 << pos[s]
+    stack = [((), start)]
+    while stack:
+        chosen, allowed = stack.pop()
+        if not allowed:
+            if len(chosen) >= min_size:
+                yield chosen
+            continue
+        rest = []
+        cand = allowed
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            if clash[i] & allowed:
+                break
+            rest.append(cands[i])
+            cand ^= low
+        else:
+            for r in range(max(min_size - len(chosen), 0), len(rest) + 1):
+                for extra in combinations(rest, r):
+                    yield chosen + extra
+            continue
+        if len(chosen) >= min_size:
+            yield chosen
+        cand = allowed
+        while cand:
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            nxt = allowed & keep[i]
+            if len(chosen) + 1 + nxt.bit_count() >= min_size:
+                stack.append((chosen + (cands[i],), nxt))
 
 
 WALK_UNIVERSES = {
@@ -101,6 +142,32 @@ class TestEnumeration:
         walked = [frozenset(a) for a in antichain_mask_tuples(universe, min_size)]
         assert len(set(walked)) == len(walked)
         assert set(walked) == {frozenset(a) for a in brute_antichains(universe, min_size)}
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_walk_order_matches_reference_on_power_sets(self, n):
+        # min_size up to the width + 1: free tails with nothing to drop
+        # (lo == 0), only the whole tail (lo == k) and too short (lo > k)
+        universe = range(1 << n)
+        for min_size in range(comb(n, n // 2) + 2):
+            assert list(antichain_mask_tuples(universe, min_size)) \
+                == list(reference_walk(universe, min_size))
+
+    @pytest.mark.parametrize("name", sorted(WALK_UNIVERSES))
+    def test_walk_order_matches_reference_on_walk_universes(self, name):
+        universe = WALK_UNIVERSES[name]
+        for min_size in range(8):
+            assert list(antichain_mask_tuples(universe, min_size)) \
+                == list(reference_walk(universe, min_size))
+
+    @pytest.mark.parametrize("min_size", [14, 17])
+    def test_walk_order_matches_reference_on_n6_rows(self, min_size):
+        assert list(antichain_mask_tuples(range(64), min_size)) \
+            == list(reference_walk(range(64), min_size))
+
+    @given(st.lists(st.integers(0, 31), max_size=24), st.integers(0, 7))
+    def test_walk_order_matches_reference_on_drawn_universes(self, universe, min_size):
+        assert list(antichain_mask_tuples(universe, min_size)) \
+            == list(reference_walk(universe, min_size))
 
     @pytest.mark.parametrize("n", range(7))
     def test_walk_table_against_brute_force(self, n):
