@@ -86,8 +86,8 @@ def parse_set(text: str, n: int | None = None) -> int:
             raise ValueError(f"cannot parse set literal: {text!r}")
         elems = [int(c) for c in s]
     mask = mask_of(elems)
-    if n is not None:
-        check_mask(mask, n)
+    if n is not None and mask >> n:
+        raise ValueError(f"set {s} uses elements outside 1..{n}")
     return mask
 
 
@@ -239,7 +239,12 @@ def parse_family(text: str) -> Family:
         if n is None:
             if not line.startswith("n="):
                 raise ValueError("family file must start with an 'n=<int>' header")
-            n = check_ground(int(line[2:].strip()))
+            try:
+                n = int(line[2:].strip())
+            except ValueError:
+                raise ValueError(f"family file header must be 'n=<int>', "
+                                 f"got {line!r}") from None
+            n = check_ground(n)
             continue
         masks.append(parse_set(line, n))
     if n is None:

@@ -46,16 +46,6 @@ DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 MAX_WALK_GROUND = 12
 
 
-def _submasks(s: int) -> Iterator[int]:
-    """Every subset of mask s, s itself and 0 included."""
-    t = s
-    while True:
-        yield t
-        if not t:
-            return
-        t = (t - 1) & s
-
-
 @lru_cache(maxsize=None)
 def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The walk table of the power set of {1..n}, as four tuples:
@@ -66,24 +56,29 @@ def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
     - pos[s], the position of subset s in cands;
     - clash[i] and keep[i], bitsets over positions: the later candidates
       comparable to cands[i], and those incomparable to it.
+
+    The comparable candidates of s are its subsets and its supersets, each
+    a row over positions from one subset-union pass of n * 2^(n-1) ORs
+    (_missers).
     """
-    full = (1 << n) - 1
     cands = sorted(range(1 << n),
                    key=lambda s: -(2 ** s.bit_count() + 2 ** (n - s.bit_count())))
     pos = [0] * (1 << n)
     for i, s in enumerate(cands):
         pos[s] = i
+    # _missers(n, rows)[y] is the OR of rows[x] over the x disjoint from y:
+    # the subsets of s are the x disjoint from its complement, and its
+    # supersets the complements of the x disjoint from s
+    unit = [1 << pos[s] for s in range(1 << n)]
+    subsets = _missers(n, unit)[::-1]
+    supersets = _missers(n, unit[::-1])
     everything = (1 << len(cands)) - 1
     clash, keep = [], []
     for i, s in enumerate(cands):
-        comparable = 0
-        for t in _submasks(s):
-            comparable |= 1 << pos[t]
-        for t in _submasks(full ^ s):
-            comparable |= 1 << pos[s | t]
-        above = everything >> (i + 1) << (i + 1)
-        clash.append(comparable & above)
-        keep.append(above & ~comparable)
+        comparable = subsets[s] | supersets[s]
+        later = everything >> (i + 1) << (i + 1)
+        clash.append(comparable & later)
+        keep.append(later & ~comparable)
     return tuple(cands), tuple(pos), tuple(clash), tuple(keep)
 
 
@@ -177,10 +172,11 @@ def count_antichains_oracle(n: int) -> int:
     (D0, D1) of downsets over n-1 elements with D1 contained in D0.
 
     The levels up to n-1 elements are built pair by pair.  The last level
-    is only counted: holders[x] marks the downsets holding subset x, and
-    D1 lies inside D0 exactly when it holds no subset outside D0, so D0
-    contains every downset but those in the OR of holders[x] over x not
-    in D0.
+    is only counted: _holders marks the downsets holding each subset x,
+    and D1 lies inside D0 exactly when it holds no subset outside D0, so
+    D0 contains every downset but those in the OR of holders[x] over x
+    not in D0.  Nothing here reads the walk or its tables, so the count
+    is a second route to the Dedekind numbers.
     """
     if not 1 <= n <= 6:
         raise ValueError("oracle supports 1 <= n <= 6")
@@ -189,20 +185,10 @@ def count_antichains_oracle(n: int) -> int:
         width = 1 << (1 << k)
         downsets = [d0 | (d1 * width)
                     for d0 in downsets for d1 in downsets if not (d1 & ~d0)]
-    subsets = range(1 << (n - 1))
-    holders = [0] * len(subsets)
-    for i, d in enumerate(downsets):
-        for x in subsets:
-            if d >> x & 1:
-                holders[x] |= 1 << i
-    count = 0
-    for d0 in downsets:
-        outside = 0
-        for x in subsets:
-            if not d0 >> x & 1:
-                outside |= holders[x]
-        count += len(downsets) - outside.bit_count()
-    return count
+    holders = _holders(n - 1, map(_bits, downsets))
+    everything = (1 << len(holders)) - 1  # every subset of {1..n-1}
+    return sum(len(downsets) - _or_rows(holders, _bits(everything ^ d0)).bit_count()
+               for d0 in downsets)
 
 
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
@@ -656,15 +642,18 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     members x of fams[i].  Only their set bits are visited, each by one
     normalize_pair call on the table's own Family objects, so the memo
     on each object answers it with the table's traces by identity, with
-    no hashing.  A pair whose call raises SelectionError, or
-    returns a trace that is not the table's, is marked odd and audited on
-    its own, so the audit always covers what normalize_pair returned for
-    the pair, the diagonal pair included.  The other partners take the
-    table's audits a whole row at a time: a pair moved if either side
-    stepped, an unmoved pair needs both sides sound, and a moved pair also
-    needs the finals to cross, which fails exactly for the partners in
-    pushed[x] for some member x of i's final.  Only violating pairs are
-    decoded to sets.
+    no hashing.  A pair whose call raises SelectionError is recorded as a
+    failure.  A pair whose call returns a trace that is not the table's
+    is odd: it is audited as a row of one partner, whose stepped, sound
+    and "finals miss" bits come from the audit of the traces returned,
+    so the audit always covers what normalize_pair returned for the pair,
+    the diagonal pair included.  The other partners form one row that
+    reads the table's audits: stepped, sound, and pushed[x], the partners
+    whose final misses the member x of i's final.
+
+    One rule audits every row: a pair moved if either side stepped, an
+    unmoved pair needs both sides sound, and a moved pair also needs the
+    two finals to cross.  Only violating pairs are decoded to sets.
     """
     n, stripe, nstripes = args
     (fams, traces, audits, contains,
@@ -681,11 +670,12 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
         # together with its complement on the other side
-        clash = 0
-        for x in fi.members:
-            clash |= contains[full ^ x]
+        clash = _or_rows(contains, (full ^ x for x in fi.members))
         for j in _bits(partners & clash):
             violations.append(("complement", fi.sets(), fams[j].sets()))
+        # each row: the audit of i's side, its partners, and the partners'
+        # stepped, sound and "finals miss" bits
+        rows = []
         odd = 0
         for j in _bits(partners):
             # read as the module global on each call, not bound locally,
@@ -699,34 +689,28 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             if ta is ti and tb is traces[j]:
                 continue
             odd |= 1 << j
-            fj, tj = fams[j], traces[j]
-            a_sound, a_stepped, a_final = audits[i] if ta is ti else _audit(fi, ta)
-            b_sound, b_stepped, b_final = audits[j] if tb is tj else _audit(fj, tb)
-            if not (a_stepped or b_stepped):
-                # zero-step traces must return the inputs themselves
-                if not (a_sound and b_sound):
-                    violations.append(("identity", fi.sets(), fj.sets()))
-                continue
-            moved += 1
-            if not (a_sound and b_sound
-                    and all(x & y for x in a_final for y in b_final)):
-                violations.append(("preservation", fi.sets(), fj.sets()))
+            a = audits[i] if ta is ti else _audit(fi, ta)
+            b_sound, b_stepped, b_final = (audits[j] if tb is traces[j]
+                                           else _audit(fams[j], tb))
+            crosses = all(x & y for x in a[2] for y in b_final)
+            rows.append((a, 1 << j, b_stepped << j, b_sound << j,
+                         (not crosses) << j))
         table = partners & ~odd
-        if not table:
-            continue
-        # the partners that took the table's traces, a whole row at once:
-        # shifted pairs moved (a side stepped), still pairs did not
-        a_sound, a_stepped, a_final = audits[i]
-        shifted = table if a_stepped else table & stepped
-        still = table ^ shifted
-        moved += shifted.bit_count()
-        if a_sound:
-            still &= ~sound
-            shifted &= ~sound | _or_rows(pushed, a_final)
-        for j in _bits(still):
-            violations.append(("identity", fi.sets(), fams[j].sets()))
-        for j in _bits(shifted):
-            violations.append(("preservation", fi.sets(), fams[j].sets()))
+        if table:
+            a = audits[i]
+            rows.append((a, table, stepped, sound, _or_rows(pushed, a[2])))
+        for (a_sound, a_stepped, _), row, row_stepped, row_sound, miss in rows:
+            # shifted pairs moved (a side stepped), still pairs did not
+            shifted = row if a_stepped else row & row_stepped
+            still = row ^ shifted
+            moved += shifted.bit_count()
+            if a_sound:
+                still &= ~row_sound
+                shifted &= ~row_sound | miss
+            for j in _bits(still):
+                violations.append(("identity", fi.sets(), fams[j].sets()))
+            for j in _bits(shifted):
+                violations.append(("preservation", fi.sets(), fams[j].sets()))
     return count, crossing, moved, failures, violations
 
 

@@ -149,6 +149,14 @@ class TestShadowShade:
         code, out, err = run(capsys, "shadow", "--family", str(path))
         assert code == 2 and out == "" and "pairwise distinct" in err
 
+    def test_family_file_member_outside_the_ground_is_usage(self, capsys, tmp_path):
+        # the message quotes the set as written, not its mask 16
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n{1}\n{5}\n")
+        code, out, err = run(capsys, "shadow", "--family", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: set {5} uses elements outside 1..4\n"
+
 
 class TestCascade:
     def test_text(self, capsys):

@@ -23,6 +23,9 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "compact notation needs single-digit elements"),
     (lambda: parse_family("# only a comment\n"),
      "family file has no 'n=<int>' header"),
+    (lambda: parse_family("n=4\n{5}\n"), "set {5} uses elements outside 1..4"),
+    (lambda: parse_family("n=x\n{1}\n"),
+     "family file header must be 'n=<int>', got 'n=x'"),
     (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
     (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
     (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
@@ -37,6 +40,7 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "middle band enumeration needs even n"),
 ], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
         "parse_set-not-digits", "format_set-compact-10", "parse_family-no-header",
+        "parse_family-member-outside", "parse_family-header-not-int",
         "unrank-level", "check_lemma-limit", "normalize_to_middle-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",
         "normalization_pair_sweep-n6", "middle_band_antichains-odd"])

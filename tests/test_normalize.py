@@ -301,6 +301,28 @@ class TestNormalizePair:
         monkeypatch.setattr(verifier, "normalize_pair", fresh)
         assert verifier.normalization_pair_sweep(4) == honest
 
+    def test_sweep_audits_an_unmoved_returned_trace(self, monkeypatch):
+        # both sides lie in the band, so neither steps; a zero-step trace
+        # of {{1,2}} whose final is {{1,4}} must fail the identity check
+        # on the one-partner path, not be counted as an unmoved pass
+        from sperner import verifier
+        a, b = fam(4, (1, 2)), fam(4, (1, 3))
+        real = verifier.normalize_pair
+        honest = verifier.normalization_pair_sweep(4)
+
+        def faking(x, y, validate=True):
+            ta, tb = real(x, y, validate=validate)
+            if (x, y) == (a, b):
+                assert not (ta.steps or tb.steps)
+                ta = NormalizationTrace((), fam(4, (1, 4)))
+            return ta, tb
+
+        monkeypatch.setattr(verifier, "normalize_pair", faking)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.violations == (("identity", a.sets(), b.sets()),)
+        assert (report.crossing_pairs, report.moved_pairs) == (
+            honest.crossing_pairs, honest.moved_pairs)
+
     # each case corrupts one antichain's audit while the table is built,
     # so the whole-row bitset path reads it for every partner; the
     # stepped and sound masks and pushed[] all follow the audit
