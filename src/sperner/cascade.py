@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .ground import Family, check_ground
 from .squashed import level_masks, rank
@@ -302,33 +302,39 @@ class SweepReport(_SweepFields):
         return not self.violations
 
 
+def _segment_checks(n: int, k: int,
+                    up: bool) -> Iterator[tuple[int, int, int]]:
+    """(m, closed form, brute force) for m = 1..C(n,k): kkt_shadow_bound
+    against |shadow of the first m k-sets|, or with `up`,
+    shade_of_last_bound against |shade of the last m|."""
+    sizes = _fresh_sizes(n, k, up)
+    for m in range(1, len(sizes)):
+        yield (m, shade_of_last_bound(m, n, k) if up else kkt_shadow_bound(m, k),
+               sizes[m])
+
+
 def kkt_oracle_mismatches(n_max: int = 10) -> SweepReport:
     """Compare closed forms against brute force for every n <= n_max, k, m:
-    kkt_shadow_bound vs |shadow of first segments|, shade_of_last_bound vs
-    |shade of last segments|, and the shadow/shade duality across co-levels;
-    each comparison is an instance, each mismatch an (n, k, m, what)."""
+    the _segment_checks pairs of both directions, then the shadow/shade
+    duality across co-levels; each comparison is an instance, each
+    mismatch an (n, k, m, what)."""
     instances = 0
     bad: list[tuple] = []
     for n in range(1, n_max + 1):
-        shadow_sizes: dict[int, list[int]] = {}
-        shade_sizes: dict[int, list[int]] = {}
         for k in range(0, n + 1):
-            if k >= 1:
-                sizes = shadow_sizes[k] = _fresh_sizes(n, k, False)
-                for m in range(1, len(sizes)):
+            for up, what in ((False, "shadow-closed-form"),
+                             (True, "shade-closed-form")):
+                if k == (n if up else 0):
+                    continue
+                for m, closed, brute in _segment_checks(n, k, up):
                     instances += 1
-                    if kkt_shadow_bound(m, k) != sizes[m]:
-                        bad.append((n, k, m, "shadow-closed-form"))
-            if k <= n - 1:
-                sizes = shade_sizes[k] = _fresh_sizes(n, k, True)
-                for m in range(1, len(sizes)):
-                    instances += 1
-                    if shade_of_last_bound(m, n, k) != sizes[m]:
-                        bad.append((n, k, m, "shade-closed-form"))
-        for k, sizes in shadow_sizes.items():
-            for m, dual in enumerate(shade_sizes[n - k]):
+                    if closed != brute:
+                        bad.append((n, k, m, what))
+        for k in range(1, n + 1):
+            pairs = zip(_fresh_sizes(n, k, False), _fresh_sizes(n, n - k, True))
+            for m, (size, dual) in enumerate(pairs):
                 instances += 1
-                if sizes[m] != dual:
+                if size != dual:
                     bad.append((n, k, m, "duality"))
     return SweepReport("kkt-oracle", instances, tuple(bad))
 

@@ -78,7 +78,10 @@ def parse_set(text: str, n: int | None = None) -> int:
         items = body.split(",") if body else []
         if not all(p.strip() for p in items):
             raise ValueError(f"set literal has an empty item: {text!r}")
-        elems = [int(e) for p in items for e in p.split()]
+        try:
+            elems = [int(e) for p in items for e in p.split()]
+        except ValueError:
+            raise ValueError(f"cannot parse set literal: {text!r}") from None
     else:
         if n is not None and n > COMPACT_LIMIT:
             raise ValueError(f"compact notation needs n <= {COMPACT_LIMIT}: {text!r}")
@@ -180,13 +183,8 @@ class Family:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.members))
-
     def __hash__(self) -> int:
-        # the cached value spares the per-call rehash of the member tuple
-        return self._hash
+        return hash((self.n, self.members))
 
 
 def is_antichain(f: Family) -> bool:

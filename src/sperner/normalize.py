@@ -132,17 +132,20 @@ def _step(n: int, members: tuple[int, ...],
             sort_members(retained + inserted))
 
 
-def _settle(n: int, members: tuple[int, ...], up: bool,
-            bound: int) -> tuple[list[Step], tuple[int, ...]]:
-    """Repeated up steps until the minimum rank reaches bound, or down
-    steps until the maximum rank does.  Each step moves the extreme rank
-    one toward the band, so n steps always suffice."""
+def _settle(n: int, members: tuple[int, ...], up: bool, bound: int,
+            rounds: int) -> tuple[list[Step], tuple[int, ...]]:
+    """Up steps until the minimum rank reaches bound, or down steps until
+    the maximum rank does, at most `rounds` of them.  Each step moves the
+    extreme rank one toward the band, so n steps always suffice: n steps
+    that leave it short raise RuntimeError, whatever the round limit."""
     steps: list[Step] = []
     while members and (members[0].bit_count() < bound if up
                        else members[-1].bit_count() > bound):
         if len(steps) == n:
             raise RuntimeError(f"{'up' if up else 'down'} phase failed to "
                                f"terminate within {n} rounds")
+        if len(steps) == rounds:
+            break
         step, members = _step(n, members, up)
         steps.append(step)
     return steps, members
@@ -152,8 +155,8 @@ def _push(n: int, members: tuple[int, ...]
           ) -> tuple[list[Step], tuple[int, ...]]:
     """Up steps to the band floor, then down steps to its ceiling."""
     lo, hi = middle_band(n)
-    up, members = _settle(n, members, True, lo)
-    down, members = _settle(n, members, False, hi)
+    up, members = _settle(n, members, True, lo, n)
+    down, members = _settle(n, members, False, hi, n)
     return up + down, members
 
 
@@ -162,12 +165,16 @@ def _push(n: int, members: tuple[int, ...]
 
 
 def _validate(f: Family, partner: Family) -> None:
+    """Every entry point's input check: one ground size, f an antichain,
+    f and partner cross-intersecting, the partner an antichain, in turn."""
     if f.n != partner.n:
         raise ValueError("family and partner live over different ground sizes")
     if not is_antichain(f):
         raise ValueError("input family is not an antichain")
     if not is_cross_intersecting(f, partner):
         raise ValueError("family and partner are not cross-intersecting")
+    if not is_antichain(partner):
+        raise ValueError("partner family is not an antichain")
 
 
 def _check_partner_sizes(f: Family, partner: Family) -> None:
@@ -210,28 +217,22 @@ def _normalized(f: Family) -> NormalizationTrace:
 
 
 def push_up_min_rank(f: Family, partner: Family) -> NormalizationTrace:
-    """One up step: if the minimum rank i sits below the band floor,
-    replace all rank-i members with shade sets.  Identity trace otherwise.
-    """
+    """The push's up phase cut to one round: if the minimum rank i sits
+    below the band floor, replace all rank-i members with shade sets.
+    Identity trace otherwise."""
     _validate(f, partner)
     lo, _ = middle_band(f.n)
-    if not f.members or f.members[0].bit_count() >= lo:
-        return NormalizationTrace((), f)
-    step, members = _step(f.n, f.members, True)
-    return _trace(f, [step], members)
+    return _trace(f, *_settle(f.n, f.members, True, lo, 1))
 
 
 def push_down_max_rank(f: Family, partner: Family) -> NormalizationTrace:
-    """One down step: if the maximum rank j sits above the band ceiling,
-    replace all rank-j members with shadow sets.  A real step requires
-    every partner member to have size >= n/2."""
+    """The push's down phase cut to one round: if the maximum rank j sits
+    above the band ceiling, replace all rank-j members with shadow sets.
+    A real step requires every partner member to have size >= n/2."""
     _validate(f, partner)
     _check_partner_sizes(f, partner)
     _, hi = middle_band(f.n)
-    if not f.members or f.members[-1].bit_count() <= hi:
-        return NormalizationTrace((), f)
-    step, members = _step(f.n, f.members, False)
-    return _trace(f, [step], members)
+    return _trace(f, *_settle(f.n, f.members, False, hi, 1))
 
 
 def normalize_to_middle(f: Family, partner: Family) -> NormalizationTrace:
@@ -240,8 +241,6 @@ def normalize_to_middle(f: Family, partner: Family) -> NormalizationTrace:
     family reaching above the band therefore requires all partner members
     to have size >= n/2 already (see push_down_max_rank)."""
     _validate(f, partner)
-    if not is_antichain(partner):
-        raise ValueError("partner family is not an antichain")
     _check_partner_sizes(f, partner)
     return _normalized(f)
 
@@ -263,8 +262,6 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     hashed or compared."""
     if validate:
         _validate(a, b)
-        if not is_antichain(b):
-            raise ValueError("partner family is not an antichain")
     try:
         return a.__dict__[_PUSHED], b.__dict__[_PUSHED]
     except KeyError:

@@ -25,7 +25,7 @@ from itertools import combinations, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .cascade import (SweepReport, _fresh_sizes, kkt_shadow_bound,
+from .cascade import (SweepReport, _fresh_sizes, _segment_checks,
                       shade_of_last_bound)
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
@@ -511,15 +511,12 @@ def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
     instances = 0
     bad = []
     for n in range(3, n_max + 1, 2):
-        k = (n + 1) // 2 + 1
-        brute_sizes = _fresh_sizes(n, k, False)
-        for m in range(1, comb(n, k) + 1):
+        for m, bound, brute in _segment_checks(n, (n + 1) // 2 + 1, False):
             instances += 1
-            bound = kkt_shadow_bound(m, k)
             if bound < m + 2:
                 bad.append((n, m, bound))
-            if brute_sizes[m] != bound:
-                bad.append((n, m, "brute-force mismatch", brute_sizes[m], bound))
+            if brute != bound:
+                bad.append((n, m, "brute-force mismatch", brute, bound))
     return SweepReport("shadow-excess", instances, tuple(bad))
 
 
@@ -768,15 +765,14 @@ def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
     notes = []
     for n in range(6, n_max + 1, 2):
         k = n // 2
-        brute_sizes = _fresh_sizes(n, k, True)
-        for m in range(1, comb(n, k) - 1):
+        checks = islice(_segment_checks(n, k, True), comb(n, k) - 2)
+        for m, size, brute in checks:
             instances += 1
-            size = shade_of_last_bound(m, n, k)
             # size > n/(n+2)*m + 1  <=>  (size-1)*(n+2) > n*m
             if not (size - 1) * (n + 2) > n * m:
                 bad.append((n, m, size))
-            if brute_sizes[m] != size:
-                bad.append((n, m, "brute-force mismatch", brute_sizes[m], size))
+            if brute != size:
+                bad.append((n, m, "brute-force mismatch", brute, size))
     tie = shade_of_last_bound(3, 4, 2)
     if (tie - 1) * 6 == 4 * 3 and tie == _fresh_sizes(4, 2, True)[3]:
         notes.append("n=4, m=3 is an exact tie (|shade|=3 equals the bound)")

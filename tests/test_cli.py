@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -156,6 +157,13 @@ class TestShadowShade:
         code, out, err = run(capsys, "shadow", "--family", str(path))
         assert code == 2 and out == ""
         assert err == "error: set {5} uses elements outside 1..4\n"
+
+    def test_family_file_member_not_an_integer_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n{1,2,x}\n")
+        code, out, err = run(capsys, "shadow", "--family", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse set literal: '{1,2,x}'\n"
 
 
 class TestCascade:
@@ -419,6 +427,19 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert range_text in err
 
+    def test_defaults_match_the_benchmark_pins(self, capsys, monkeypatch):
+        # the benchmark's checks pin each default sweep's instance count;
+        # load them by path, writing no bytecode beside them
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_checks", REPO_ROOT / "perfbench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        for target in ("lemma-3.8", "lemma-3.14"):
+            code, out, _ = run(capsys, "sweep", target, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["instances"] == checks.sweep_instances(target)
+
 
 class TestExactOutput:
     """Whole stdout and exit code of one command line per output shape."""
@@ -477,9 +498,9 @@ class TestExactOutput:
             "")
 
     def test_sweep_violation_lines(self, capsys, monkeypatch):
-        from sperner import verifier
-        real = verifier.kkt_shadow_bound
-        monkeypatch.setattr(verifier, "kkt_shadow_bound",
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.kkt_shadow_bound
+        monkeypatch.setattr(cascade, "kkt_shadow_bound",
                             lambda m, k: real(m, k) - 1)
         assert run(capsys, "sweep", "lemma-3.8", "--max-n", "3") == (
             1,

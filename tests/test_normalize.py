@@ -136,6 +136,19 @@ class TestGroundSizeCap:
         assert normalize_to_middle(f, Family(n, ())) == NormalizationTrace((), f)
 
 
+class TestTerminationGuard:
+    def test_a_step_that_moves_nothing_is_caught(self, monkeypatch):
+        # n steps always suffice, so a push still short after them raises
+        # rather than loop; a single step stops after its one round
+        monkeypatch.setattr(normalize, "_step",
+                            lambda n, members, up: (None, members))
+        f = fam(4, (1,))
+        with pytest.raises(RuntimeError, match="up phase failed to terminate"):
+            normalize_to_middle(f, EMPTY4)
+        assert normalize._PUSHED not in vars(f)
+        assert len(push_up_min_rank(f, EMPTY4).steps) == 1
+
+
 class TestSelectionFailurePath:
     def test_selection_error_diagnostics(self):
         # a replacement pool smaller than the rank it replaces must give

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 from math import comb
@@ -606,8 +607,9 @@ class TestSweeps:
     def test_shadow_excess_brute_checks_every_n(self, monkeypatch):
         # a closed form off by one at n=11 (k=7) still clears m+2, so only
         # the brute-force comparison can see it
-        real = verifier.kkt_shadow_bound
-        monkeypatch.setattr(verifier, "kkt_shadow_bound",
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.kkt_shadow_bound
+        monkeypatch.setattr(cascade, "kkt_shadow_bound",
                             lambda m, k: real(m, k) + (k == 7))
         report = sweep_shadow_excess(13)
         assert not report.passed
@@ -617,8 +619,9 @@ class TestSweeps:
     def test_last_shade_margin_brute_checks_every_n(self, monkeypatch):
         # raising the closed form at n=12 keeps the margin, so only the
         # brute-force comparison can see it
-        real = verifier.shade_of_last_bound
-        monkeypatch.setattr(verifier, "shade_of_last_bound",
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.shade_of_last_bound
+        monkeypatch.setattr(cascade, "shade_of_last_bound",
                             lambda m, n, k: real(m, n, k) + (n == 12))
         report = sweep_last_shade_margin(12)
         assert not report.passed
