@@ -85,7 +85,7 @@ def parse_set(text: str, n: int | None = None) -> int:
     else:
         if n is not None and n > COMPACT_LIMIT:
             raise ValueError(f"compact notation needs n <= {COMPACT_LIMIT}: {text!r}")
-        if not s.isdigit():
+        if not (s.isascii() and s.isdigit()):
             raise ValueError(f"cannot parse set literal: {text!r}")
         elems = [int(c) for c in s]
     mask = mask_of(elems)

@@ -25,13 +25,8 @@ from itertools import combinations, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .cascade import (SweepReport, _fresh_sizes, _segment_checks,
-                      shade_of_last_bound)
 from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
                      sort_members)
-from .normalize import SelectionError, _normalized, middle_band, normalize_pair
-from .parallel import parallel_map
-from .squashed import level_masks
 
 MAX_ENUMERATION = 6
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -194,6 +189,7 @@ def count_antichains_oracle(n: int) -> int:
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
     """Antichains with all members in ranks {n/2, n/2+1} and at least
     min_size members (even n)."""
+    from .squashed import level_masks
     if n % 2:
         raise ValueError("middle band enumeration needs even n")
     k = n // 2
@@ -506,6 +502,7 @@ def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
     """Odd n, level k = ceil(n/2)+1: the shadow of the first m k-sets has
     at least m+2 members, for every m up to C(n,k).  The closed form is
     cross-checked against brute force at every instance."""
+    from .cascade import SweepReport, _segment_checks
     if not 3 <= n_max <= 13:
         raise ValueError("supported n_max range is 3..13 (odd levels only)")
     instances = 0
@@ -595,6 +592,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     record of what a push did.  A process builds this on first use, so it
     enumerates, pushes and audits each antichain once, whichever stripes
     it runs."""
+    from .normalize import SelectionError, _normalized
     fams = list(enumerate_antichains(n))
     traces = []
     for f in fams:
@@ -614,13 +612,21 @@ def _pair_sweep_setup(n: int) -> tuple:
     return fams, traces, audits, contains, missers, pushed, stepped, sound
 
 
+@lru_cache(maxsize=None)
+def _band(n: int) -> tuple[int, int]:
+    """normalize.middle_band(n), imported here once per n rather than in
+    _audit, which runs once per antichain."""
+    from .normalize import middle_band
+    return middle_band(n)
+
+
 def _audit(f: Family, trace) -> tuple[bool, bool, tuple[int, ...]]:
     """(sound, stepped, final members) of f's pushed trace.  Sound: the
     final keeps f's size, is an antichain and lies in the band, and a
     trace without steps returns f."""
     final = trace.final
     m = final.members
-    lo, hi = middle_band(f.n)
+    lo, hi = _band(f.n)
     stepped = bool(trace.steps)
     sound = (len(m) == len(f) and is_antichain(final)
              and all(lo <= x.bit_count() <= hi for x in m)
@@ -652,6 +658,9 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     unmoved pair needs both sides sound, and a moved pair also needs the
     two finals to cross.  Only violating pairs are decoded to sets.
     """
+    # imported when the stripe runs, so normalize runs only in a sweep and
+    # a wrapper set on sperner.normalize.normalize_pair sees every pair
+    from .normalize import SelectionError, normalize_pair
     n, stripe, nstripes = args
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
@@ -675,8 +684,6 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
         rows = []
         odd = 0
         for j in _bits(partners):
-            # read as the module global on each call, not bound locally,
-            # so a wrapper set on verifier.normalize_pair sees every pair
             try:
                 ta, tb = normalize_pair(fi, fams[j], False)
             except SelectionError as exc:
@@ -741,6 +748,7 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     """
     if not 1 <= n <= 5:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
+    from .parallel import parallel_map
     tasks = [(n, s, PAIR_SWEEP_STRIPES) for s in range(PAIR_SWEEP_STRIPES)]
     results = parallel_map(_pair_sweep_stripe, tasks, workers)
     antichains = results[0][0]
@@ -758,6 +766,8 @@ def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
     integer cross-multiplied, and the closed form is cross-checked against
     brute force at every instance; also confirms that the lone documented
     exception n=4, m=3 is an exact tie."""
+    from .cascade import (SweepReport, _fresh_sizes, _segment_checks,
+                          shade_of_last_bound)
     if not 6 <= n_max <= 12:
         raise ValueError("supported n_max range is 6..12")
     instances = 0

@@ -215,9 +215,11 @@ class TestLemmas:
         data = json.loads(out)
         assert data[0]["id"] == "3.6" and data[0]["passed"]
 
-    def test_unknown_id_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "lemmas", "check", "--id", "9.9")
+    def test_unknown_id_rejected(self):
+        # its own process, so the exit status is the one a shell sees
+        result = run_process("lemmas", "check", "--id", "9.9")
+        assert result.returncode == 2 and result.stdout == b""
+        assert b"'9.9'" in result.stderr
 
     @pytest.mark.parametrize("args,check_id,limit",
                              [(("--max", "1"), "3.4", 1),
@@ -333,8 +335,8 @@ class TestVerify:
         assert (code1, out1) == (code2, out2)
 
     def test_selection_failure_fails_the_audit(self, capsys, monkeypatch):
-        from sperner import verifier
-        real = verifier.normalize_pair
+        from sperner import normalize, verifier
+        real = normalize.normalize_pair
         empty = Family(3, ())
 
         def one_failure(x, y, validate=True):
@@ -343,7 +345,7 @@ class TestVerify:
                 raise SelectionError("up", 1, 2, 1)
             return real(x, y, validate=validate)
 
-        monkeypatch.setattr(verifier, "normalize_pair", one_failure)
+        monkeypatch.setattr(normalize, "normalize_pair", one_failure)
         report = verifier.normalization_pair_sweep(3)
         assert len(report.selection_failures) == 1 and not report.violations
         assert not report.passed

@@ -21,6 +21,8 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
     (lambda: parse_set("{1,2"), "unterminated set literal"),
     (lambda: parse_set("1a"), "cannot parse set literal"),
     (lambda: parse_set("{a}"), "cannot parse set literal: '{a}'"),
+    # a Unicode digit passes str.isdigit but not int()
+    (lambda: parse_set("1\u00b2"), "cannot parse set literal: '1\u00b2'"),
     (lambda: format_set(1 << 9, compact=True),
      "compact notation needs single-digit elements"),
     (lambda: parse_family("# only a comment\n"),
@@ -30,6 +32,8 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "family file header must be 'n=<int>', got 'n=x'"),
     (lambda: parse_family("n=4\n{1,2,x}\n"),
      "cannot parse set literal: '{1,2,x}'"),
+    (lambda: parse_family("n=4\n1\u00b2\n"),
+     "cannot parse set literal: '1\u00b2'"),
     (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
     (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
     (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
@@ -49,9 +53,11 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "middle band enumeration needs even n"),
 ], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
         "parse_set-not-digits", "parse_set-braced-not-int",
+        "parse_set-unicode-digit",
         "format_set-compact-10", "parse_family-no-header",
         "parse_family-member-outside", "parse_family-header-not-int",
-        "parse_family-member-not-int", "unrank-level", "check_lemma-limit",
+        "parse_family-member-not-int", "parse_family-unicode-digit",
+        "unrank-level", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",

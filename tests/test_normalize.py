@@ -236,13 +236,13 @@ class TestNormalizePair:
     def test_sweep_calls_normalize_pair_on_every_crossing_pair(self, monkeypatch):
         from sperner import verifier
         calls = []
-        real = verifier.normalize_pair
+        real = normalize.normalize_pair
 
         def counting(a, b, validate=True):
             calls.append(1)
             return real(a, b, validate=validate)
 
-        monkeypatch.setattr(verifier, "normalize_pair", counting)
+        monkeypatch.setattr(normalize, "normalize_pair", counting)
         report = verifier.normalization_pair_sweep(4)
         assert report.crossing_pairs == 3831
         assert len(calls) == report.crossing_pairs
@@ -287,7 +287,7 @@ class TestNormalizePair:
         a, b, fake = fam(4, *a_sets), fam(4, *b_sets), fam(4, *fake_sets)
         fams = verifier._pair_sweep_setup(4)[0]
         assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
-        real = verifier.normalize_pair
+        real = normalize.normalize_pair
         honest = verifier.normalization_pair_sweep(4)
         assert honest.passed and not honest.selection_failures
 
@@ -301,7 +301,7 @@ class TestNormalizePair:
                 traces[side] = NormalizationTrace(t.steps, fake)
             return tuple(traces)
 
-        monkeypatch.setattr(verifier, "normalize_pair", faking)
+        monkeypatch.setattr(normalize, "normalize_pair", faking)
         report = verifier.normalization_pair_sweep(4)
         assert report.violations == (("preservation", a.sets(), b.sets()),)
         assert (report.crossing_pairs, report.moved_pairs) == (
@@ -311,7 +311,7 @@ class TestNormalizePair:
             return tuple(NormalizationTrace(t.steps, t.final)
                          for t in real(x, y, validate=validate))
 
-        monkeypatch.setattr(verifier, "normalize_pair", fresh)
+        monkeypatch.setattr(normalize, "normalize_pair", fresh)
         assert verifier.normalization_pair_sweep(4) == honest
 
     def test_sweep_audits_an_unmoved_returned_trace(self, monkeypatch):
@@ -320,7 +320,7 @@ class TestNormalizePair:
         # on the one-partner path, not be counted as an unmoved pass
         from sperner import verifier
         a, b = fam(4, (1, 2)), fam(4, (1, 3))
-        real = verifier.normalize_pair
+        real = normalize.normalize_pair
         honest = verifier.normalization_pair_sweep(4)
 
         def faking(x, y, validate=True):
@@ -330,7 +330,7 @@ class TestNormalizePair:
                 ta = NormalizationTrace((), fam(4, (1, 4)))
             return ta, tb
 
-        monkeypatch.setattr(verifier, "normalize_pair", faking)
+        monkeypatch.setattr(normalize, "normalize_pair", faking)
         report = verifier.normalization_pair_sweep(4)
         assert report.violations == (("identity", a.sets(), b.sets()),)
         assert (report.crossing_pairs, report.moved_pairs) == (
