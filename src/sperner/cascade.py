@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .ground import Family, check_ground
-from .squashed import level_masks, rank
+from .squashed import _max_binom_arg, level_masks, rank
 
 if TYPE_CHECKING:
     # fractions loads decimal and numbers; the functions that build a
@@ -148,22 +148,6 @@ class CascadeRep(NamedTuple):
 
     def __str__(self) -> str:
         return "+".join(f"C({a},{i})" for a, i in self.terms)
-
-
-def _max_binom_arg(rem: int, i: int) -> int:
-    """Largest a with C(a, i) <= rem (rem >= 1)."""
-    if i == 1:
-        return rem
-    lo, hi = i, i + 1  # C(i,i) = 1 <= rem
-    while comb(hi, i) <= rem:
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if comb(mid, i) <= rem:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def cascade(m: int, k: int) -> CascadeRep:

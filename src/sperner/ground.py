@@ -68,6 +68,15 @@ def independent(x: int, y: int) -> bool:
     return bool(x & ~y) and bool(y & ~x)
 
 
+def _parse_int(text: str) -> int:
+    """An optional '-' then ASCII digits; int() alone would also take a
+    '+', underscores and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_set(text: str, n: int | None = None) -> int:
     """Parse a set literal: "{1,3,4}", "{}" or - on small grounds - "134"."""
     s = text.strip()
@@ -79,7 +88,7 @@ def parse_set(text: str, n: int | None = None) -> int:
         if not all(p.strip() for p in items):
             raise ValueError(f"set literal has an empty item: {text!r}")
         try:
-            elems = [int(e) for p in items for e in p.split()]
+            elems = [_parse_int(e) for p in items for e in p.split()]
         except ValueError:
             raise ValueError(f"cannot parse set literal: {text!r}") from None
     else:
@@ -238,7 +247,7 @@ def parse_family(text: str) -> Family:
             if not line.startswith("n="):
                 raise ValueError("family file must start with an 'n=<int>' header")
             try:
-                n = int(line[2:].strip())
+                n = _parse_int(line[2:].strip())
             except ValueError:
                 raise ValueError(f"family file header must be 'n=<int>', "
                                  f"got {line!r}") from None

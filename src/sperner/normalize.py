@@ -24,11 +24,11 @@ checks the outcome independently at every n <= 5 instead of trusting it.
 
 The kernel works on member tuples sorted by (rank, colex), the order
 ``Family.members`` keeps, so the minimum and maximum rank are the first
-and last member.  Per ground size n it builds, on first use, two tables
-indexed by subset mask whose entries are bitsets over the 2^n subset
-indices: the shade and the shadow of each subset.  A step's pool is the
-union of the removed members' bitsets, and the greedy choice is its
-lowest set bits: subset index order on one rank is squashed order.  The
+and last member.  A step's pool is the set of covers (up) or facets
+(down) of the removed members, read from the generators behind
+``cascade.shade`` and ``cascade.shadow``, and the greedy choice is its
+least masks: on one rank integer order is squashed order.  It keeps no
+per-n state, so pushes run at every ground size ``Family`` accepts.  The
 partner is read only to validate the input and, before a down step, to
 check its member sizes.  The ``Family`` functions are thin wrappers that
 call the kernel and build a ``Family`` only for a result that moved;
@@ -41,14 +41,10 @@ passes the same objects pushes each family once and never hashes one.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from typing import NamedTuple
 
 from .cascade import _covers, _facets
 from .ground import Family, is_antichain, is_cross_intersecting, sort_members
-
-# The tables hold 2^n bitsets of 2^n bits each, 2 MB per table at n=12.
-MAX_NORMALIZE = 12
 
 
 class Step(NamedTuple):
@@ -83,20 +79,7 @@ def middle_band(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: sorted member tuples and per-n subset bitset tables
-
-
-@lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(shade, shadow) bitsets per subset of {1..n}."""
-    if n > MAX_NORMALIZE:
-        raise ValueError(f"normalization supports n <= {MAX_NORMALIZE}, got {n}")
-    shade = []
-    shadow = []
-    for x in range(1 << n):
-        shade.append(sum(1 << c for c in _covers(x, n)))
-        shadow.append(sum(1 << c for c in _facets(x)))
-    return tuple(shade), tuple(shadow)
+# the kernel: sorted member tuples
 
 
 def _step(n: int, members: tuple[int, ...],
@@ -104,30 +87,21 @@ def _step(n: int, members: tuple[int, ...],
     """Replace every member of the minimum (up) or maximum (down) rank by
     the first shade (shadow) sets in squashed order; too small a pool
     raises SelectionError."""
-    shade, shadow = _tables(n)
     if up:
         rank = members[0].bit_count()
         cut = bisect_right(members, rank, key=int.bit_count)
         doomed, retained = members[:cut], members[cut:]
-        moves = shade
     else:
         rank = members[-1].bit_count()
         cut = bisect_left(members, rank, key=int.bit_count)
         doomed, retained = members[cut:], members[:cut]
-        moves = shadow
-    pool = 0
-    for m in doomed:
-        pool |= moves[m]
+    pool = sorted({c for m in doomed
+                   for c in (_covers(m, n) if up else _facets(m))})
     need = len(doomed)
-    chosen = []
-    while pool and len(chosen) < need:
-        low = pool & -pool
-        chosen.append(low.bit_length() - 1)
-        pool ^= low
     direction = "up" if up else "down"
-    if len(chosen) < need:
-        raise SelectionError(direction, rank, need, len(chosen))
-    inserted = tuple(chosen)
+    if len(pool) < need:
+        raise SelectionError(direction, rank, need, len(pool))
+    inserted = tuple(pool[:need])
     return (Step(direction, rank, doomed, inserted),
             sort_members(retained + inserted))
 
@@ -207,8 +181,7 @@ def _normalized(f: Family) -> NormalizationTrace:
     later call.  The memo is per object: an equal family built apart is
     pushed apart, to an equal trace.  Storing it leaves f's equality,
     hash, order and repr alone, which read only n and members.  A push
-    that raises (SelectionError, or n above MAX_NORMALIZE) stores nothing
-    and raises again on the next call."""
+    that raises stores nothing and raises again on the next call."""
     fields = f.__dict__
     trace = fields.get(_PUSHED)
     if trace is None:

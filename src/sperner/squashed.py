@@ -45,6 +45,22 @@ def rank(x: int) -> int:
     return idx
 
 
+def _max_binom_arg(rem: int, i: int) -> int:
+    """Largest a with C(a, i) <= rem (rem >= 1)."""
+    if i == 1:
+        return rem
+    lo, hi = i, i + 1  # C(i,i) = 1 <= rem
+    while comb(hi, i) <= rem:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid, i) <= rem:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def unrank(n: int, k: int, index: int) -> int:
     """The k-subset of {1..n} at the given squashed-order position."""
     check_ground(n)
@@ -55,9 +71,7 @@ def unrank(n: int, k: int, index: int) -> int:
     mask = 0
     rem = index
     for i in range(k, 0, -1):
-        a = i - 1  # C(i-1, i) = 0 <= rem
-        while comb(a + 1, i) <= rem:
-            a += 1
+        a = _max_binom_arg(rem, i) if rem else i - 1  # C(i-1, i) = 0
         rem -= comb(a, i)
         mask |= 1 << a  # element a+1
     if rem or mask.bit_count() != k:

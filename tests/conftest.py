@@ -1,5 +1,19 @@
+import os
+from pathlib import Path
+
 from hypothesis import settings
 
 # fixed seed / derandomized runs so the suite is reproducible everywhere
 settings.register_profile("fixed", settings(derandomize=True, max_examples=100))
 settings.load_profile("fixed")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env() -> dict[str, str]:
+    """os.environ with this checkout's sources first on PYTHONPATH, for a
+    fresh interpreter that must import this package and no other copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env

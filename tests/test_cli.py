@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from conftest import checkout_env
 from sperner.cli import build_parser, main
 from sperner.ground import Family
 from sperner.normalize import SelectionError
@@ -41,12 +42,9 @@ def run_process(*argv, stdout=subprocess.PIPE, flags=(),
                 target=("-m", "sperner.cli")):
     """The CLI (or another target) as its own interpreter, with this
     checkout's sources."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *flags, *target, *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=checkout_env(), timeout=120)
 
 
 def run(capsys, *argv):
@@ -257,6 +255,20 @@ class TestNormalizeCommand:
         data = json.loads(out)
         assert data["ok"] and len(data["final"]) == 1
         assert all(len(s) == 3 for s in data["final"])
+
+    def test_push_at_n13(self, capsys, tmp_path):
+        # n=13 needs steps both ways; the final family it prints lies in
+        # the middle band and keeps the family's size
+        from sperner.ground import parse_family
+        from sperner.normalize import middle_band
+        path = tmp_path / "f.txt"
+        path.write_text("n=13\n{1}\n{2,3}\n{4,5,6,7,8,9,10,11,12,13}\n")
+        code, out, _ = run(capsys, "normalize", "--family", str(path))
+        assert code == 0 and "step 1: up from rank 1" in out
+        final = parse_family(out.split("final:\n", 1)[1])
+        lo, hi = middle_band(13)
+        assert len(final) == 3
+        assert all(lo <= m.bit_count() <= hi for m in final.members)
 
     def test_non_antichain_rejected(self, capsys, tmp_path):
         path = tmp_path / "f.txt"

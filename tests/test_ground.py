@@ -1,11 +1,10 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import checkout_env
 from sperner.ground import (Family, complement, format_family, format_set,
                             full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
@@ -239,14 +238,11 @@ class TestTextFormats:
 def test_negative_mask_rejected(call):
     # run in a child interpreter with a timeout: a low-bit loop over a
     # negative mask never reaches 0, and must fail here, not stall the suite
-    src = Path(__file__).resolve().parents[1] / "src"
     script = ("from sperner import ground, squashed\n"
               f"try:\n    {call}\nexcept ValueError:\n    print('rejected')\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
     try:
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=checkout_env(),
                               capture_output=True, text=True, timeout=10)
     except subprocess.TimeoutExpired:
         pytest.fail(f"{call} did not return within 10 s")

@@ -23,6 +23,13 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
     (lambda: parse_set("{a}"), "cannot parse set literal: '{a}'"),
     # a Unicode digit passes str.isdigit but not int()
     (lambda: parse_set("1\u00b2"), "cannot parse set literal: '1\u00b2'"),
+    # a braced member is an optional '-' then ASCII digits, which int()
+    # alone does not enforce
+    (lambda: parse_set("{+1}"), "cannot parse set literal: '{+1}'"),
+    (lambda: parse_set("{\u0661}"), "cannot parse set literal: '{\u0661}'"),
+    (lambda: parse_set("{1_0}"), "cannot parse set literal: '{1_0}'"),
+    (lambda: parse_set("{0}"), "elements are 1-indexed, got 0"),
+    (lambda: parse_set("{-1}"), "elements are 1-indexed, got -1"),
     (lambda: format_set(1 << 9, compact=True),
      "compact notation needs single-digit elements"),
     (lambda: parse_family("# only a comment\n"),
@@ -30,6 +37,10 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
     (lambda: parse_family("n=4\n{5}\n"), "set {5} uses elements outside 1..4"),
     (lambda: parse_family("n=x\n{1}\n"),
      "family file header must be 'n=<int>', got 'n=x'"),
+    (lambda: parse_family("n=1_2\n"),
+     "family file header must be 'n=<int>', got 'n=1_2'"),
+    (lambda: parse_family("n=\u0664\n"),
+     "family file header must be 'n=<int>', got 'n=\u0664'"),
     (lambda: parse_family("n=4\n{1,2,x}\n"),
      "cannot parse set literal: '{1,2,x}'"),
     (lambda: parse_family("n=4\n1\u00b2\n"),
@@ -53,9 +64,12 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "middle band enumeration needs even n"),
 ], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
         "parse_set-not-digits", "parse_set-braced-not-int",
-        "parse_set-unicode-digit",
+        "parse_set-unicode-digit", "parse_set-braced-plus",
+        "parse_set-braced-unicode-digit", "parse_set-braced-underscore",
+        "parse_set-braced-zero", "parse_set-braced-negative",
         "format_set-compact-10", "parse_family-no-header",
         "parse_family-member-outside", "parse_family-header-not-int",
+        "parse_family-header-underscore", "parse_family-header-unicode-digit",
         "parse_family-member-not-int", "parse_family-unicode-digit",
         "unrank-level", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",

@@ -3,14 +3,14 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import checkout_env
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
 from sperner import normalize
-from sperner.normalize import (MAX_NORMALIZE, NormalizationTrace,
-                               SelectionError, Step, _normalized, _step,
-                               middle_band, normalize_pair,
-                               normalize_to_middle, push_down_max_rank,
-                               push_up_min_rank)
+from sperner.normalize import (NormalizationTrace, SelectionError, Step,
+                               _normalized, _step, middle_band,
+                               normalize_pair, normalize_to_middle,
+                               push_down_max_rank, push_up_min_rank)
 from sperner.squashed import squash_compare
 
 
@@ -125,13 +125,8 @@ class TestNormalizeToMiddle:
 
 
 class TestGroundSizeCap:
-    def test_step_beyond_table_cap_rejected(self):
-        n = MAX_NORMALIZE + 1
-        with pytest.raises(ValueError, match="normalization supports"):
-            normalize_to_middle(Family.from_sets(n, [(1,)]), Family(n, ()))
-
     def test_in_band_family_beyond_cap_returned_as_is(self):
-        n = MAX_NORMALIZE + 1
+        n = 13
         f = Family.from_sets(n, [range(1, middle_band(n)[0] + 1)])
         assert normalize_to_middle(f, Family(n, ())) == NormalizationTrace((), f)
 
@@ -183,11 +178,8 @@ class TestNormalizePair:
     def test_spawned_workers_give_the_same_report(self):
         # spawned workers share no memory with the parent: each builds the
         # sweep tables itself, and the report must not change
-        import os
         import subprocess
         import sys
-        from pathlib import Path
-        src = Path(__file__).resolve().parents[1] / "src"
         script = (
             "import multiprocessing\n"
             "from sperner.verifier import normalization_pair_sweep\n"
@@ -197,11 +189,9 @@ class TestNormalizePair:
             "    one = normalization_pair_sweep(4, workers=1)\n"
             "    assert two == one, (two, one)\n"
             "    print(one.crossing_pairs)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=checkout_env(), capture_output=True,
+                              text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
 
@@ -226,12 +216,6 @@ class TestNormalizePair:
             normalize_pair(a, fam(4, (1,), (1, 2)))
         with pytest.raises(ValueError, match="input family is not an antichain"):
             normalize_pair(fam(4, (1,), (1, 2)), b)
-        # a failed push is not cached: it fails again on the next call
-        n = MAX_NORMALIZE + 1
-        low = Family.from_sets(n, [(1,)])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="normalization supports"):
-                normalize_pair(low, low)
 
     def test_sweep_calls_normalize_pair_on_every_crossing_pair(self, monkeypatch):
         from sperner import verifier
@@ -487,11 +471,6 @@ class TestPushMemo:
         assert normalize_pair(a, b) == (ta, tb)
 
     def test_failed_push_stores_nothing(self, monkeypatch):
-        low = Family.from_sets(MAX_NORMALIZE + 1, [(1,)])
-        with pytest.raises(ValueError, match="normalization supports"):
-            _normalized(low)
-        assert normalize._PUSHED not in vars(low)
-
         def failing(n, members):
             raise SelectionError("up", 1, 2, 1)
 
@@ -668,3 +647,23 @@ class TestKernelAgainstReference:
             if is_cross_intersecting(top, b):
                 self.assert_same(top, b)
                 self.assert_same(b, top)
+
+    @pytest.mark.parametrize("n", [13, 20, 60])
+    def test_seeded_pairs_at_large_n(self, n):
+        # grounds too large to enumerate: random antichains of low and of
+        # high rank against the full set, which meets every nonempty set
+        # and sits above the band, so both phases run on both sides
+        import random
+        rng = random.Random(n)
+        full = Family(n, ((1 << n) - 1,))
+        for _ in range(10):
+            for ranks in ((1, 2, 3), (n - 3, n - 2, n - 1)):
+                kept = []
+                for _ in range(rng.randint(1, 6)):
+                    x = sum(1 << e
+                            for e in rng.sample(range(n), rng.choice(ranks)))
+                    if all(independent(x, y) for y in kept):
+                        kept.append(x)
+                a = Family.from_masks(n, kept)
+                self.assert_same(a, full)
+                self.assert_same(full, a)

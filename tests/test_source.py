@@ -2,12 +2,13 @@
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sperner"
@@ -45,11 +46,9 @@ def test_tracer_entry_points_exist():
 def _fresh(probe: str) -> str:
     """What a fresh interpreter with this checkout's sources prints for
     the Python source probe."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=checkout_env(), capture_output=True,
+                            text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 

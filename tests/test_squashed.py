@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -101,6 +102,14 @@ class TestRankUnrank:
                 for idx, mask in enumerate(level_masks(n, k)):
                     assert rank(mask) == idx
                     assert unrank(n, k, idx) == mask
+        # beyond the materialized levels: seeded draws at n=60
+        rng = random.Random(60)
+        for _ in range(500):
+            k = rng.randint(0, 60)
+            idx = rng.randrange(comb(60, k))
+            mask = unrank(60, k, idx)
+            assert mask >> 60 == 0 and mask.bit_count() == k
+            assert rank(mask) == idx
 
     def test_empty_set(self):
         assert rank(0) == 0
