@@ -5,7 +5,9 @@ theorems at desk scale.
 
 Importing the package runs none of its layer modules: each is registered
 lazily and runs on its first attribute access, so a command runs only
-the layers it calls.  The public names below are read from their home
+the layers it calls.  On Python 3.11 any attribute access runs a lazy
+module, so a layer that needs another layer only in some functions
+imports it inside them.  The public names below are read from their home
 module when first asked for (the package attribute ``cascade`` is the
 function; the module is ``sys.modules["sperner.cascade"]``)."""
 

@@ -181,7 +181,9 @@ def cascade(m: int, k: int) -> CascadeRep:
 
 def kkt_shadow_bound(m: int, k: int) -> int:
     """C(a_k,k-1) + ... + C(a_t,t-1): the minimum shadow size of m k-sets,
-    attained exactly by the first m k-sets in squashed order."""
+    attained exactly by the first m k-sets in squashed order (0 at m = 0)."""
+    if m == 0 and k >= 1:
+        return 0
     return cascade(m, k).shifted_sum(-1)
 
 
@@ -199,8 +201,6 @@ def shade_of_last_bound(m: int, n: int, k: int) -> int:
     """|shade of the last m k-sets of {1..n}|, via the complement duality
     |shade L_{n,k}(m)| = |shadow F_{n,n-k}(m)|."""
     _check_segment(m, n, k, up=True)
-    if m == 0:
-        return 0
     return kkt_shadow_bound(m, n - k)
 
 

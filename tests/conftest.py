@@ -3,6 +3,8 @@ from pathlib import Path
 
 from hypothesis import settings
 
+from sperner.ground import Family
+
 # fixed seed / derandomized runs so the suite is reproducible everywhere
 settings.register_profile("fixed", settings(derandomize=True, max_examples=100))
 settings.load_profile("fixed")
@@ -17,3 +19,7 @@ def checkout_env() -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
+
+
+def fam(n, *sets):
+    return Family.from_sets(n, sets)

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import fam
 from sperner.cascade import (cascade, kkt_oracle_mismatches,
                              kkt_shadow_bound, local_shade_bound,
                              local_shadow_bound, new_shade, new_shadow, shade,
@@ -11,10 +12,6 @@ from sperner.cascade import (cascade, kkt_oracle_mismatches,
                              window_minimality_report)
 from sperner.ground import Family, full_level, parse_set
 from sperner.squashed import first_segment, last_segment, level_masks
-
-
-def fam(n, *sets):
-    return Family.from_sets(n, sets)
 
 
 class TestShadow:
@@ -150,6 +147,7 @@ class TestClosedFormBounds:
                 assert kkt_shadow_bound(comb(n, k), k) == comb(n, k - 1)
         for k in range(1, 9):
             assert kkt_shadow_bound(1, k) == k
+            assert kkt_shadow_bound(0, k) == 0
 
     def test_shade_of_last_examples(self):
         assert shade_of_last_bound(3, 4, 2) == 3

@@ -4,15 +4,11 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import checkout_env
+from conftest import checkout_env, fam
 from sperner.ground import (Family, complement, format_family, format_set,
                             full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
                             parse_set)
-
-
-def fam(n, *sets):
-    return Family.from_sets(n, sets)
 
 
 def masks(n):

@@ -3,6 +3,7 @@ its own message."""
 
 import pytest
 
+from sperner.cascade import kkt_shadow_bound
 from sperner.differences import check_lemma
 from sperner.ground import Family, format_set, mask_of, parse_family, parse_set
 from sperner.normalize import (normalize_pair, normalize_to_middle,
@@ -46,6 +47,10 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
     (lambda: parse_family("n=4\n1\u00b2\n"),
      "cannot parse set literal: '1\u00b2'"),
     (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
+    (lambda: kkt_shadow_bound(-1, 3),
+     "cascade representation needs m >= 1, got -1"),
+    (lambda: kkt_shadow_bound(0, 0),
+     "cascade representation needs k >= 1, got 0"),
     (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
     (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
      "partner family is not an antichain"),
@@ -71,7 +76,8 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "parse_family-member-outside", "parse_family-header-not-int",
         "parse_family-header-underscore", "parse_family-header-unicode-digit",
         "parse_family-member-not-int", "parse_family-unicode-digit",
-        "unrank-level", "check_lemma-limit",
+        "unrank-level", "kkt_shadow_bound-negative-m",
+        "kkt_shadow_bound-level-0", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",

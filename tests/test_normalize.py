@@ -3,7 +3,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import checkout_env
+from conftest import checkout_env, fam
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
 from sperner import normalize
@@ -12,10 +12,6 @@ from sperner.normalize import (NormalizationTrace, SelectionError, Step,
                                normalize_pair, normalize_to_middle,
                                push_down_max_rank, push_up_min_rank)
 from sperner.squashed import squash_compare
-
-
-def fam(n, *sets):
-    return Family.from_sets(n, sets)
 
 
 EMPTY4 = Family(4, ())
@@ -342,8 +338,8 @@ class TestNormalizePair:
         victim = fam(n, *victim)
         real = verifier._audit
 
-        def corrupted(f, trace):
-            sound, stepped, final = real(f, trace)
+        def corrupted(f, trace, band):
+            sound, stepped, final = real(f, trace, band)
             if f != victim:
                 return sound, stepped, final
             if "final" in fields:

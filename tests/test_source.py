@@ -26,6 +26,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_readme_module_table_matches_the_package():
+    # one short row per module, so a module added or removed shows in the
+    # README, and how a module works stays in its docstrings
+    section = (ROOT / "README.md").read_text().split("## What's inside\n")[1]
+    rows = [line.split("|")[1:3] for line in section.split("\n## ")[0].splitlines()
+            if line.startswith("|")][2:]
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert sorted(name.strip() for name, _ in rows) == [
+        f"`sperner.{m}`" for m in modules]
+    assert [name for name, what in rows if len(what.split()) > 25] == []
+
+
 def test_tracer_entry_points_exist():
     # the traced benchmark looks these names up on the package, so a
     # rename or deletion would break only its traced runs, outside tier-1

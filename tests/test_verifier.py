@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import fam
 from sperner import verifier
 from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
                              window_minimality_report)
@@ -22,10 +23,6 @@ from sperner.verifier import (DEDEKIND, antichain_mask_tuples,
                               middle_band_antichains, near_extremal_report,
                               size4_antichain_classes_report,
                               sweep_last_shade_margin, sweep_shadow_excess)
-
-
-def fam(n, *sets):
-    return Family.from_sets(n, sets)
 
 
 def brute_antichains(universe, min_size):
