@@ -6,8 +6,11 @@ damped_term_gain(n, r, k) = C(n,r-1) - k/(k+1) * C(n,r)   (0 when r > n)
 
 Both measure how much a single cascade term grows or shrinks when a
 shadow/shade is taken; the damped variant subtracts the local counting
-bound's share instead of the full term.  Everything is exact: ints and
-Fractions, no floating point.
+bound's share instead of the full term.  Everything is exact, with no
+floating point.  The catalogue's checks compare integers: the damped
+gain scaled by k+1, and lemma 3.2's identity multiplied out by r.  Of
+the package's functions only damped_term_gain, the shade table and the
+local counting bounds return a Fraction.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ def term_gain(n: int, r: int) -> int:
     return comb(n, r - 1) - comb(n, r)
 
 
+def _scaled_damped_gain(n: int, r: int, k: int) -> int:
+    """(k+1) * damped_term_gain(n, r, k): (k+1)*C(n,r-1) - k*C(n,r) if
+    r <= n, else 0."""
+    if r > n:
+        return 0
+    return (k + 1) * comb(n, r - 1) - k * comb(n, r)
+
+
 def damped_term_gain(n: int, r: int, k: int) -> Fraction:
     """C(n,r-1) - k/(k+1)*C(n,r) if r <= n, else 0; exact rational."""
     from fractions import Fraction
     _check_positive(n=n, r=r, k=k)
-    if r > n:
-        return Fraction(0)
-    return comb(n, r - 1) - Fraction(k, k + 1) * comb(n, r)
+    return Fraction(_scaled_damped_gain(n, r, k), k + 1)
 
 
 def hockey_stick(r: int, k: int) -> int:
@@ -75,12 +84,10 @@ Checker = Callable[[int], Iterator[tuple[tuple, bool]]]
 
 
 def _check_3_2(limit: int):
-    # term_gain(n,r) == C(n,r-1) * (2r-1-n)/r as exact rationals
-    from fractions import Fraction
+    # term_gain(n,r) == C(n,r-1) * (2r-1-n)/r, multiplied out by r
     for n in range(1, limit + 1):
         for r in range(1, n + 1):
-            expect = comb(n, r - 1) * Fraction(2 * r - 1 - n, r)
-            yield (n, r), Fraction(term_gain(n, r)) == expect
+            yield (n, r), r * term_gain(n, r) == comb(n, r - 1) * (2 * r - 1 - n)
 
 
 def _check_3_3(limit: int):
@@ -129,39 +136,40 @@ def _check_3_7(limit: int):
             yield (n, i), term_gain(i, r) >= 2
 
 
+# The damped checks compare D = _scaled_damped_gain = (k+1) *
+# damped_term_gain at one k, so each claim is multiplied out by k+1.
+
+
 def _check_3_10(limit: int):
     # damped_term_gain(i,j,k) - damped_term_gain(i+1,j,k) >= 1/2
-    from fractions import Fraction
-    half = Fraction(1, 2)
     for k in range(2, limit + 1):
         for j in range(1, k + 1):
             for i in range(2 * j - 1, 2 * k):
-                gap = damped_term_gain(i, j, k) - damped_term_gain(i + 1, j, k)
-                yield (k, j, i), gap >= half
+                gap = _scaled_damped_gain(i, j, k) - _scaled_damped_gain(i + 1, j, k)
+                yield (k, j, i), 2 * gap >= k + 1
 
 
 def _check_3_11(limit: int):
     # damped_term_gain(i,r,k) >= damped_term_gain(k-1+r,r,k)
     for k in range(2, limit + 1):
         for r in range(1, k):
-            floor_value = damped_term_gain(k - 1 + r, r, k)
+            floor_value = _scaled_damped_gain(k - 1 + r, r, k)
             for i in range(r, k - 1 + r + 1):
-                yield (k, r, i), damped_term_gain(i, r, k) >= floor_value
+                yield (k, r, i), _scaled_damped_gain(i, r, k) >= floor_value
 
 
 def _check_3_12(limit: int):
     # damped_term_gain(k-1+r,r,k) < 0
     for k in range(2, limit + 1):
         for r in range(1, k):
-            yield (k, r), damped_term_gain(k - 1 + r, r, k) < 0
+            yield (k, r), _scaled_damped_gain(k - 1 + r, r, k) < 0
 
 
 def _check_3_13(limit: int):
     # sum_{r=1..k} damped_term_gain(k-1+r,r,k) == k/(k+1)
-    from fractions import Fraction
     for k in range(2, limit + 1):
-        total = sum(damped_term_gain(k - 1 + r, r, k) for r in range(1, k + 1))
-        yield (k,), total == Fraction(k, k + 1)
+        total = sum(_scaled_damped_gain(k - 1 + r, r, k) for r in range(1, k + 1))
+        yield (k,), total == k
 
 
 CHECKS: dict[str, tuple[str, int, Checker]] = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -200,38 +200,48 @@ def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
 # canonical forms under the symmetric group
 
 
-@lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
+def _orbit(*fams: Family) -> set[tuple[tuple[int, ...], ...]]:
+    """The joint member encodings of the families under every ground-set
+    permutation, the same permutation applied to every family.
+
+    The orbit is closed from the input under two generators, the swap of
+    elements 1 and 2 and the rotation 1 -> 2 -> ... -> n -> 1, which
+    generate the symmetric group for n >= 2; so it costs two images per
+    encoding in the orbit, not one per permutation.
+    """
+    n = fams[0].n
     if n > MAX_ENUMERATION:
         raise ValueError(f"canonical forms supported for n <= {MAX_ENUMERATION}")
-    tables = []
-    for perm in permutations(range(n)):
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | (1 << perm[low.bit_length() - 1])
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _images(*fams: Family) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The member encodings of the families under each ground-set
-    permutation, the same permutation applied to every family."""
-    return (tuple(sort_members([t[m] for m in f.members]) for f in fams)
-            for t in _perm_tables(fams[0].n))
+    start = tuple(f.members for f in fams)
+    orbit = {start}
+    if n < 2:
+        return orbit
+    full, top = (1 << n) - 1, n - 1
+    todo = [start]
+    for key in todo:  # grows while it is read: a breadth-first closure
+        swapped = tuple(sort_members([m ^ (((m ^ (m >> 1)) & 1) * 3) for m in ms])
+                        for ms in key)
+        rotated = tuple(sort_members([((m << 1) & full) | (m >> top) for m in ms])
+                        for ms in key)
+        for image in (swapped, rotated):
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def canonical_family_key(f: Family) -> tuple[int, ...]:
-    """Minimal member encoding over all ground-set permutations."""
-    return min(_images(f))[0]
+    """Minimal member encoding over the orbit of all ground-set
+    permutations."""
+    return min(_orbit(f))[0]
 
 
 def canonical_pair_key(a: Family, b: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal joint encoding: the same permutation is applied to both
-    sides, and the pair stays ordered (no A/B swap)."""
+    """Minimal joint encoding over the pair's orbit: the same permutation
+    is applied to both sides, and the pair stays ordered (no A/B swap)."""
     if a.n != b.n:
         raise ValueError("pair members live over different ground sizes")
-    return min(_images(a, b))
+    return min(_orbit(a, b))
 
 
 def canonical_pair(a: Family, b: Family) -> tuple[Family, Family]:
@@ -392,7 +402,7 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
         for a, b in pairs:
             if (a.members, b.members) not in seen:
                 classes.append((a, b))
-                seen.update(_images(a, b))
+                seen |= _orbit(a, b)
         if not incomplete and seen != {(a.members, b.members) for a, b in pairs}:
             raise RuntimeError(f"the n={n} census is not closed under permutations")
         return tuple(classes)

@@ -9,8 +9,8 @@ from sperner.ground import Family, format_set, mask_of, parse_family, parse_set
 from sperner.normalize import (normalize_pair, normalize_to_middle,
                                push_down_max_rank, push_up_min_rank)
 from sperner.squashed import unrank
-from sperner.verifier import (canonical_pair_key, middle_band_antichains,
-                              normalization_pair_sweep)
+from sperner.verifier import (canonical_family_key, canonical_pair_key,
+                              middle_band_antichains, normalization_pair_sweep)
 
 ONE = Family.from_sets(4, [(1,)])
 CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
@@ -63,6 +63,10 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "family and partner live over different ground sizes"),
     (lambda: canonical_pair_key(Family(3, ()), Family(4, ())),
      "pair members live over different ground sizes"),
+    (lambda: canonical_family_key(Family(7, ())),
+     "canonical forms supported for n <= 6"),
+    (lambda: canonical_pair_key(Family(7, ()), Family(7, ())),
+     "canonical forms supported for n <= 6"),
     (lambda: normalization_pair_sweep(6),
      "the exhaustive pair sweep supports 1 <= n <= 5"),
     (lambda: middle_band_antichains(5, 0),
@@ -81,6 +85,7 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",
+        "canonical_family_key-n7", "canonical_pair_key-n7",
         "normalization_pair_sweep-n6", "middle_band_antichains-odd"])
 def test_bad_input_raises(call, message):
     with pytest.raises(ValueError) as info:

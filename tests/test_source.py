@@ -147,10 +147,21 @@ def test_cli_import_skips_dataclasses():
 
 
 def test_cli_import_skips_fractions():
-    # fractions imports decimal and numbers; only the shade table, the
-    # local counting bounds and the lemma checks build a Fraction, so
-    # they import it when they run
+    # fractions imports decimal and numbers; only damped_term_gain, the
+    # shade table and the local counting bounds build a Fraction, so they
+    # import it when they run
     assert not _loaded_by_cli_import("fractions")
+
+
+def test_lemma_checks_skip_fractions():
+    # the catalogue compares integers, so running all of it loads no
+    # fractions module
+    probe = "\n".join([
+        "import contextlib, io, sys, sperner.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert sperner.cli.main(['lemmas', 'check']) == 0",
+        "print('fractions' in sys.modules)"])
+    assert _fresh(probe) == "False"
 
 
 def _writes_stdout(call: ast.Call) -> bool:

@@ -1,7 +1,7 @@
 import importlib
 import random
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +11,7 @@ from sperner import verifier
 from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
                              window_minimality_report)
 from sperner.ground import (Family, full_level, is_antichain,
-                            is_cross_intersecting)
+                            is_cross_intersecting, sort_members)
 from sperner.squashed import level_masks
 from sperner.verifier import (DEDEKIND, antichain_mask_tuples,
                               canonical_family_key, canonical_pair,
@@ -266,6 +266,25 @@ class TestCanonicalForms:
                 pb = Family.from_masks(n, (apply(m) for m in b.members))
                 assert canonical_pair_key(a, b) == canonical_pair_key(pa, pb)
 
+    @pytest.mark.parametrize("n, count", [(1, 40), (2, 40), (3, 40),
+                                          (4, 40), (5, 40), (6, 4)])
+    def test_orbit_is_every_permutation_image(self, n, count):
+        # the definition: apply each of the n! ground permutations
+        rng = random.Random(20261019 + n)
+        universe = (1 << n) - 1
+        perms = list(permutations(range(n)))
+        for trial in range(count):
+            fams = [Family.from_masks(
+                        n, (rng.randint(0, universe) for _ in range(rng.randint(0, 5))))
+                    for _ in range(1 + trial % 2)]
+            images = {tuple(sort_members(sum(1 << p[i] for i in range(n) if m >> i & 1)
+                                         for m in f.members)
+                            for f in fams)
+                      for p in perms}
+            orbit = verifier._orbit(*fams)
+            assert orbit == images
+            assert factorial(n) % len(orbit) == 0
+
     def test_canonical_pair_materializes_representative(self):
         a, b = canonical_pair(full_level(3, 2), fam(3, (1, 2)))
         assert isinstance(a, Family) and isinstance(b, Family)
@@ -466,8 +485,8 @@ class TestOrbitClasses:
                             lambda n, budget_seconds=None: swapped)
         assert not extremal_report(4)["match"]
 
-    def test_images_once_per_class(self, monkeypatch):
-        calls = {"_images": 0, "canonical_pair": 0, "canonical_pair_key": 0}
+    def test_orbit_once_per_class(self, monkeypatch):
+        calls = {"_orbit": 0, "canonical_pair": 0, "canonical_pair_key": 0}
         for name in calls:
             real = getattr(verifier, name)
 
@@ -478,7 +497,7 @@ class TestOrbitClasses:
             monkeypatch.setattr(verifier, name, counted)
         assert extremal_report(6)["match"]
         # 2 optimal classes and 4 optimum-1 classes
-        assert calls == {"_images": 6, "canonical_pair": 0,
+        assert calls == {"_orbit": 6, "canonical_pair": 0,
                          "canonical_pair_key": 0}
 
 
