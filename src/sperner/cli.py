@@ -191,8 +191,6 @@ def _cmd_lemma_3_15(args) -> int:
 
 def _cmd_normalization(args) -> int:
     from .verifier import normalization_pair_sweep
-    if args.workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {args.workers}")
     report = normalization_pair_sweep(args.n, workers=args.workers)
     return _emit(args,
                  lambda: {"n": report.n, "antichains": report.antichains,
@@ -211,8 +209,6 @@ def _cmd_normalization(args) -> int:
 def _cmd_theorem(args) -> int:
     from .verifier import extremal_report, max_sum_formula, near_extremal_report
     target, n, budget = args.target, args.n, args.budget_seconds
-    if budget is not None and not budget >= 0:
-        raise ValueError(f"budget must be >= 0 seconds, got {budget}")
     # below these sizes the almost-extremal characterization does not
     # hold, so a FAIL there would not refute the claim
     if target == "theorem-1.5" and (n % 2 == 0 or n < 3):

@@ -43,14 +43,14 @@ MAX_WALK_GROUND = 12
 
 @lru_cache(maxsize=None)
 def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """The walk table of the power set of {1..n}, as four tuples:
+    """The walk table of the power set of {1..n}, as three tuples:
 
     - cands, the subsets by descending comparable count, a stable sort of
       0..2^n-1 (a k-set has 2^k subsets and 2^(n-k) supersets, so the
       outer ranks come first and the widest rank last);
     - pos[s], the position of subset s in cands;
-    - clash[i] and keep[i], bitsets over positions: the later candidates
-      comparable to cands[i], and those incomparable to it.
+    - keep[i], a bitset over positions: the later candidates incomparable
+      to cands[i].
 
     The comparable candidates of s are its subsets and its supersets, each
     a row over positions from one subset-union pass of n * 2^(n-1) ORs
@@ -68,13 +68,11 @@ def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
     subsets = _missers(n, unit)[::-1]
     supersets = _missers(n, unit[::-1])
     everything = (1 << len(cands)) - 1
-    clash, keep = [], []
+    keep = []
     for i, s in enumerate(cands):
-        comparable = subsets[s] | supersets[s]
         later = everything >> (i + 1) << (i + 1)
-        clash.append(comparable & later)
-        keep.append(later & ~comparable)
-    return tuple(cands), tuple(pos), tuple(clash), tuple(keep)
+        keep.append(later & ~(subsets[s] | supersets[s]))
+    return tuple(cands), tuple(pos), tuple(keep)
 
 
 def antichain_mask_tuples(universe: Sequence[int],
@@ -85,17 +83,21 @@ def antichain_mask_tuples(universe: Sequence[int],
     that cannot reach min_size are pruned.
 
     A depth-first walk over (chosen, allowed) nodes, where allowed holds
-    the later candidates incomparable to everything chosen.  Once the
-    allowed candidates are pairwise incomparable, every subset of them
-    extends chosen, so the node yields those subsets by size instead of
-    descending: chosen plus the r-subsets of that free tail, rest, are
-    the first C(len(rest), r) combinations of chosen + rest of size
-    len(chosen) + r, so itertools builds each antichain once.  The walk
-    reads the table of the power set of {1..n}, n the bit length of the
-    largest candidate (see _walk_table), which takes the candidates
-    comparable to the most others first: the outer ranks branch and the
-    widest rank is left as the free tail.  The universe only marks the
-    start node's allowed candidates.
+    the later candidates incomparable to everything chosen.  A node
+    yields chosen first, once it has min_size members, and every later
+    yield adds a member to it.  The node then scans allowed in position
+    order and stops at the first candidate whose keep row misses a later
+    allowed one.  If none does, the allowed candidates are pairwise
+    incomparable, and every subset of them extends chosen, so the node
+    yields those subsets by size instead of descending: chosen plus the
+    r-subsets of that free tail, rest, are the first C(len(rest), r)
+    combinations of chosen + rest of size len(chosen) + r, so itertools
+    builds each antichain once.  The walk reads the table of the power
+    set of {1..n}, n the bit length of the largest candidate (see
+    _walk_table), which takes the candidates comparable to the most
+    others first: the outer ranks branch and the widest rank is left as
+    the free tail.  The universe only marks the start node's allowed
+    candidates.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
@@ -104,7 +106,7 @@ def antichain_mask_tuples(universe: Sequence[int],
     if n > MAX_WALK_GROUND:
         raise ValueError(f"walk candidates must be subsets of "
                          f"{{1..{MAX_WALK_GROUND}}}, got a set on {{1..{n}}}")
-    cands, pos, clash, keep = _walk_table(n)
+    cands, pos, keep = _walk_table(n)
     start = 0
     for s in universe:
         start |= 1 << pos[s]
@@ -114,23 +116,19 @@ def antichain_mask_tuples(universe: Sequence[int],
         chosen, allowed = stack.pop()
         c = len(chosen)
         need = min_size - c  # members still missing below min_size
-        if not allowed:
-            if need <= 0:
-                yield chosen
-            continue
+        if need <= 0:
+            yield chosen
+            need = 1  # chosen alone is out: what follows adds a member
         rest = []
         cand = allowed
         while cand:
             low = cand & -cand
             i = low.bit_length() - 1
-            if clash[i] & allowed:
+            cand ^= low
+            if cand & keep[i] != cand:  # a later allowed one is comparable
                 break
             rest.append(cands[i])
-            cand ^= low
-        else:  # allowed is pairwise incomparable
-            if need <= 0:
-                yield chosen
-                need = 1  # chosen alone is out: extras of size 1 and up
+        else:  # allowed is pairwise incomparable, or empty
             k = len(rest)
             if need <= k:
                 whole = chosen + tuple(rest)
@@ -138,8 +136,6 @@ def antichain_mask_tuples(universe: Sequence[int],
                     yield from islice(combinations(whole, c + r), comb(k, r))
                 yield whole
             continue
-        if need <= 0:
-            yield chosen
         # children pushed last-first, so they pop in walk order
         need -= 1  # a child has one member more
         cand = allowed
@@ -254,11 +250,9 @@ def canonical_pair(a: Family, b: Family) -> tuple[Family, Family]:
 
 
 def max_sum_formula(n: int) -> int:
-    """Closed-form optimum: 2*C(n, ceil(n/2)) for odd n,
-    C(n, n/2) + C(n, n/2+1) for even n."""
-    if n % 2:
-        return 2 * comb(n, (n + 1) // 2)
-    return comb(n, n // 2) + comb(n, n // 2 + 1)
+    """Closed-form optimum C(n, ceil(n/2)) + C(n, floor(n/2)+1): twice the
+    middle level for odd n, the two middle levels for even n."""
+    return comb(n, (n + 1) // 2) + comb(n, n // 2 + 1)
 
 
 class SearchCensus(NamedTuple):
@@ -379,6 +373,8 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
         raise ValueError(f"census supports 1 <= n <= {MAX_ENUMERATION}, got {n}")
     deadline = None
     if budget_seconds is not None:
+        if not budget_seconds >= 0:  # NaN too: its deadline never passes
+            raise ValueError(f"budget must be >= 0 seconds, got {budget_seconds}")
         deadline = time.monotonic() + budget_seconds
     lo, hi = full_level(n, (n + 1) // 2), full_level(n, n // 2 + 1)
     if not is_cross_intersecting(lo, hi):
@@ -423,12 +419,11 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
 
 
 def expected_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
-    """The ordered optimal pairs the closed-form characterization names."""
-    if n % 2:
-        lv = full_level(n, (n + 1) // 2)
-        return ((lv, lv),)
-    lo, hi = full_level(n, n // 2), full_level(n, n // 2 + 1)
-    return ((lo, hi), (hi, lo))
+    """The ordered optimal pairs the closed-form characterization names:
+    both orders of levels ceil(n/2) and floor(n/2)+1, one level twice for
+    odd n."""
+    lo, hi = full_level(n, (n + 1) // 2), full_level(n, n // 2 + 1)
+    return tuple(sorted({(lo, hi), (hi, lo)}))
 
 
 def expected_near_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
@@ -683,8 +678,8 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
         # together with its complement on the other side
-        clash = _or_rows(contains, (full ^ x for x in fi.members))
-        for j in _bits(partners & clash):
+        opposite = _or_rows(contains, (full ^ x for x in fi.members))
+        for j in _bits(partners & opposite):
             violations.append(("complement", fi.sets(), fams[j].sets()))
         # each row: the audit of i's side, its partners, and the partners'
         # stepped, sound and "finals miss" bits
@@ -755,6 +750,8 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     """
     if not 1 <= n <= 5:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     from .parallel import parallel_map
     tasks = [(n, s, PAIR_SWEEP_STRIPES) for s in range(PAIR_SWEEP_STRIPES)]
     results = parallel_map(_pair_sweep_stripe, tasks, workers)

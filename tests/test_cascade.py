@@ -58,6 +58,10 @@ class TestNewShadowShade:
         assert new_shade(fam(4, (3, 4))) == fam(4, (1, 3, 4), (2, 3, 4))
         assert new_shade(fam(4, (1, 4))) == Family(4, ())
 
+    def test_empty_family(self):
+        assert new_shadow(Family(4, ())) == Family(4, ())
+        assert new_shade(Family(4, ())) == Family(4, ())
+
     def test_new_shadow_of_whole_level_is_shadow(self):
         for n in range(2, 7):
             for k in range(1, n + 1):

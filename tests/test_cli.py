@@ -283,6 +283,20 @@ class TestNormalizeCommand:
         code, out, err = run(capsys, "normalize", "--family", str(path))
         assert code == 2 and out == "" and "repeats an element" in err
 
+    def test_selection_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        normalize = importlib.import_module("sperner.normalize")
+
+        def fail(n, members, up):
+            raise SelectionError("up", 1, 2, 1)
+
+        monkeypatch.setattr(normalize, "_step", fail)
+        path = tmp_path / "f.txt"
+        path.write_text("n=4\n{1}\n{2,3,4}\n")
+        code, out, err = run(capsys, "normalize", "--family", str(path))
+        assert code == 1 and out == ""
+        assert err == ("selection failure: selection failure pushing up from "
+                       "rank 1: needed 2 replacement sets, the pool holds only 1\n")
+
 
 class TestVerify:
     @pytest.mark.parametrize("n", ["3", "4", "5"])

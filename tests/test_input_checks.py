@@ -3,14 +3,16 @@ its own message."""
 
 import pytest
 
-from sperner.cascade import kkt_shadow_bound
+from sperner.cascade import kkt_shadow_bound, new_shade
 from sperner.differences import check_lemma
-from sperner.ground import Family, format_set, mask_of, parse_family, parse_set
+from sperner.ground import (Family, elements_of, format_set, full_level, mask_of,
+                            parse_family, parse_set)
 from sperner.normalize import (normalize_pair, normalize_to_middle,
                                push_down_max_rank, push_up_min_rank)
-from sperner.squashed import unrank
+from sperner.squashed import rank, unrank
 from sperner.verifier import (canonical_family_key, canonical_pair_key,
-                              middle_band_antichains, normalization_pair_sweep)
+                              max_cross_sum, middle_band_antichains,
+                              normalization_pair_sweep)
 
 ONE = Family.from_sets(4, [(1,)])
 CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
@@ -46,11 +48,14 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "cannot parse set literal: '{1,2,x}'"),
     (lambda: parse_family("n=4\n1\u00b2\n"),
      "cannot parse set literal: '1\u00b2'"),
+    (lambda: elements_of(-1), "a set mask is non-negative, got -1"),
     (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
+    (lambda: rank(-1), "a set mask is non-negative, got -1"),
     (lambda: kkt_shadow_bound(-1, 3),
      "cascade representation needs m >= 1, got -1"),
     (lambda: kkt_shadow_bound(0, 0),
      "cascade representation needs k >= 1, got 0"),
+    (lambda: new_shade(full_level(4, 4)), "new-shade undefined at rank n=4"),
     (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
     (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
      "partner family is not an antichain"),
@@ -69,6 +74,14 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "canonical forms supported for n <= 6"),
     (lambda: normalization_pair_sweep(6),
      "the exhaustive pair sweep supports 1 <= n <= 5"),
+    (lambda: normalization_pair_sweep(3, workers=0),
+     "worker count must be >= 1, got 0"),
+    (lambda: normalization_pair_sweep(3, workers=-4),
+     "worker count must be >= 1, got -4"),
+    (lambda: max_cross_sum(3, budget_seconds=float("nan")),
+     "budget must be >= 0 seconds, got nan"),
+    (lambda: max_cross_sum(3, budget_seconds=-1),
+     "budget must be >= 0 seconds, got -1"),
     (lambda: middle_band_antichains(5, 0),
      "middle band enumeration needs even n"),
 ], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
@@ -80,13 +93,16 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "parse_family-member-outside", "parse_family-header-not-int",
         "parse_family-header-underscore", "parse_family-header-unicode-digit",
         "parse_family-member-not-int", "parse_family-unicode-digit",
-        "unrank-level", "kkt_shadow_bound-negative-m",
-        "kkt_shadow_bound-level-0", "check_lemma-limit",
+        "elements_of-negative", "unrank-level", "rank-negative",
+        "kkt_shadow_bound-negative-m", "kkt_shadow_bound-level-0",
+        "new_shade-rank-n", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",
         "canonical_family_key-n7", "canonical_pair_key-n7",
-        "normalization_pair_sweep-n6", "middle_band_antichains-odd"])
+        "normalization_pair_sweep-n6", "normalization_pair_sweep-workers-0",
+        "normalization_pair_sweep-workers-negative", "max_cross_sum-budget-nan",
+        "max_cross_sum-budget-negative", "middle_band_antichains-odd"])
 def test_bad_input_raises(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -1,5 +1,6 @@
 import importlib
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -37,11 +38,45 @@ def brute_antichains(universe, min_size):
     return out
 
 
+@pytest.fixture
+def short_shadow_of_two(monkeypatch):
+    # |shadow of the first 2 2-sets of {1..3}| read as 2, not 3: it
+    # disagrees with the closed form and with the dual shade sizes, and
+    # the window of the 2nd 2-set alone adds nothing
+    cascade = importlib.import_module("sperner.cascade")
+    real = cascade._fresh_sizes
+    monkeypatch.setattr(cascade, "_fresh_sizes", lambda n, k, up: [
+        size - ((n, k, up, m) == (3, 2, False, 2))
+        for m, size in enumerate(real(n, k, up))])
+
+
+def comparable(s, t):
+    return not s & ~t or not t & ~s
+
+
+@lru_cache(maxsize=None)
+def brute_walk_table(n):
+    """The walk table of the power set of {1..n} rebuilt by brute force:
+    the subsets by descending comparable count (a stable sort), their
+    positions, and per position the later positions comparable to it and
+    those incomparable to it."""
+    power = range(1 << n)
+    cands = sorted(power, key=lambda s: -sum(comparable(s, t) for t in power))
+    pos = {s: i for i, s in enumerate(cands)}
+    clash, keep = [], []
+    for i, s in enumerate(cands):
+        later = range(i + 1, 1 << n)
+        clash.append(sum(1 << j for j in later if comparable(s, cands[j])))
+        keep.append(sum(1 << j for j in later if not comparable(s, cands[j])))
+    return cands, pos, clash, keep
+
+
 def reference_walk(universe, min_size=0):
     """The walk with each free-tail antichain built as chosen + extra:
-    the same table, pruning and order as antichain_mask_tuples."""
+    the same table order, pruning and walk order as antichain_mask_tuples,
+    on a table built by brute force."""
     universe = set(universe)
-    cands, pos, clash, keep = verifier._walk_table(max(universe, default=0).bit_length())
+    cands, pos, clash, keep = brute_walk_table(max(universe, default=0).bit_length())
     start = 0
     for s in universe:
         start |= 1 << pos[s]
@@ -182,17 +217,11 @@ class TestEnumeration:
     def test_walk_table_against_brute_force(self, n):
         # the walk branches on the candidates comparable to the most
         # others first: a stable sort of the power set by that count
-        def comparable(s, t):
-            return not s & ~t or not t & ~s
-        power = range(1 << n)
-        cands, pos, clash, keep = verifier._walk_table(n)
-        assert list(cands) == sorted(
-            power, key=lambda s: -sum(comparable(s, t) for t in power))
-        assert [pos[s] for s in cands] == list(power)
-        for i, s in enumerate(cands):
-            later = range(i + 1, 1 << n)
-            assert clash[i] == sum(1 << j for j in later if comparable(s, cands[j]))
-            assert keep[i] == sum(1 << j for j in later if not comparable(s, cands[j]))
+        cands, pos, keep = verifier._walk_table(n)
+        brute_cands, _, _, brute_keep = brute_walk_table(n)
+        assert list(cands) == brute_cands
+        assert [pos[s] for s in cands] == list(range(1 << n))
+        assert list(keep) == brute_keep
 
     def test_repeated_candidate_counts_once(self):
         assert sorted(antichain_mask_tuples([1, 1])) == [(), (1,)]
@@ -643,3 +672,39 @@ class TestSweeps:
         assert not report.passed
         assert {v[0] for v in report.violations} == {12}
         assert all(v[2] == "brute-force mismatch" for v in report.violations)
+
+    def test_last_shade_margin_reports_a_lost_margin(self, monkeypatch):
+        # the closed form at n=6, m=1 lowered from 3 to 1: (1-1)*8 > 6*1
+        # fails, and brute force still reads 3
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.shade_of_last_bound
+        monkeypatch.setattr(cascade, "shade_of_last_bound",
+                            lambda m, n, k: real(m, n, k) - 2 * (n == 6 and m == 1))
+        report = sweep_last_shade_margin(6)
+        assert report.violations == ((6, 1, 1),
+                                     (6, 1, "brute-force mismatch", 3, 1))
+
+    def test_last_shade_margin_reports_a_lost_tie(self, monkeypatch):
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.shade_of_last_bound
+        monkeypatch.setattr(cascade, "shade_of_last_bound",
+                            lambda m, n, k: real(m, n, k) + (n == 4))
+        report = sweep_last_shade_margin(6)
+        assert report.violations == ((4, 3, 4, "expected an exact tie"),)
+        assert report.notes == ()
+
+    def test_kkt_oracle_reports_a_closed_form_mismatch(self, monkeypatch):
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade.shade_of_last_bound
+        monkeypatch.setattr(cascade, "shade_of_last_bound",
+                            lambda m, n, k: real(m, n, k) + (n == 3 and k == 1))
+        assert kkt_oracle_mismatches(3).violations == tuple(
+            (3, 1, m, "shade-closed-form") for m in (1, 2, 3))
+
+    def test_kkt_oracle_reports_a_duality_mismatch(self, short_shadow_of_two):
+        assert kkt_oracle_mismatches(3).violations == (
+            (3, 2, 2, "shadow-closed-form"), (3, 2, 2, "duality"))
+
+    def test_window_minimality_reports_a_smaller_window(self, short_shadow_of_two):
+        assert window_minimality_report(3).violations == (
+            (3, 2, 1, 1, "new-shadow", 0, 1),)
