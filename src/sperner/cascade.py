@@ -30,10 +30,12 @@ MAX_REPRESENTABLE = comb(60, 30)
 
 
 def _uniform_rank(f: Family) -> int:
-    ks = set(f.by_rank)
-    if len(ks) != 1:
+    # f is not empty, and its members are sorted by rank, so the first
+    # and last bound every rank
+    k = f.members[0].bit_count()
+    if f.members[-1].bit_count() != k:
         raise ValueError("operation needs a uniform-rank family")
-    return next(iter(ks))
+    return k
 
 
 def _facets(mask: int):

@@ -8,7 +8,7 @@ to single bit operations.  Families keep their members sorted by
 
 from __future__ import annotations
 
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -173,14 +173,6 @@ class Family:
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> Family:
         """Pairwise distinct sets, each listing an element at most once."""
         return cls(n, tuple(mask_of(s) for s in sets))
-
-    @cached_property
-    def by_rank(self) -> dict[int, tuple[int, ...]]:
-        """Members partitioned by cardinality (keys ascending)."""
-        out: dict[int, list[int]] = {}
-        for m in self.members:
-            out.setdefault(m.bit_count(), []).append(m)
-        return {k: tuple(v) for k, v in out.items()}
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as ascending element tuples (for JSON and printing)."""

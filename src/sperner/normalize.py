@@ -33,9 +33,9 @@ partner is read only to validate the input and, before a down step, to
 check its member sizes.  The ``Family`` functions are thin wrappers that
 call the kernel and build a ``Family`` only for a result that moved;
 ``normalize_to_middle`` and ``normalize_pair`` share one memoized full
-push per ``Family`` object, kept in that object's instance dict the way
-``cached_property`` keeps ``Family.by_rank``: an all-pairs audit that
-passes the same objects pushes each family once and never hashes one.
+push per ``Family`` object, kept in that object's instance dict: an
+all-pairs audit that passes the same objects pushes each family once and
+never hashes one.
 """
 
 from __future__ import annotations

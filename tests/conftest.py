@@ -23,3 +23,23 @@ def checkout_env() -> dict[str, str]:
 
 def fam(n, *sets):
     return Family.from_sets(n, sets)
+
+
+def rank_set(f):
+    """The member sizes of a family, as a set."""
+    return {m.bit_count() for m in f.members}
+
+
+def with_oversize_family(monkeypatch):
+    """Make the enumeration behind lemma 3.15's scan also yield a 5-member
+    family that holds a 1-set; returns that family."""
+    from sperner import verifier
+    walk = verifier.enumerate_antichains
+    oversize = fam(4, (1,), (2,), (3,), (4,), (2, 3))
+
+    def padded(n):
+        yield from walk(n)
+        yield oversize
+
+    monkeypatch.setattr(verifier, "enumerate_antichains", padded)
+    return oversize

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from conftest import checkout_env
+from conftest import checkout_env, with_oversize_family
 from sperner.cli import build_parser, main
 from sperner.ground import Family
 from sperner.normalize import SelectionError
@@ -345,6 +345,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "lemma-3.15", "--format", "json")
         assert code == 0
         assert json.loads(out)["match"]
+
+    def test_lemma_3_15_fails_on_an_oversize_family(self, capsys, monkeypatch):
+        with_oversize_family(monkeypatch)
+        code, out, _ = run(capsys, "verify", "lemma-3.15")
+        assert code == 1
+        assert out == ("antichains scanned: 169; with a 1-set or 3-set: 103; "
+                       "size-4 classes: 4 (expected 4)\n"
+                       "FAIL\n")
 
     def test_normalization_target(self, capsys):
         code, out, _ = run(capsys, "verify", "normalization", "--n", "3",

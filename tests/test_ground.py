@@ -121,12 +121,6 @@ class TestFamily:
         assert mask_of((1, 2)) not in f and 0 not in f
         assert mask_of((3, 4)) not in Family(4, ())
 
-    def test_by_rank_partition(self):
-        f = fam(4, (1,), (1, 2), (3, 4), (2, 3, 4))
-        assert set(f.by_rank) == {1, 2, 3}
-        total = [m for k in sorted(f.by_rank) for m in f.by_rank[k]]
-        assert sorted(total) == sorted(f.members)
-
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             Family(4, (3, 3))

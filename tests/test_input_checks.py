@@ -1,9 +1,12 @@
 """Input checks across the package: each bad call raises ValueError with
-its own message."""
+its own message.  Self-checks too: each raises RuntimeError with its own
+message once the helper it guards returns a wrong answer."""
+
+import sys
 
 import pytest
 
-from sperner.cascade import kkt_shadow_bound, new_shade
+from sperner.cascade import cascade, kkt_shadow_bound, new_shade, new_shadow
 from sperner.differences import check_lemma
 from sperner.ground import (Family, elements_of, format_set, full_level, mask_of,
                             parse_family, parse_set)
@@ -56,6 +59,7 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
     (lambda: kkt_shadow_bound(0, 0),
      "cascade representation needs k >= 1, got 0"),
     (lambda: new_shade(full_level(4, 4)), "new-shade undefined at rank n=4"),
+    (lambda: new_shadow(Family(4, (0,))), "new-shadow undefined at rank 0"),
     (lambda: check_lemma("3.2", 0), "limit must be positive, got 0"),
     (lambda: normalize_to_middle(ONE, CHAIN_THROUGH_ONE),
      "partner family is not an antichain"),
@@ -95,7 +99,7 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "parse_family-member-not-int", "parse_family-unicode-digit",
         "elements_of-negative", "unrank-level", "rank-negative",
         "kkt_shadow_bound-negative-m", "kkt_shadow_bound-level-0",
-        "new_shade-rank-n", "check_lemma-limit",
+        "new_shade-rank-n", "new_shadow-rank-0", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",
@@ -105,5 +109,40 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "max_cross_sum-budget-negative", "middle_band_antichains-odd"])
 def test_bad_input_raises(call, message):
     with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)
+
+
+def _first_facet(mask):
+    yield mask ^ (mask & -mask)
+
+
+# the package attribute sperner.cascade is the function, so each module
+# is named by its sys.modules key
+@pytest.mark.parametrize("module,helper,fake,call,message", [
+    ("sperner.verifier", "is_cross_intersecting", lambda a, b: False,
+     lambda: max_cross_sum(3), "the n=3 census seed levels do not cross-intersect"),
+    # one facet per 2-set of {1..3} (drop its least element) leaves {1}
+    # out of the fresh shadows
+    ("sperner.cascade", "_facets", _first_facet,
+     lambda: sys.modules["sperner.cascade"]._level_fresh.__wrapped__(3, 2, False),
+     "fresh shadows of level 2 of n=3 do not partition level 1"),
+    # C(i, i) = 1 at each i: the 1-term cascade of 2 keeps a remainder
+    ("sperner.cascade", "_max_binom_arg", lambda rem, i: i,
+     lambda: cascade(2, 1), "cascade of m=2, k=1 left remainder 1"),
+    ("sperner.cascade", "_max_binom_arg", lambda rem, i: 5,
+     lambda: cascade(11, 2),
+     "cascade of m=11, k=2 breaks the decreasing side condition at a=5"),
+    # C(i-1, i) = 0 removes nothing from the index
+    ("sperner.squashed", "_max_binom_arg", lambda rem, i: i - 1,
+     lambda: unrank(4, 2, 3), "unrank(4, 2, 3) gave 0b11 with remainder 3"),
+    ("sperner.differences", "comb", lambda a, b: a,
+     lambda: sys.modules["sperner.differences"].hockey_stick(2, 2),
+     "hockey stick r=2, k=2 does not telescope"),
+], ids=["census-seed", "fresh-partition", "cascade-remainder",
+        "cascade-side-condition", "unrank", "hockey-stick"])
+def test_self_check_raises(monkeypatch, module, helper, fake, call, message):
+    monkeypatch.setattr(sys.modules[module], helper, fake)
+    with pytest.raises(RuntimeError) as info:
         call()
     assert message in str(info.value)

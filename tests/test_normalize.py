@@ -3,7 +3,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import checkout_env, fam
+from conftest import checkout_env, fam, rank_set
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
 from sperner import normalize
@@ -69,7 +69,7 @@ class TestPushDown:
         f = full_level(6, 5)
         trace = push_down_max_rank(f, Family(6, ()))
         assert len(trace.final) == 6
-        assert set(trace.final.by_rank) == {4}
+        assert rank_set(trace.final) == {4}
         # greedy takes the first 6 4-sets in squashed order
         from sperner.squashed import first_segment
         assert trace.final == first_segment(6, 4, 6)
@@ -98,16 +98,16 @@ class TestNormalizeToMiddle:
         trace = normalize_to_middle(f, EMPTY4)
         assert len(trace.final) == 2
         assert is_antichain(trace.final)
-        assert set(trace.final.by_rank) <= {2, 3}
+        assert rank_set(trace.final) <= {2, 3}
 
     def test_odd_small(self):
         trace = normalize_to_middle(fam(3, (1,)), Family(3, ()))
         assert len(trace.final) == 1
-        assert set(trace.final.by_rank) == {2}
+        assert rank_set(trace.final) == {2}
 
     def test_multi_round_up(self):
         trace = normalize_to_middle(fam(6, (1,)), Family(6, ()))
-        assert set(trace.final.by_rank) == {3}
+        assert rank_set(trace.final) == {3}
         assert [s.rank for s in trace.steps] == [1, 2]
 
     def test_empty_family(self):
@@ -116,7 +116,7 @@ class TestNormalizeToMiddle:
 
     def test_singleton_empty_set(self):
         trace = normalize_to_middle(Family(4, (0,)), EMPTY4)
-        assert set(trace.final.by_rank) == {2}
+        assert rank_set(trace.final) == {2}
         assert len(trace.final) == 1
 
 
@@ -356,6 +356,50 @@ class TestNormalizePair:
         assert report.violations == violations
         assert report.moved_pairs == moved
         assert not report.selection_failures
+
+    def test_sweep_records_a_push_that_fails_in_setup(self, monkeypatch):
+        # the pushes of {{1}} and of {{}}, which steps through {{1}}, fail
+        # while the table is built, so it holds no trace for them; each
+        # crossing pair with one of them raises again in normalize_pair
+        # and is recorded there
+        from sperner import verifier
+        real = normalize._step
+
+        def failing(n, members, up):
+            if (n, members) == (3, (1,)):
+                raise SelectionError("up", 1, 1, 0)
+            return real(n, members, up)
+
+        verifier._pair_sweep_setup.cache_clear()
+        monkeypatch.setattr(normalize, "_step", failing)
+        try:
+            report = verifier.normalization_pair_sweep(3)
+        finally:
+            verifier._pair_sweep_setup.cache_clear()
+        assert report.crossing_pairs == 90
+        assert len(report.selection_failures) == 7 and not report.violations
+        assert not report.passed
+
+    def test_sweep_reports_a_set_and_its_complement(self, monkeypatch):
+        # with every misser row empty each pair reads as crossing, so the
+        # pairs that hold a set on one side and its complement on the
+        # other must come out as complement violations
+        from sperner import verifier
+        verifier._walk_table(2)  # built from _missers' rows: cache it first
+        verifier._pair_sweep_setup.cache_clear()
+        monkeypatch.setattr(verifier, "_missers",
+                            lambda n, holders: [0] * (1 << n))
+        try:
+            report = verifier.normalization_pair_sweep(2)
+        finally:
+            verifier._pair_sweep_setup.cache_clear()
+        fams = list(verifier.enumerate_antichains(2))
+        expected = {(a.sets(), b.sets())
+                    for i, a in enumerate(fams) for b in fams[i:]
+                    if any(0b11 ^ x in b.members for x in a.members)}
+        found = [v[1:] for v in report.violations if v[0] == "complement"]
+        assert expected and len(found) == len(expected)
+        assert set(found) == expected
 
     def test_sampled_pairs_n6(self):
         # the full n=6 pair space is out of reach (Dedekind(6)^2 pairs);

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fam
+from conftest import fam, rank_set, with_oversize_family
 from sperner import verifier
 from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
                              window_minimality_report)
@@ -252,7 +252,7 @@ class TestEnumeration:
         band = {a for a in middle_band_antichains(n, 0)}
         expected = set()
         for f in enumerate_antichains(n):
-            if f.members and not set(f.by_rank) <= {2, 3}:
+            if f.members and not rank_set(f) <= {2, 3}:
                 continue
             expected.add(tuple(sorted(f.members)))
         assert {tuple(sorted(a)) for a in band} == expected
@@ -356,22 +356,66 @@ class TestCensus:
         assert set(census.raw_optimum) == {(lo, hi), (hi, lo)}
         assert census.ordered_count_near == 70
 
-    def test_n6_census_draws_few_antichains(self, monkeypatch):
-        # the rows walk and the transversal walks, not every antichain of
-        # the old Sperner floor (83 619 of them at n=6)
-        walk = verifier.antichain_mask_tuples
-        drawn = []
+    @staticmethod
+    def census_work(monkeypatch, n, seed_best=None):
+        """Run the census of {1..n} (or, given seed_best, its scan alone
+        with that seed) with its walks and row reads counted.  Returns the
+        scan's (best, buckets, incomplete) and the work: rows, transversal
+        walks, antichains those walks draw, and rows scanned.  The first
+        walk is the rows walk, every later one a transversal walk, and the
+        scan reads each row through one _or_rows call."""
+        walk, or_rows, scan = (verifier.antichain_mask_tuples,
+                               verifier._or_rows, verifier._census_scan)
+        drawn, scanned, result = [], [0], []
 
-        def counted(universe, min_size=0):
+        def counted_walk(universe, min_size=0):
             drawn.append(0)
             for masks in walk(universe, min_size):
                 drawn[-1] += 1
                 yield masks
 
-        monkeypatch.setattr(verifier, "antichain_mask_tuples", counted)
-        census = max_cross_sum(6)
-        assert census.optimum == 35 and census.ordered_count_near == 70
-        assert sum(drawn) < 10_000
+        def counted_or_rows(rows, indices):
+            scanned[0] += 1
+            return or_rows(rows, indices)
+
+        def kept_scan(*args):
+            result.append(scan(*args))
+            return result[-1]
+
+        monkeypatch.setattr(verifier, "antichain_mask_tuples", counted_walk)
+        monkeypatch.setattr(verifier, "_or_rows", counted_or_rows)
+        monkeypatch.setattr(verifier, "_census_scan", kept_scan)
+        if seed_best is None:
+            max_cross_sum(n)
+        else:
+            verifier._census_scan(n, None, seed_best)
+        return result[0], (drawn[0], len(drawn) - 1, sum(drawn[1:]), scanned[0])
+
+    # per n: rows, transversal walks, antichains those walks draw, and
+    # rows scanned
+    WORK = {1: (2, 2, 3, 2), 2: (5, 1, 2, 5), 3: (2, 2, 4, 2),
+            4: (7, 7, 11, 7), 5: (2, 2, 11, 2), 6: (1381, 211, 36, 1381)}
+
+    @pytest.mark.parametrize("n", sorted(WORK))
+    def test_census_work(self, monkeypatch, n):
+        # the rows walk and the transversal walks, not every antichain of
+        # the old Sperner floor (83 619 of them at n=6); a looser pruning
+        # rule leaves every answer alone and changes these counts
+        assert self.census_work(monkeypatch, n)[1] == self.WORK[n]
+
+    @pytest.mark.parametrize("n,scanned", [(1, 2), (2, 5), (3, 2), (4, 7), (5, 2)])
+    def test_unseeded_scan_rows(self, monkeypatch, n, scanned):
+        # with no seed every antichain is a row, and the scan still stops
+        # at the first row too small to reach the running best - 1
+        _, (rows, _, _, read) = self.census_work(monkeypatch, n, seed_best=0)
+        assert rows == DEDEKIND[n] and read == scanned
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_buckets_hold_each_pair_once(self, monkeypatch, n):
+        (best, buckets, incomplete), _ = self.census_work(monkeypatch, n)
+        assert not incomplete and set(buckets) == {best, best - 1}
+        for pairs in buckets.values():
+            assert len({tuple(sorted(p)) for p in pairs}) == len(pairs)
 
     def test_budget_marks_incomplete(self):
         census = max_cross_sum(5, budget_seconds=0.0)
@@ -586,6 +630,16 @@ class TestSize4Classes:
         assert report["scanned"] == 168
         assert not report["oversize"]
         assert len(report["found_classes"]) == 4
+
+    def test_report_flags_an_oversize_family(self, monkeypatch):
+        # no antichain of {1..4} with a 1-set has 5 members; an enumeration
+        # that yields such a family anyway must fail the report
+        oversize = with_oversize_family(monkeypatch)
+        report = size4_antichain_classes_report()
+        assert report["scanned"] == 169 and report["eligible"] == 103
+        assert report["oversize"] == (oversize,)
+        assert len(report["found_classes"]) == 4
+        assert not report["match"]
 
     def test_examples(self):
         assert len(fam(4, (1,), (2, 3), (2, 4), (3, 4))) == 4
