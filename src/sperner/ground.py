@@ -44,16 +44,24 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of mask's set bits, ascending.  The scan runs in C
+    (bin and str.find), so the Python-level work is one step per set bit,
+    however wide the mask."""
+    digits = bin(mask)[:1:-1]  # lowest bit first
+    out = []
+    j = digits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = digits.find("1", j + 1)
+    return out
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-indexed elements of a mask, ascending."""
     if mask < 0:
         raise ValueError(f"a set mask is non-negative, got {mask}")
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    return tuple(b + 1 for b in _bits(mask))
 
 
 def complement(x: int, n: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ground import Family, check_ground, full_level
+from .ground import Family, _bits, check_ground, full_level
 
 LT, EQ, GT = -1, 0, 1
 
@@ -34,15 +34,7 @@ def rank(x: int) -> int:
     """Number of equal-size sets strictly preceding x in squashed order."""
     if x < 0:
         raise ValueError(f"a set mask is non-negative, got {x}")
-    idx = 0
-    i = 0
-    m = x
-    while m:
-        low = m & -m
-        i += 1
-        idx += comb(low.bit_length() - 1, i)
-        m ^= low
-    return idx
+    return sum(comb(b, i) for i, b in enumerate(_bits(x), 1))
 
 
 def _max_binom_arg(rem: int, i: int) -> int:

@@ -25,8 +25,8 @@ from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .ground import (Family, full_level, is_antichain, is_cross_intersecting,
-                     sort_members)
+from .ground import (Family, _bits, full_level, is_antichain,
+                     is_cross_intersecting, sort_members)
 
 MAX_ENUMERATION = 6
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -527,19 +527,6 @@ def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
 # split of the work does not depend on the worker count; with 16, a pool
 # of two finishes within about one stripe (1/16 of the run) of each other.
 PAIR_SWEEP_STRIPES = 16
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of mask's set bits, ascending.  The scan runs in C
-    (bin and str.find), so the Python-level work is one step per set bit,
-    however wide the mask."""
-    digits = bin(mask)[:1:-1]  # lowest bit first
-    out = []
-    j = digits.find("1")
-    while j >= 0:
-        out.append(j)
-        j = digits.find("1", j + 1)
-    return out
 
 
 def _or_rows(rows: Sequence[int], indices: Iterable[int]) -> int:

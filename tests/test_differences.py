@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from sperner import differences
 from sperner.differences import (CHECKS, check_all, check_lemma,
                                  damped_term_gain, hockey_stick, term_gain)
 
@@ -51,6 +52,25 @@ class TestHockeyStick:
             hockey_stick(-1, 2)
 
 
+# each case moves the one value a check reads at one point a single
+# step past the check's bound: an identity's left side up by one, a
+# ">=" value to one below its floor, a "< 0" value to 0.  Exactly that
+# instance is reported, so a check loosened by one step (">=" for "==",
+# a floor lowered by one, "<= 0" for "< 0") reports nothing
+ONE_STEP_PAST = [
+    ("3.2", "term_gain", (5, 2), -4, (5, 2)),  # 2*(-5) == C(5,1)*(-2)
+    ("3.4", "term_gain", (1, 1), -2, (3, 1, 1)),  # floor term_gain(2,1) = -1
+    ("3.5", "hockey_stick", (2, 2), 11, (2, 2)),  # C(5,2) = 10
+    ("3.6", "term_gain", (5, 3), 1, (4,)),  # 0 in the j=4 sum
+    ("3.7", "term_gain", (3, 3), 1, (3, 3)),  # 2 at n=3, the bound
+    # 2*(D(1,1,2) - D(2,1,2)) = 2*(1 - 0) against k+1 = 3
+    ("3.10", "_scaled_damped_gain", (2, 1, 2), 0, (2, 1, 1)),
+    ("3.11", "_scaled_damped_gain", (1, 1, 2), -2, (2, 1, 1)),  # floor -1
+    ("3.12", "_scaled_damped_gain", (2, 1, 2), 0, (2, 1)),  # -1 < 0
+    ("3.13", "_scaled_damped_gain", (4, 2, 3), -1, (3,)),  # -2 in the k=3 sum
+]
+
+
 class TestCatalogue:
     def test_known_ids(self):
         assert set(CHECKS) == {
@@ -91,6 +111,16 @@ class TestCatalogue:
         assert report.instances == 9
         assert report.limit == 10
         assert not report.violations
+
+    @pytest.mark.parametrize("check_id, helper, point, value, violation",
+                             ONE_STEP_PAST, ids=[c[0] for c in ONE_STEP_PAST])
+    def test_each_check_reports_one_step_past_its_bound(
+            self, monkeypatch, check_id, helper, point, value, violation):
+        real = getattr(differences, helper)
+        monkeypatch.setattr(differences, helper,
+                            lambda *args: value if args == point else real(*args))
+        report = check_lemma(check_id)
+        assert report.violations == (violation,)
 
     def test_check_all_runs_everything(self):
         reports = check_all(6)

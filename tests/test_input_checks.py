@@ -136,11 +136,8 @@ def _first_facet(mask):
     # C(i-1, i) = 0 removes nothing from the index
     ("sperner.squashed", "_max_binom_arg", lambda rem, i: i - 1,
      lambda: unrank(4, 2, 3), "unrank(4, 2, 3) gave 0b11 with remainder 3"),
-    ("sperner.differences", "comb", lambda a, b: a,
-     lambda: sys.modules["sperner.differences"].hockey_stick(2, 2),
-     "hockey stick r=2, k=2 does not telescope"),
 ], ids=["census-seed", "fresh-partition", "cascade-remainder",
-        "cascade-side-condition", "unrank", "hockey-stick"])
+        "cascade-side-condition", "unrank"])
 def test_self_check_raises(monkeypatch, module, helper, fake, call, message):
     monkeypatch.setattr(sys.modules[module], helper, fake)
     with pytest.raises(RuntimeError) as info:

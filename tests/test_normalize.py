@@ -294,6 +294,36 @@ class TestNormalizePair:
         monkeypatch.setattr(normalize, "normalize_pair", fresh)
         assert verifier.normalization_pair_sweep(4) == honest
 
+    # each case fakes one stepped side's final so that it still crosses
+    # the other final, {{1,4}}, and breaks exactly one clause of the
+    # soundness rule: the side's size, the band [2, 3] at n=4 from above
+    # or below, or the antichain property
+    @pytest.mark.parametrize("a_sets, fake_sets", [
+        (((4,),), ((1, 2), (3, 4))),
+        (((4,),), ((1, 2, 3, 4),)),
+        (((4,),), ((1,),)),
+        (((1,), (4,)), ((1, 4), (1, 2, 4))),
+    ], ids=["size", "band-ceiling", "band-floor", "antichain"])
+    def test_sweep_audits_each_soundness_clause(self, monkeypatch, a_sets,
+                                                fake_sets):
+        from sperner import verifier
+        a, b, fake = fam(4, *a_sets), fam(4, (1, 4)), fam(4, *fake_sets)
+        fams = verifier._pair_sweep_setup(4)[0]
+        assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
+        real = normalize.normalize_pair
+
+        def faking(x, y, validate=True):
+            ta, tb = real(x, y, validate=validate)
+            if (x, y) == (a, b):
+                assert ta.steps and tb.final == b
+                assert is_cross_intersecting(fake, tb.final)
+                ta = NormalizationTrace(ta.steps, fake)
+            return ta, tb
+
+        monkeypatch.setattr(normalize, "normalize_pair", faking)
+        report = verifier.normalization_pair_sweep(4)
+        assert report.violations == (("preservation", a.sets(), b.sets()),)
+
     def test_sweep_audits_an_unmoved_returned_trace(self, monkeypatch):
         # both sides lie in the band, so neither steps; a zero-step trace
         # of {{1,2}} whose final is {{1,4}} must fail the identity check

@@ -738,6 +738,20 @@ class TestSweeps:
         assert report.violations == ((6, 1, 1),
                                      (6, 1, "brute-force mismatch", 3, 1))
 
+    def test_last_shade_margin_is_strict(self, monkeypatch):
+        # a shade of 4 at n=6, m=4, on both routes, meets the bound
+        # exactly: (4-1)*8 == 6*4 is no strict margin
+        cascade = importlib.import_module("sperner.cascade")
+        real = cascade._segment_checks
+
+        def tied(n, k, up):
+            for check in real(n, k, up):
+                yield (4, 4, 4) if n == 6 and check[0] == 4 else check
+
+        monkeypatch.setattr(cascade, "_segment_checks", tied)
+        report = sweep_last_shade_margin(6)
+        assert report.violations == ((6, 4, 4),)
+
     def test_last_shade_margin_reports_a_lost_tie(self, monkeypatch):
         cascade = importlib.import_module("sperner.cascade")
         real = cascade.shade_of_last_bound
