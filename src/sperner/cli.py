@@ -207,7 +207,7 @@ def _cmd_normalization(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    from .verifier import extremal_report, max_sum_formula, near_extremal_report
+    from .verifier import extremal_report, near_extremal_report
     target, n, budget = args.target, args.n, args.budget_seconds
     # below these sizes the almost-extremal characterization does not
     # hold, so a FAIL there would not refute the claim
@@ -225,15 +225,15 @@ def _cmd_theorem(args) -> int:
                   f"{report['expected_ordered']}, found "
                   f"{report['found_ordered']}")
     census = report["census"]
-    formula = max_sum_formula(n)
-    lines = [f"n={census.n}  optimum={census.optimum}  formula={formula}",
+    lines = [f"n={census.n}  optimum={census.optimum}  "
+             f"formula={report['formula_value']}",
              detail]
     verdict = report["match"]
     if census.incomplete:
         # a cut census refutes nothing, so its text verdict is not FAIL
         lines.append("INCOMPLETE")
         verdict = None
-    code = _emit(args, lambda: _theorem_payload(report, formula), lines,
+    code = _emit(args, lambda: _theorem_payload(report), lines,
                  verdict=verdict, indent=2)
     if census.incomplete:
         print("search budget exhausted; results are partial", file=sys.stderr)
@@ -241,7 +241,7 @@ def _cmd_theorem(args) -> int:
     return code
 
 
-def _theorem_payload(report: dict, formula: int) -> dict:
+def _theorem_payload(report: dict) -> dict:
     """The JSON document of a theorem target; a near-extremal report adds
     its characterization."""
     census = report["census"]
@@ -252,7 +252,7 @@ def _theorem_payload(report: dict, formula: int) -> dict:
     payload = {
         "n": census.n,
         "optimum": census.optimum,
-        "formula_value": formula,
+        "formula_value": report["formula_value"],
         "match": report["match"],
         "optimal_pairs": sets(census.optimum_pairs),
         "near_optimal_pairs": sets(census.near_optimum_pairs),

@@ -38,11 +38,9 @@ m,last_set,new_shade,shade_size,lemma_1_9_bound_num,lemma_1_9_bound_den
 """
 
 
-def run_process(*argv, stdout=subprocess.PIPE, flags=(),
-                target=("-m", "sperner.cli")):
-    """The CLI (or another target) as its own interpreter, with this
-    checkout's sources."""
-    return subprocess.run([sys.executable, *flags, *target, *argv],
+def run_process(*argv, stdout=subprocess.PIPE, flags=()):
+    """The CLI as its own interpreter, with this checkout's sources."""
+    return subprocess.run([sys.executable, *flags, "-m", "sperner.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE,
                           env=checkout_env(), timeout=120)
 
@@ -308,6 +306,27 @@ class TestVerify:
         Draft202012Validator(CENSUS_SCHEMA).validate(payload)
         assert payload["match"] and payload["optimum"] == payload["formula_value"]
 
+    @pytest.mark.parametrize("n, optimum, counts, classes, near_classes", [
+        (1, 2, (1, 4, 1, 2), 1, 4),
+        (2, 3, (2, 9, 1, 6), 2, 6),
+        (3, 6, (1, 6, 1, 3), 1, 2),
+        (4, 10, (2, 20, 1, 10), 2, 4),
+        (5, 20, (1, 20, 1, 10), 1, 2),
+        (6, 35, (2, 70, 1, 35), 2, 4),
+    ])
+    def test_theorem_1_4_census_counts(self, capsys, n, optimum, counts,
+                                       classes, near_classes):
+        code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", str(n),
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["optimum"] == optimum
+        assert tuple(payload["counts"][key] for key in (
+            "ordered_optimum", "ordered_near",
+            "unordered_optimum", "unordered_near")) == counts
+        assert len(payload["optimal_pairs"]) == classes
+        assert len(payload["near_optimal_pairs"]) == near_classes
+
     def test_theorem_1_5(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem-1.5", "--n", "3",
                            "--format", "json")
@@ -571,13 +590,6 @@ class TestProcess:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
-
-    def test_census_summary_script(self):
-        proc = run_process("--max-n", "4",
-                           target=(str(REPO_ROOT / "scripts" / "census_summary.py"),))
-        assert proc.returncode == 0
-        lines = proc.stdout.decode().splitlines()
-        assert [line.split(":")[0] for line in lines] == ["n=3", "n=4"]
 
     def test_normalization_audit_under_optimize(self):
         # invariant checks are explicit raises, so -O runs the same audit

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import checkout_env, fam, rank_set
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
-from sperner import normalize
+from sperner import normalize, verifier
 from sperner.normalize import (NormalizationTrace, SelectionError, Step,
                                _normalized, _step, middle_band,
                                normalize_pair, normalize_to_middle,
@@ -15,6 +15,15 @@ from sperner.squashed import squash_compare
 
 
 EMPTY4 = Family(4, ())
+
+
+@pytest.fixture(autouse=True)
+def fresh_audit_table():
+    """Each test starts and ends with no cached audit table, so a table
+    built under a patch never reaches another test."""
+    verifier._pair_sweep_setup.cache_clear()
+    yield
+    verifier._pair_sweep_setup.cache_clear()
 
 
 class TestMiddleBand:
@@ -214,7 +223,6 @@ class TestNormalizePair:
             normalize_pair(fam(4, (1,), (1, 2)), b)
 
     def test_sweep_calls_normalize_pair_on_every_crossing_pair(self, monkeypatch):
-        from sperner import verifier
         calls = []
         real = normalize.normalize_pair
 
@@ -230,8 +238,6 @@ class TestNormalizePair:
     def test_sweep_audits_each_antichain_once(self, monkeypatch):
         # one is_antichain call per antichain, in the table's audit; the
         # stripes only read that table
-        from sperner import verifier
-        verifier._pair_sweep_setup.cache_clear()
         calls = []
         real = verifier.is_antichain
 
@@ -246,8 +252,6 @@ class TestNormalizePair:
 
     def test_sweep_builds_no_table_in_the_caller(self):
         # with a pool, only the worker processes build the audit table
-        from sperner import verifier
-        verifier._pair_sweep_setup.cache_clear()
         report = verifier.normalization_pair_sweep(4, workers=2)
         assert report.antichains == 168
         assert verifier._pair_sweep_setup.cache_info().currsize == 0
@@ -263,7 +267,6 @@ class TestNormalizePair:
     ], ids=["off-diagonal", "diagonal"])
     def test_sweep_audits_the_trace_returned_for_each_pair(
             self, monkeypatch, a_sets, b_sets, side, fake_sets):
-        from sperner import verifier
         a, b, fake = fam(4, *a_sets), fam(4, *b_sets), fam(4, *fake_sets)
         fams = verifier._pair_sweep_setup(4)[0]
         assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
@@ -306,7 +309,6 @@ class TestNormalizePair:
     ], ids=["size", "band-ceiling", "band-floor", "antichain"])
     def test_sweep_audits_each_soundness_clause(self, monkeypatch, a_sets,
                                                 fake_sets):
-        from sperner import verifier
         a, b, fake = fam(4, *a_sets), fam(4, (1, 4)), fam(4, *fake_sets)
         fams = verifier._pair_sweep_setup(4)[0]
         assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
@@ -328,7 +330,6 @@ class TestNormalizePair:
         # both sides lie in the band, so neither steps; a zero-step trace
         # of {{1,2}} whose final is {{1,4}} must fail the identity check
         # on the one-partner path, not be counted as an unmoved pass
-        from sperner import verifier
         a, b = fam(4, (1, 2)), fam(4, (1, 3))
         real = normalize.normalize_pair
         honest = verifier.normalization_pair_sweep(4)
@@ -364,7 +365,6 @@ class TestNormalizePair:
     ], ids=["unsound", "disjoint-final", "diagonal"])
     def test_sweep_reads_a_corrupted_audit_row_by_row(
             self, monkeypatch, n, victim, fields, violations, moved):
-        from sperner import verifier
         victim = fam(n, *victim)
         real = verifier._audit
 
@@ -377,12 +377,8 @@ class TestNormalizePair:
             return (fields.get("sound", sound), fields.get("stepped", stepped),
                     final)
 
-        verifier._pair_sweep_setup.cache_clear()
         monkeypatch.setattr(verifier, "_audit", corrupted)
-        try:
-            report = verifier.normalization_pair_sweep(n)
-        finally:
-            verifier._pair_sweep_setup.cache_clear()
+        report = verifier.normalization_pair_sweep(n)
         assert report.violations == violations
         assert report.moved_pairs == moved
         assert not report.selection_failures
@@ -392,7 +388,6 @@ class TestNormalizePair:
         # while the table is built, so it holds no trace for them; each
         # crossing pair with one of them raises again in normalize_pair
         # and is recorded there
-        from sperner import verifier
         real = normalize._step
 
         def failing(n, members, up):
@@ -400,12 +395,8 @@ class TestNormalizePair:
                 raise SelectionError("up", 1, 1, 0)
             return real(n, members, up)
 
-        verifier._pair_sweep_setup.cache_clear()
         monkeypatch.setattr(normalize, "_step", failing)
-        try:
-            report = verifier.normalization_pair_sweep(3)
-        finally:
-            verifier._pair_sweep_setup.cache_clear()
+        report = verifier.normalization_pair_sweep(3)
         assert report.crossing_pairs == 90
         assert len(report.selection_failures) == 7 and not report.violations
         assert not report.passed
@@ -414,15 +405,10 @@ class TestNormalizePair:
         # with every misser row empty each pair reads as crossing, so the
         # pairs that hold a set on one side and its complement on the
         # other must come out as complement violations
-        from sperner import verifier
         verifier._walk_table(2)  # built from _missers' rows: cache it first
-        verifier._pair_sweep_setup.cache_clear()
         monkeypatch.setattr(verifier, "_missers",
                             lambda n, holders: [0] * (1 << n))
-        try:
-            report = verifier.normalization_pair_sweep(2)
-        finally:
-            verifier._pair_sweep_setup.cache_clear()
+        report = verifier.normalization_pair_sweep(2)
         fams = list(verifier.enumerate_antichains(2))
         expected = {(a.sets(), b.sets())
                     for i, a in enumerate(fams) for b in fams[i:]
@@ -495,7 +481,6 @@ class TestPushMemo:
         # the sweep calls normalize_pair on the table's own objects, so the
         # memo answers by two dict reads; a cache keyed by the family
         # hashed both sides of each of the 3 831 calls at n=4
-        from sperner import verifier
         calls = []
         real = Family.__hash__
 
@@ -503,14 +488,12 @@ class TestPushMemo:
             calls.append(1)
             return real(f)
 
-        verifier._pair_sweep_setup.cache_clear()
         monkeypatch.setattr(Family, "__hash__", counting)
         report = verifier.normalization_pair_sweep(4)
         assert report.antichains == 168
         assert len(calls) < report.antichains
 
     def test_pair_returns_the_table_traces(self):
-        from sperner import verifier
         assert verifier.normalization_pair_sweep(4).passed
         fams, traces = verifier._pair_sweep_setup(4)[:2]
         for f, t in zip(fams, traces):

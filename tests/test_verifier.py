@@ -585,6 +585,7 @@ class TestTheoremReports:
     def test_near_extremal(self, n, expected_ordered):
         report = near_extremal_report(n)
         assert report["match"]
+        assert report["formula_value"] == max_sum_formula(n)
         assert report["expected_ordered"] == expected_ordered
         assert not report["missing"] and not report["unexpected"]
 
