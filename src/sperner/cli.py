@@ -152,7 +152,8 @@ def _cmd_normalize(args) -> int:
     from .ground import Family, elements_of, format_family, format_set, read_family
     from .normalize import SelectionError, normalize_to_middle
     fam = read_family(args.family)
-    partner = read_family(args.partner) if args.partner else Family(fam.n, ())
+    partner = (Family(fam.n, ()) if args.partner is None
+               else read_family(args.partner))
     try:
         trace = normalize_to_middle(fam, partner)
     except SelectionError as exc:

@@ -636,23 +636,20 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     normalize_pair call on the table's own Family objects, so the memo
     on each object answers it with the table's traces by identity, with
     no hashing.  A pair whose call raises SelectionError is recorded as a
-    failure.  A pair whose call returns a trace that is not the table's
-    is odd: it is audited as a row of one partner, whose stepped, sound
-    and "finals miss" bits come from the audit of the traces returned,
-    so the audit always covers what normalize_pair returned for the pair,
-    the diagonal pair included.  The other partners form one row that
-    reads the table's audits: stepped, sound, and pushed[x], the partners
-    whose final misses the member x of i's final.
-
-    One rule audits every row: a pair moved if either side stepped, an
-    unmoved pair needs both sides sound, and a moved pair also needs the
-    two finals to cross.  Only violating pairs are decoded to sets.
+    failure.  Any other call must return the table's two traces, the two
+    families' own pushes (by identity, or by value after an identity
+    miss); anything else raises RuntimeError.  So _audit runs only in the
+    table, and one bitset row audits the partners that passed selection
+    by one rule, reading the table's stepped, sound, and pushed[x], the
+    partners whose final misses the member x of i's final: a pair moved
+    if either side stepped, an unmoved pair needs both sides sound, and a
+    moved pair also needs the two finals to cross.  Only violating pairs
+    are decoded to sets.
     """
     # imported when the stripe runs, so normalize runs only in a sweep and
     # a wrapper set on sperner.normalize.normalize_pair sees every pair
-    from .normalize import SelectionError, middle_band, normalize_pair
+    from .normalize import SelectionError, normalize_pair
     n, stripe, nstripes = args
-    band = middle_band(n)
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
@@ -670,42 +667,34 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
         opposite = _or_rows(contains, (full ^ x for x in fi.members))
         for j in _bits(partners & opposite):
             violations.append(("complement", fi.sets(), fams[j].sets()))
-        # each row: the audit of i's side, its partners, and the partners'
-        # stepped, sound and "finals miss" bits
-        rows = []
-        odd = 0
+        row = partners
         for j in _bits(partners):
             try:
                 ta, tb = normalize_pair(fi, fams[j], False)
             except SelectionError as exc:
-                odd |= 1 << j
+                row ^= 1 << j
                 failures.append((fi.sets(), fams[j].sets(), str(exc)))
                 continue
-            if ta is ti and tb is traces[j]:
-                continue
-            odd |= 1 << j
-            a = audits[i] if ta is ti else _audit(fi, ta, band)
-            b_sound, b_stepped, b_final = (audits[j] if tb is traces[j]
-                                           else _audit(fams[j], tb, band))
-            crosses = all(x & y for x in a[2] for y in b_final)
-            rows.append((a, 1 << j, b_stepped << j, b_sound << j,
-                         (not crosses) << j))
-        table = partners & ~odd
-        if table:
-            a = audits[i]
-            rows.append((a, table, stepped, sound, _or_rows(pushed, a[2])))
-        for (a_sound, a_stepped, _), row, row_stepped, row_sound, miss in rows:
-            # shifted pairs moved (a side stepped), still pairs did not
-            shifted = row if a_stepped else row & row_stepped
-            still = row ^ shifted
-            moved += shifted.bit_count()
-            if a_sound:
-                still &= ~row_sound
-                shifted &= ~row_sound | miss
-            for j in _bits(still):
-                violations.append(("identity", fi.sets(), fams[j].sets()))
-            for j in _bits(shifted):
-                violations.append(("preservation", fi.sets(), fams[j].sets()))
+            tj = traces[j]
+            if not ((ta is ti or ta == ti) and (tb is tj or tb == tj)):
+                raise RuntimeError(
+                    f"normalize_pair({fi.sets()}, {fams[j].sets()}) returned "
+                    "other traces than the two families' own pushes")
+        if not row:
+            # every partner failed selection, as all do when i's push did
+            continue
+        a_sound, a_stepped, a_final = audits[i]
+        # shifted pairs moved (a side stepped), still pairs did not
+        shifted = row if a_stepped else row & stepped
+        still = row ^ shifted
+        moved += shifted.bit_count()
+        if a_sound:
+            still &= ~sound
+            shifted &= ~sound | _or_rows(pushed, a_final)
+        for j in _bits(still):
+            violations.append(("identity", fi.sets(), fams[j].sets()))
+        for j in _bits(shifted):
+            violations.append(("preservation", fi.sets(), fams[j].sets()))
     return count, crossing, moved, failures, violations
 
 

@@ -254,6 +254,14 @@ class TestNormalizeCommand:
         assert data["ok"] and len(data["final"]) == 1
         assert all(len(s) == 3 for s in data["final"])
 
+    def test_empty_partner_path_rejected(self, capsys, tmp_path):
+        # an empty path names no partner file; it is not the empty family
+        f = tmp_path / "f.txt"
+        f.write_text("n=4\n{1}\n")
+        code, out, err = run(capsys, "normalize", "--family", str(f),
+                             "--partner", "")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_push_at_n13(self, capsys, tmp_path):
         # n=13 needs steps both ways; the final family it prints lies in
         # the middle band and keeps the family's size

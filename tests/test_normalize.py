@@ -1,3 +1,4 @@
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -259,13 +260,13 @@ class TestNormalizePair:
     # each case fakes one side's trace for a single pair.  Off the
     # diagonal, a sweep that takes the stored audit of {{4}} without
     # checking that the returned trace is the table's misses the fake.
-    # On the diagonal, both sides are the same antichain: the faked side
-    # must be audited apart from the honest one.
+    # On the diagonal, both sides are the same antichain.  Either way the
+    # result is not the two families' own pushes, so the sweep refuses it.
     @pytest.mark.parametrize("a_sets, b_sets, side, fake_sets", [
         (((4,),), ((1, 4),), 0, ((2, 3),)),
         (((2,),), ((2,),), 1, ((3, 4),)),
     ], ids=["off-diagonal", "diagonal"])
-    def test_sweep_audits_the_trace_returned_for_each_pair(
+    def test_sweep_refuses_a_result_other_than_the_pushes(
             self, monkeypatch, a_sets, b_sets, side, fake_sets):
         a, b, fake = fam(4, *a_sets), fam(4, *b_sets), fam(4, *fake_sets)
         fams = verifier._pair_sweep_setup(4)[0]
@@ -285,11 +286,11 @@ class TestNormalizePair:
             return tuple(traces)
 
         monkeypatch.setattr(normalize, "normalize_pair", faking)
-        report = verifier.normalization_pair_sweep(4)
-        assert report.violations == (("preservation", a.sets(), b.sets()),)
-        assert (report.crossing_pairs, report.moved_pairs) == (
-            honest.crossing_pairs, honest.moved_pairs)
+        pair = re.escape(f"normalize_pair({a.sets()}, {b.sets()})")
+        with pytest.raises(RuntimeError, match=pair):
+            verifier.normalization_pair_sweep(4)
 
+        # equal traces built apart are the pushes all the same
         def fresh(x, y, validate=True):
             return tuple(NormalizationTrace(t.steps, t.final)
                          for t in real(x, y, validate=validate))
@@ -297,53 +298,70 @@ class TestNormalizePair:
         monkeypatch.setattr(normalize, "normalize_pair", fresh)
         assert verifier.normalization_pair_sweep(4) == honest
 
-    # each case fakes one stepped side's final so that it still crosses
-    # the other final, {{1,4}}, and breaks exactly one clause of the
-    # soundness rule: the side's size, the band [2, 3] at n=4 from above
-    # or below, or the antichain property
-    @pytest.mark.parametrize("a_sets, fake_sets", [
+    @staticmethod
+    def _sweep_with_faked_push(monkeypatch, victim, fake_trace):
+        """The n=4 sweep with victim's push replaced by fake_trace, which
+        is not stored on the victim: the table and normalize_pair's memo
+        miss both read it from the patched _normalized.  Returns the
+        report and the honest one, whose table pushed every antichain."""
+        honest = verifier.normalization_pair_sweep(4)
+        verifier._pair_sweep_setup.cache_clear()
+        real = normalize._normalized
+
+        def faking(f):
+            return fake_trace if f == victim else real(f)
+
+        monkeypatch.setattr(normalize, "_normalized", faking)
+        return verifier.normalization_pair_sweep(4), honest
+
+    @staticmethod
+    def _pairs_holding(victim):
+        """The crossing pairs (a, b), a no later than b in the sweep's
+        order, that hold victim, each with whether a side's push steps."""
+        fams = list(verifier.enumerate_antichains(victim.n))
+        return [(a, b, bool(_normalized(a).steps or _normalized(b).steps))
+                for i, a in enumerate(fams) for b in fams[i:]
+                if victim in (a, b) and is_cross_intersecting(a, b)]
+
+    # each case fakes the final of one stepped family's push so that it
+    # breaks exactly one clause of the soundness rule: the size, the band
+    # [2, 3] at n=4 from above or below, or the antichain property.  Every
+    # crossing pair that holds the family then fails preservation.
+    @pytest.mark.parametrize("victim_sets, fake_sets", [
         (((4,),), ((1, 2), (3, 4))),
         (((4,),), ((1, 2, 3, 4),)),
         (((4,),), ((1,),)),
         (((1,), (4,)), ((1, 4), (1, 2, 4))),
     ], ids=["size", "band-ceiling", "band-floor", "antichain"])
-    def test_sweep_audits_each_soundness_clause(self, monkeypatch, a_sets,
-                                                fake_sets):
-        a, b, fake = fam(4, *a_sets), fam(4, (1, 4)), fam(4, *fake_sets)
-        fams = verifier._pair_sweep_setup(4)[0]
-        assert fams.index(a) <= fams.index(b)  # the sweep calls (a, b)
-        real = normalize.normalize_pair
-
-        def faking(x, y, validate=True):
-            ta, tb = real(x, y, validate=validate)
-            if (x, y) == (a, b):
-                assert ta.steps and tb.final == b
-                assert is_cross_intersecting(fake, tb.final)
-                ta = NormalizationTrace(ta.steps, fake)
-            return ta, tb
-
-        monkeypatch.setattr(normalize, "normalize_pair", faking)
-        report = verifier.normalization_pair_sweep(4)
-        assert report.violations == (("preservation", a.sets(), b.sets()),)
+    def test_sweep_audits_each_soundness_clause(self, monkeypatch,
+                                                victim_sets, fake_sets):
+        victim, fake = fam(4, *victim_sets), fam(4, *fake_sets)
+        steps = _normalized(victim).steps
+        assert steps
+        report, honest = self._sweep_with_faked_push(
+            monkeypatch, victim, NormalizationTrace(steps, fake))
+        pairs = self._pairs_holding(victim)
+        assert pairs
+        assert report.violations == tuple(sorted(
+            ("preservation", a.sets(), b.sets()) for a, b, _ in pairs))
+        assert (report.crossing_pairs, report.moved_pairs) == (
+            honest.crossing_pairs, honest.moved_pairs)
+        assert not report.selection_failures
 
     def test_sweep_audits_an_unmoved_returned_trace(self, monkeypatch):
-        # both sides lie in the band, so neither steps; a zero-step trace
-        # of {{1,2}} whose final is {{1,4}} must fail the identity check
-        # on the one-partner path, not be counted as an unmoved pass
-        a, b = fam(4, (1, 2)), fam(4, (1, 3))
-        real = normalize.normalize_pair
-        honest = verifier.normalization_pair_sweep(4)
-
-        def faking(x, y, validate=True):
-            ta, tb = real(x, y, validate=validate)
-            if (x, y) == (a, b):
-                assert not (ta.steps or tb.steps)
-                ta = NormalizationTrace((), fam(4, (1, 4)))
-            return ta, tb
-
-        monkeypatch.setattr(normalize, "normalize_pair", faking)
-        report = verifier.normalization_pair_sweep(4)
-        assert report.violations == (("identity", a.sets(), b.sets()),)
+        # {{1,2}} lies in the band, so its push takes no step; a zero-step
+        # push whose final is {{1,4}} must fail the identity check with
+        # every partner that does not move either, the empty family
+        # among them, and preservation with every partner that moves
+        victim = fam(4, (1, 2))
+        report, honest = self._sweep_with_faked_push(
+            monkeypatch, victim, NormalizationTrace((), fam(4, (1, 4))))
+        pairs = self._pairs_holding(victim)
+        expected = tuple(sorted(
+            ("preservation" if moved else "identity", a.sets(), b.sets())
+            for a, b, moved in pairs))
+        assert ("identity", (), ((1, 2),)) in expected
+        assert report.violations == expected
         assert (report.crossing_pairs, report.moved_pairs) == (
             honest.crossing_pairs, honest.moved_pairs)
 

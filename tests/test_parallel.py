@@ -1,0 +1,37 @@
+import concurrent.futures
+
+import pytest
+
+from sperner.parallel import parallel_map
+
+
+class NoPool(Exception):
+    pass
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make building a process pool raise NoPool."""
+    def refuse(*args, **kwargs):
+        raise NoPool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_keep_input_order(workers):
+    assert parallel_map(abs, [-3, 1, -2, 5, -4], workers) == [3, 1, 2, 5, 4]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_input(workers):
+    assert parallel_map(abs, [], workers) == []
+
+
+def test_one_item_builds_no_pool(no_pool):
+    assert parallel_map(abs, [-7], workers=2) == [7]
+
+
+def test_two_items_build_a_pool(no_pool):
+    with pytest.raises(NoPool):
+        parallel_map(abs, [-7, 8], workers=2)
