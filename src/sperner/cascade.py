@@ -144,10 +144,6 @@ class CascadeRep(NamedTuple):
     def value(self) -> int:
         return sum(comb(a, i) for a, i in self.terms)
 
-    def shifted_sum(self, shift: int) -> int:
-        """Sum of C(a_i, i + shift) over the terms."""
-        return sum(comb(a, i + shift) for a, i in self.terms)
-
     def __str__(self) -> str:
         return "+".join(f"C({a},{i})" for a, i in self.terms)
 
@@ -186,7 +182,7 @@ def kkt_shadow_bound(m: int, k: int) -> int:
     attained exactly by the first m k-sets in squashed order (0 at m = 0)."""
     if m == 0 and k >= 1:
         return 0
-    return cascade(m, k).shifted_sum(-1)
+    return sum(comb(a, i - 1) for a, i in cascade(m, k).terms)
 
 
 def _check_segment(m: int, n: int, k: int, up: bool) -> None:

@@ -230,9 +230,10 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     The pushes are memoized on the Family objects (see _normalized):
     each object passed in is pushed once, and every later call with it
     returns that same trace object.  Equal families built apart each keep
-    their own, equal, trace.  Validation runs on every call, before the
-    memo is read; a hit is two instance-dict reads, so no family is
-    hashed or compared."""
+    their own, equal, trace.  With `validate` (the default) the pair is
+    checked before the memo is read; the all-pairs audit passes False,
+    since its pairs are crossing antichains by construction.  A hit is
+    two instance-dict reads, so no family is hashed or compared."""
     if validate:
         _validate(a, b)
     try:

@@ -10,7 +10,6 @@ enumerating the level.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .ground import Family, _bits, check_ground, full_level
@@ -72,9 +71,8 @@ def unrank(n: int, k: int, index: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
 def level_masks(n: int, k: int) -> tuple[int, ...]:
-    """The whole level, squashed order; cached (errors for n > 20)."""
+    """The whole level, squashed order (errors for n > 20)."""
     return full_level(n, k).members
 
 

@@ -25,6 +25,16 @@ def fam(n, *sets):
     return Family.from_sets(n, sets)
 
 
+def greedy_antichain(n, masks):
+    """The family of the masks, each kept when incomparable with every
+    mask kept before it; comparability by plain bit tests."""
+    kept = []
+    for m in masks:
+        if all(m & ~o and o & ~m for o in kept):
+            kept.append(m)
+    return Family.from_masks(n, kept)
+
+
 def rank_set(f):
     """The member sizes of a family, as a set."""
     return {m.bit_count() for m in f.members}

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line with its elapsed time.  Budgets that the criteria state are asserted
 too.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+Only criteria 1, 5, 6 and 8 check shade_table(4)'s rows, kkt_oracle_mismatches
+up to n = 10, sweep_shadow_excess(13) and window_minimality_report(8).
 """
 
 import time

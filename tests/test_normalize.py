@@ -4,7 +4,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import checkout_env, fam, rank_set
+from conftest import checkout_env, fam, greedy_antichain, rank_set
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
 from sperner import normalize, verifier
@@ -170,17 +170,6 @@ class TestSelectionFailurePath:
 
 
 class TestNormalizePair:
-    def test_preserves_everything_exhaustively_n3(self):
-        from sperner.verifier import normalization_pair_sweep
-        report = normalization_pair_sweep(3)
-        assert report.passed
-        assert not report.selection_failures
-        assert report.crossing_pairs == 90
-
-    def test_worker_count_does_not_change_report(self):
-        from sperner.verifier import normalization_pair_sweep
-        assert normalization_pair_sweep(4) == normalization_pair_sweep(4, workers=2)
-
     def test_spawned_workers_give_the_same_report(self):
         # spawned workers share no memory with the parent: each builds the
         # sweep tables itself, and the report must not change
@@ -444,14 +433,9 @@ class TestNormalizePair:
         universe = (1 << 6) - 1
         checked = 0
         while checked < 2000:
-            def draw():
-                kept = []
-                for _ in range(rng.randint(0, 8)):
-                    m = rng.randint(0, universe)
-                    if all((m & ~o) and (o & ~m) for o in kept):
-                        kept.append(m)
-                return Family.from_masks(6, kept)
-            a, b = draw(), draw()
+            a, b = [greedy_antichain(6, [rng.randint(0, universe)
+                                         for _ in range(rng.randint(0, 8))])
+                    for _ in range(2)]
             if not is_cross_intersecting(a, b):
                 continue
             checked += 1
@@ -470,15 +454,7 @@ class TestNormalizePair:
         universe = st.integers(0, (1 << n) - 1)
         raw_a = data.draw(st.lists(universe, max_size=6), label="a")
         raw_b = data.draw(st.lists(universe, max_size=6), label="b")
-
-        def prune(masks):
-            kept = []
-            for m in masks:
-                if all((m & ~o) and (o & ~m) for o in kept):
-                    kept.append(m)
-            return Family.from_masks(n, kept)
-
-        a, b = prune(raw_a), prune(raw_b)
+        a, b = greedy_antichain(n, raw_a), greedy_antichain(n, raw_b)
         if not is_cross_intersecting(a, b):
             return
         try:
@@ -677,11 +653,6 @@ def outcome(fn, *args):
         return ("value", str(exc))
 
 
-def antichains(n):
-    from sperner.verifier import antichain_mask_tuples
-    return [Family.from_masks(n, c) for c in antichain_mask_tuples(range(1 << n))]
-
-
 class TestKernelAgainstReference:
     def assert_same(self, a, b):
         assert outcome(normalize_pair, a, b) == outcome(ref_normalize_pair, a, b)
@@ -689,7 +660,7 @@ class TestKernelAgainstReference:
                 == outcome(ref_normalize_to_middle, a, b))
 
     def test_every_ordered_crossing_pair_n4(self):
-        fams = antichains(4)
+        fams = list(verifier.enumerate_antichains(4))
         kinds = set()
         for a in fams:
             for b in fams:
@@ -702,7 +673,7 @@ class TestKernelAgainstReference:
     def test_seeded_sample_n5(self):
         import random
         rng = random.Random(5)
-        fams = antichains(5)
+        fams = list(verifier.enumerate_antichains(5))
         checked = 0
         while checked < 2000:
             a, b = rng.choice(fams), rng.choice(fams)
@@ -714,7 +685,7 @@ class TestKernelAgainstReference:
         # at odd n=5 only {1,...,5} lies above the band, so down steps and
         # the partner-size check are too rare for the sample to reach
         top = fam(5, (1, 2, 3, 4, 5))
-        for b in antichains(5):
+        for b in verifier.enumerate_antichains(5):
             if is_cross_intersecting(top, b):
                 self.assert_same(top, b)
                 self.assert_same(b, top)
@@ -729,12 +700,8 @@ class TestKernelAgainstReference:
         full = Family(n, ((1 << n) - 1,))
         for _ in range(10):
             for ranks in ((1, 2, 3), (n - 3, n - 2, n - 1)):
-                kept = []
-                for _ in range(rng.randint(1, 6)):
-                    x = sum(1 << e
-                            for e in rng.sample(range(n), rng.choice(ranks)))
-                    if all(independent(x, y) for y in kept):
-                        kept.append(x)
-                a = Family.from_masks(n, kept)
+                a = greedy_antichain(n, [
+                    sum(1 << e for e in rng.sample(range(n), rng.choice(ranks)))
+                    for _ in range(rng.randint(1, 6))])
                 self.assert_same(a, full)
                 self.assert_same(full, a)
