@@ -1,13 +1,7 @@
 import os
 from pathlib import Path
 
-from hypothesis import settings
-
 from sperner.ground import Family
-
-# fixed seed / derandomized runs so the suite is reproducible everywhere
-settings.register_profile("fixed", settings(derandomize=True, max_examples=100))
-settings.load_profile("fixed")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -188,8 +188,7 @@ class TestClosedFormBounds:
                     m = rng.randint(1, len(lv))
                     members = rng.sample(lv, m)
                     f = Family(n, tuple(members))
-                    if k >= 1:
-                        assert len(shadow(f)) >= kkt_shadow_bound(m, k)
+                    assert len(shadow(f)) >= kkt_shadow_bound(m, k)
                     if k <= n - 1:
                         assert len(shade(f)) >= shade_of_last_bound(m, n, k)
 

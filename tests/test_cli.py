@@ -350,8 +350,10 @@ class TestVerify:
     def test_parity_mismatch(self, capsys):
         code, _, err = run(capsys, "verify", "theorem-1.5", "--n", "4")
         assert code == 2
+        assert "theorem-1.5 concerns odd ground sizes n >= 3" in err
         code, _, err = run(capsys, "verify", "theorem-1.6", "--n", "5")
         assert code == 2
+        assert "theorem-1.6 concerns even ground sizes n >= 4" in err
 
     @pytest.mark.parametrize("target,n,range_text", [
         ("theorem-1.5", "1", "odd ground sizes n >= 3"),
@@ -482,6 +484,7 @@ class TestSweepCommand:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "lemma-3.8", "--max-n", "15")
         assert code == 2
+        assert "supported n_max range is 3..13" in err
 
     @pytest.mark.parametrize("target,range_text", [
         ("lemma-3.8", "3..13"), ("lemma-3.14", "6..12")])

@@ -2,7 +2,6 @@ import re
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import checkout_env, fam, greedy_antichain, rank_set
 from sperner.ground import (Family, full_level, independent, is_antichain,
@@ -445,27 +444,6 @@ class TestNormalizePair:
             assert is_cross_intersecting(ta.final, tb.final)
             for f in (ta.final, tb.final):
                 assert all(lo <= m.bit_count() <= hi for m in f.members)
-
-    @settings(max_examples=200)
-    @given(st.data())
-    def test_random_pairs_preserved(self, data):
-        n = data.draw(st.integers(2, 6), label="n")
-        lo, hi = middle_band(n)
-        universe = st.integers(0, (1 << n) - 1)
-        raw_a = data.draw(st.lists(universe, max_size=6), label="a")
-        raw_b = data.draw(st.lists(universe, max_size=6), label="b")
-        a, b = greedy_antichain(n, raw_a), greedy_antichain(n, raw_b)
-        if not is_cross_intersecting(a, b):
-            return
-        try:
-            ta, tb = normalize_pair(a, b)
-        except SelectionError:
-            return  # loud failure is acceptable; absence is swept elsewhere
-        assert len(ta.final) == len(a) and len(tb.final) == len(b)
-        assert is_antichain(ta.final) and is_antichain(tb.final)
-        assert is_cross_intersecting(ta.final, tb.final)
-        for f in (ta.final, tb.final):
-            assert all(lo <= m.bit_count() <= hi for m in f.members)
 
 
 class TestPushMemo:

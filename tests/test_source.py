@@ -26,6 +26,27 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_tests_import_only_the_test_toolchain():
+    # tier-1 needs pytest and jsonschema and nothing else outside the
+    # standard library, so a property test must cover its range itself
+    allowed = set(sys.stdlib_module_names) | {"pytest", "jsonschema",
+                                              "sperner", "conftest"}
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == []
+
+
 def test_readme_module_table_matches_the_package():
     # one short row per module, so a module added or removed shows in the
     # README, and how a module works stays in its docstrings

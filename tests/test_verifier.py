@@ -5,7 +5,6 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import fam, rank_set, with_oversize_family
 from sperner import verifier
@@ -205,10 +204,22 @@ class TestEnumeration:
         assert list(antichain_mask_tuples(range(64), min_size)) \
             == list(reference_walk(range(64), min_size))
 
-    @given(st.lists(st.integers(0, 31), max_size=24), st.integers(0, 7))
-    def test_walk_order_matches_reference_on_drawn_universes(self, universe, min_size):
-        assert list(antichain_mask_tuples(universe, min_size)) \
-            == list(reference_walk(universe, min_size))
+    def test_walk_order_matches_reference_on_every_universe_of_n3(self):
+        # every subfamily of the power set of {1..3}, as a candidate set
+        for pick in range(1 << 8):
+            universe = [s for s in range(8) if pick >> s & 1]
+            for min_size in range(5):
+                assert list(antichain_mask_tuples(universe, min_size)) \
+                    == list(reference_walk(universe, min_size))
+
+    def test_walk_order_matches_reference_on_drawn_universes(self):
+        # one seeded sample: 0..24 draws from 0..31, repeats allowed
+        rng = random.Random(32)
+        for _ in range(200):
+            universe = [rng.randrange(32) for _ in range(rng.randint(0, 24))]
+            for min_size in range(8):
+                assert list(antichain_mask_tuples(universe, min_size)) \
+                    == list(reference_walk(universe, min_size))
 
     @pytest.mark.parametrize("n", range(10))
     def test_walk_table_against_brute_force(self, n):
