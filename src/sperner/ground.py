@@ -9,8 +9,9 @@ to single bit operations.  Families keep their members sorted by
 from __future__ import annotations
 
 from functools import total_ordering
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
+from threading import Lock
 from typing import Iterable, Iterator
 
 MAX_GROUND = 60        # keeps every C(n,k) inside 64-bit range
@@ -44,23 +45,34 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+# _bits' index list 0, 1, 2, ..., grown on demand to the widest mask seen;
+# the lock keeps two threads from both appending the same indices
+_BIT_INDEX: list[int] = []
+_BIT_INDEX_GROWTH = Lock()
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int) -> list[int]:
-    """The indices of mask's set bits, ascending.  The scan runs in C
-    (bin and str.find), so the Python-level work is one step per set bit,
-    however wide the mask."""
-    digits = bin(mask)[:1:-1]  # lowest bit first
-    out = []
-    j = digits.find("1")
-    while j >= 0:
-        out.append(j)
-        j = digits.find("1", j + 1)
-    return out
+    """The indices of mask's set bits, ascending.  The whole scan runs in
+    C: bin() writes the digits, translate turns them into one flag byte
+    per bit, lowest first, and compress picks the flagged entries of the
+    shared index list.  So no Python step runs per bit, set or not, and
+    no int is built per scanned position.  An empty mask returns before
+    the scan; at n = 6 every row of the census's pair scan is one."""
+    if not mask:
+        return []
+    if mask < 0:
+        raise ValueError(f"a set mask is non-negative, got {mask}")
+    width = mask.bit_length()
+    if width > len(_BIT_INDEX):
+        with _BIT_INDEX_GROWTH:
+            _BIT_INDEX.extend(range(len(_BIT_INDEX), width))
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(_BIT_INDEX, flags))
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-indexed elements of a mask, ascending."""
-    if mask < 0:
-        raise ValueError(f"a set mask is non-negative, got {mask}")
     return tuple(b + 1 for b in _bits(mask))
 
 

@@ -31,8 +31,6 @@ def squash_compare(a: int, b: int) -> int:
 
 def rank(x: int) -> int:
     """Number of equal-size sets strictly preceding x in squashed order."""
-    if x < 0:
-        raise ValueError(f"a set mask is non-negative, got {x}")
     return sum(comb(b, i) for i, b in enumerate(_bits(x), 1))
 
 

@@ -630,21 +630,25 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     associatively across stripes.
 
     Row i works on bitsets over antichain indices.  Its partners, the
-    j >= i that cross fams[i], are those with no member that misses a
+    j <= i that cross fams[i], are those with no member that misses a
     member of fams[i]: the complement of the OR of missers[x] over the
-    members x of fams[i].  Only their set bits are visited, each by one
-    normalize_pair call on the table's own Family objects, so the memo
-    on each object answers it with the table's traces by identity, with
-    no hashing.  A pair whose call raises SelectionError is recorded as a
-    failure.  Any other call must return the table's two traces, the two
-    families' own pushes (by identity, or by value after an identity
-    miss); anything else raises RuntimeError.  So _audit runs only in the
-    table, and one bitset row audits the partners that passed selection
-    by one rule, reading the table's stepped, sound, and pushed[x], the
-    partners whose final misses the member x of i's final: a pair moved
-    if either side stepped, an unmoved pair needs both sides sound, and a
-    moved pair also needs the two finals to cross.  Only violating pairs
-    are decoded to sets.
+    members x of fams[i].  Taking them below i, not above, starts the
+    row at bit 0, so decoding it scans i + 1 positions, not all of them.
+    Only their set bits are visited, each by one normalize_pair(fams[j],
+    fams[i]) call, and failures and violations name the pair in that
+    order too, so each unordered pair is called and reported once, lower
+    index first.  The calls take the table's own Family objects, so the
+    memo on each object answers them with the table's traces by
+    identity, with no hashing.  A pair whose call raises SelectionError
+    is recorded as a failure.  Any other call must return the table's
+    two traces, the two families' own pushes (by identity, or by value
+    after an identity miss); anything else raises RuntimeError.  So
+    _audit runs only in the table, and one bitset row audits the
+    partners that passed selection by one rule, reading the table's
+    stepped, sound, and pushed[x], the partners whose final misses the
+    member x of i's final: a pair moved if either side stepped, an
+    unmoved pair needs both sides sound, and a moved pair also needs the
+    two finals to cross.  Only violating pairs are decoded to sets.
     """
     # imported when the stripe runs, so normalize runs only in a sweep and
     # a wrapper set on sperner.normalize.normalize_pair sees every pair
@@ -653,32 +657,31 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
-    everything = (1 << count) - 1
     full = (1 << n) - 1
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
     for i in range(stripe, count, nstripes):
         fi, ti = fams[i], traces[i]
-        partners = (everything >> i << i) & ~_or_rows(missers, fi.members)
+        partners = ((2 << i) - 1) & ~_or_rows(missers, fi.members)
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
         # together with its complement on the other side
         opposite = _or_rows(contains, (full ^ x for x in fi.members))
         for j in _bits(partners & opposite):
-            violations.append(("complement", fi.sets(), fams[j].sets()))
+            violations.append(("complement", fams[j].sets(), fi.sets()))
         row = partners
         for j in _bits(partners):
+            fj, tj = fams[j], traces[j]
             try:
-                ta, tb = normalize_pair(fi, fams[j], False)
+                ta, tb = normalize_pair(fj, fi, False)
             except SelectionError as exc:
                 row ^= 1 << j
-                failures.append((fi.sets(), fams[j].sets(), str(exc)))
+                failures.append((fj.sets(), fi.sets(), str(exc)))
                 continue
-            tj = traces[j]
-            if not ((ta is ti or ta == ti) and (tb is tj or tb == tj)):
+            if not ((ta is tj or ta == tj) and (tb is ti or tb == ti)):
                 raise RuntimeError(
-                    f"normalize_pair({fi.sets()}, {fams[j].sets()}) returned "
+                    f"normalize_pair({fj.sets()}, {fi.sets()}) returned "
                     "other traces than the two families' own pushes")
         if not row:
             # every partner failed selection, as all do when i's push did
@@ -692,9 +695,9 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
             still &= ~sound
             shifted &= ~sound | _or_rows(pushed, a_final)
         for j in _bits(still):
-            violations.append(("identity", fi.sets(), fams[j].sets()))
+            violations.append(("identity", fams[j].sets(), fi.sets()))
         for j in _bits(shifted):
-            violations.append(("preservation", fi.sets(), fams[j].sets()))
+            violations.append(("preservation", fams[j].sets(), fi.sets()))
     return count, crossing, moved, failures, violations
 
 

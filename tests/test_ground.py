@@ -1,11 +1,15 @@
+import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from conftest import checkout_env, fam
-from sperner.ground import (Family, complement, format_family, format_set,
-                            full_level, independent, is_antichain,
+from sperner import ground
+from sperner.ground import (Family, _bits, complement, format_family,
+                            format_set, full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
                             parse_set)
 
@@ -31,6 +35,63 @@ class TestComplement:
             complement(1 << 4, 4)
         with pytest.raises(ValueError):
             complement(0, 61)
+
+
+def reference_bits(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+class TestBits:
+    # each test starts _bits from an empty index list, so the list grows
+    # in the test and is not only read at a width another test left
+
+    def test_every_mask_below_2_12(self, monkeypatch):
+        monkeypatch.setattr(ground, "_BIT_INDEX", [])
+        assert _bits(0) == []
+        for m in range(1 << 12):
+            assert _bits(m) == reference_bits(m)
+
+    def test_seeded_wide_then_narrow(self, monkeypatch):
+        # up to three times the 7 581 bits of an n=5 audit row; the widest
+        # mask grows the index, the narrower ones read a prefix of it
+        monkeypatch.setattr(ground, "_BIT_INDEX", [])
+        rng = random.Random(35)
+        for width in (3 * 7581, 7581, 7580, 1000, 64, 63, 2, 1):
+            masks = [1 << (width - 1), (1 << width) - 1]
+            masks += [rng.getrandbits(width) | 1 << (width - 1)
+                      for _ in range(10)]
+            for m in masks:
+                assert _bits(m) == reference_bits(m)
+
+    def test_threads_widening_together_append_each_index_once(
+            self, monkeypatch):
+        # more threads than cores widen the shared index at once, each
+        # yielding its turn just after _bits reads the index's length; an
+        # unguarded growth then appends some indices twice
+        monkeypatch.setattr(ground, "_BIT_INDEX", [])
+
+        def yielding_len(x):
+            length = len(x)
+            time.sleep(0)
+            return length
+
+        monkeypatch.setattr(ground, "len", yielding_len, raising=False)
+        wrong = []
+
+        def widen():
+            for width in range(1, 300):
+                if _bits((1 << width) - 1) != list(range(width)):
+                    wrong.append(width)
+                    return
+
+        threads = [threading.Thread(target=widen) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert ground._BIT_INDEX == list(range(299))
 
 
 class TestIndependent:

@@ -8,8 +8,8 @@ import pytest
 
 from sperner.cascade import cascade, kkt_shadow_bound, new_shade, new_shadow
 from sperner.differences import check_lemma
-from sperner.ground import (Family, elements_of, format_set, full_level, mask_of,
-                            parse_family, parse_set)
+from sperner.ground import (Family, _bits, elements_of, format_set, full_level,
+                            mask_of, parse_family, parse_set)
 from sperner.normalize import (normalize_pair, normalize_to_middle,
                                push_down_max_rank, push_up_min_rank)
 from sperner.squashed import rank, unrank
@@ -51,6 +51,7 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "cannot parse set literal: '{1,2,x}'"),
     (lambda: parse_family("n=4\n1\u00b2\n"),
      "cannot parse set literal: '1\u00b2'"),
+    (lambda: _bits(-1), "a set mask is non-negative, got -1"),
     (lambda: elements_of(-1), "a set mask is non-negative, got -1"),
     (lambda: unrank(4, 5, 0), "level 5 out of range for n=4"),
     (lambda: rank(-1), "a set mask is non-negative, got -1"),
@@ -97,9 +98,9 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "parse_family-member-outside", "parse_family-header-not-int",
         "parse_family-header-underscore", "parse_family-header-unicode-digit",
         "parse_family-member-not-int", "parse_family-unicode-digit",
-        "elements_of-negative", "unrank-level", "rank-negative",
-        "kkt_shadow_bound-negative-m", "kkt_shadow_bound-level-0",
-        "new_shade-rank-n", "new_shadow-rank-0", "check_lemma-limit",
+        "_bits-negative", "elements_of-negative", "unrank-level",
+        "rank-negative", "kkt_shadow_bound-negative-m",
+        "kkt_shadow_bound-level-0", "new_shade-rank-n", "new_shadow-rank-0", "check_lemma-limit",
         "normalize_to_middle-partner", "push_up_min_rank-partner",
         "push_down_max_rank-partner",
         "normalize_pair-ground", "canonical_pair_key-ground",

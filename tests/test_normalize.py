@@ -212,17 +212,23 @@ class TestNormalizePair:
             normalize_pair(fam(4, (1,), (1, 2)), b)
 
     def test_sweep_calls_normalize_pair_on_every_crossing_pair(self, monkeypatch):
+        # once per unordered crossing pair, lower index first
+        fams = verifier._pair_sweep_setup(4)[0]
+        index = {f: k for k, f in enumerate(fams)}
         calls = []
         real = normalize.normalize_pair
 
-        def counting(a, b, validate=True):
-            calls.append(1)
+        def recording(a, b, validate=True):
+            calls.append((index[a], index[b]))
             return real(a, b, validate=validate)
 
-        monkeypatch.setattr(normalize, "normalize_pair", counting)
+        monkeypatch.setattr(normalize, "normalize_pair", recording)
         report = verifier.normalization_pair_sweep(4)
-        assert report.crossing_pairs == 3831
-        assert len(calls) == report.crossing_pairs
+        assert report.crossing_pairs == len(calls) == len(set(calls)) == 3831
+        assert [(i, j) for i, j in calls if i > j] == []
+        crossing = {(i, j) for j in range(len(fams)) for i in range(j + 1)
+                    if is_cross_intersecting(fams[i], fams[j])}
+        assert set(calls) == crossing
 
     def test_sweep_audits_each_antichain_once(self, monkeypatch):
         # one is_antichain call per antichain, in the table's audit; the

@@ -26,6 +26,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_bits_is_the_one_set_bit_decoder():
+    # ground._bits decodes set bits in C; a module that calls bin() itself
+    # is a second decoder, with its own handling of negative masks
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths if path.name != "ground.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "bin"]
+    assert found == []
+
+
 def test_tests_import_only_the_test_toolchain():
     # tier-1 needs pytest and jsonschema and nothing else outside the
     # standard library, so a property test must cover its range itself
