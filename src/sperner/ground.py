@@ -108,7 +108,7 @@ def parse_set(text: str, n: int | None = None) -> int:
         if not all(p.strip() for p in items):
             raise ValueError(f"set literal has an empty item: {text!r}")
         try:
-            elems = [_parse_int(e) for p in items for e in p.split()]
+            elems = [_parse_int(p.strip()) for p in items]
         except ValueError:
             raise ValueError(f"cannot parse set literal: {text!r}") from None
     else:

@@ -44,7 +44,8 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .cascade import _covers, _facets
-from .ground import Family, is_antichain, is_cross_intersecting, sort_members
+from .ground import (Family, check_ground, is_antichain, is_cross_intersecting,
+                     sort_members)
 
 
 class Step(NamedTuple):
@@ -74,6 +75,7 @@ class SelectionError(RuntimeError):
 
 def middle_band(n: int) -> tuple[int, int]:
     """Target rank band (lo, hi) = [ceil(n/2), ceil(n/2) + 1], capped at n."""
+    check_ground(n)
     lo = (n + 1) // 2
     return lo, min(lo + 1, n)
 

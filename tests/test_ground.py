@@ -257,6 +257,13 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="empty item"):
             parse_set(literal, 4)
 
+    @pytest.mark.parametrize("literal", ["{1 2}", "{1 2,3}"])
+    def test_set_literal_rejects_two_numbers_in_one_item(self, literal):
+        # a comma separates the elements; whitespace inside an item is not
+        # a second separator
+        with pytest.raises(ValueError, match="cannot parse set literal"):
+            parse_set(literal, 4)
+
     def test_format_round_trip(self):
         for n in (4, 9):
             for x in (0, mask_of([1]), mask_of([2, 3]), (1 << n) - 1):

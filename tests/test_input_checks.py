@@ -10,8 +10,9 @@ from sperner.cascade import cascade, kkt_shadow_bound, new_shade, new_shadow
 from sperner.differences import check_lemma
 from sperner.ground import (Family, _bits, elements_of, format_set, full_level,
                             mask_of, parse_family, parse_set)
-from sperner.normalize import (normalize_pair, normalize_to_middle,
-                               push_down_max_rank, push_up_min_rank)
+from sperner.normalize import (middle_band, normalize_pair,
+                               normalize_to_middle, push_down_max_rank,
+                               push_up_min_rank)
 from sperner.squashed import rank, unrank
 from sperner.verifier import (canonical_family_key, canonical_pair_key,
                               max_cross_sum, middle_band_antichains,
@@ -89,6 +90,8 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "budget must be >= 0 seconds, got -1"),
     (lambda: middle_band_antichains(5, 0),
      "middle band enumeration needs even n"),
+    (lambda: middle_band(0), "ground size must be in 1..60, got 0"),
+    (lambda: middle_band(61), "ground size must be in 1..60, got 61"),
 ], ids=["Family-outside-ground", "mask_of-zero", "parse_set-unterminated",
         "parse_set-not-digits", "parse_set-braced-not-int",
         "parse_set-unicode-digit", "parse_set-braced-plus",
@@ -107,7 +110,8 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "canonical_family_key-n7", "canonical_pair_key-n7",
         "normalization_pair_sweep-n6", "normalization_pair_sweep-workers-0",
         "normalization_pair_sweep-workers-negative", "max_cross_sum-budget-nan",
-        "max_cross_sum-budget-negative", "middle_band_antichains-odd"])
+        "max_cross_sum-budget-negative", "middle_band_antichains-odd",
+        "middle_band-n0", "middle_band-n61"])
 def test_bad_input_raises(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -118,8 +122,6 @@ def _first_facet(mask):
     yield mask ^ (mask & -mask)
 
 
-# the package attribute sperner.cascade is the function, so each module
-# is named by its sys.modules key
 @pytest.mark.parametrize("module,helper,fake,call,message", [
     ("sperner.verifier", "is_cross_intersecting", lambda a, b: False,
      lambda: max_cross_sum(3), "the n=3 census seed levels do not cross-intersect"),

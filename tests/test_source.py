@@ -131,40 +131,35 @@ def test_a_start_runs_only_the_layers_its_command_calls(argv, layers):
     assert _fresh(probe) == layers
 
 
-# the names `from sperner import *` gave when the package imported every
-# layer eagerly
-PUBLIC_NAMES = """
-    CascadeRep CheckReport Family NormalizationTrace SearchCensus
-    SelectionError canonical_family_key canonical_pair canonical_pair_key
-    cascade check_all check_lemma complement damped_term_gain differences
-    enumerate_antichains first_segment format_family format_set full_level
-    ground hockey_stick independent is_antichain is_cross_intersecting
-    kkt_shadow_bound last_segment level_masks local_shade_bound
-    local_shadow_bound max_cross_sum max_sum_formula middle_band new_shade
-    new_shadow normalize normalize_pair normalize_to_middle parallel
-    parse_family parse_set push_down_max_rank push_up_min_rank rank
-    read_family segment shade shade_of_last_bound shade_table shadow
-    squash_compare squashed term_gain unrank verifier""".split()
-
-
-def test_package_names_resolve_in_their_home_modules():
-    # the package serves its names on access, so a renamed or removed
-    # function would fail only where it is read; read every one here
+def test_every_layer_is_registered():
+    # the lazy start and the tracer's sys.modules lookups need every layer
+    # registered lazily, so __all__ names each module of src/sperner but
+    # cli, and no other name
     import sperner
-    for name, layer in sperner._HOME.items():
-        home = importlib.import_module(f"sperner.{layer}")
-        assert getattr(sperner, name) is getattr(home, name), name
-    star: dict = {}
-    exec("from sperner import *", star)
-    del star["__builtins__"]
-    assert sorted(star) == sorted(PUBLIC_NAMES)
-    for layer in LAYERS:
-        if layer != "cascade":
-            assert star[layer] is sys.modules[f"sperner.{layer}"]
-    # the name cascade is the k-binomial function, not its module
-    assert star["cascade"] is sys.modules["sperner.cascade"].cascade
-    with pytest.raises(AttributeError, match="no_such_name"):
-        sperner.no_such_name
+    modules = sorted(p.stem for p in SRC.glob("*.py")
+                     if p.stem not in ("__init__", "cli"))
+    assert sorted(sperner.__all__) == modules
+
+
+def test_package_serves_its_layers_unrun():
+    # every public name lives in its layer, so the package's namespace is
+    # the seven lazy modules, and reading them through it runs none
+    probe = "\n".join([
+        "import sys, types",
+        "star = {}",
+        "exec('from sperner import *', star)",
+        "del star['__builtins__']",
+        "print(*sorted(star))",
+        "print(all(module is sys.modules['sperner.' + name]",
+        "          and type(module) is not types.ModuleType",
+        "          for name, module in star.items()))",
+        "import sperner",
+        "try:",
+        "    sperner.no_such_name",
+        "except AttributeError:",
+        "    print('AttributeError')"])
+    assert _fresh(probe).split("\n") == [" ".join(sorted(LAYERS)), "True",
+                                         "AttributeError"]
 
 
 def test_cli_import_skips_process_pool():

@@ -1,4 +1,3 @@
-import importlib
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -7,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from conftest import fam, rank_set, with_oversize_family
-from sperner import verifier
+from sperner import cascade, verifier
 from sperner.cascade import (SweepReport, kkt_oracle_mismatches,
                              window_minimality_report)
 from sperner.ground import (Family, full_level, is_antichain,
@@ -42,7 +41,6 @@ def short_shadow_of_two(monkeypatch):
     # |shadow of the first 2 2-sets of {1..3}| read as 2, not 3: it
     # disagrees with the closed form and with the dual shade sizes, and
     # the window of the 2nd 2-set alone adds nothing
-    cascade = importlib.import_module("sperner.cascade")
     real = cascade._fresh_sizes
     monkeypatch.setattr(cascade, "_fresh_sizes", lambda n, k, up: [
         size - ((n, k, up, m) == (3, 2, False, 2))
@@ -659,7 +657,6 @@ class TestSweeps:
     def test_shadow_excess_brute_checks_every_n(self, monkeypatch):
         # a closed form off by one at n=11 (k=7) still clears m+2, so only
         # the brute-force comparison can see it
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade.kkt_shadow_bound
         monkeypatch.setattr(cascade, "kkt_shadow_bound",
                             lambda m, k: real(m, k) + (k == 7))
@@ -671,7 +668,6 @@ class TestSweeps:
     def test_last_shade_margin_brute_checks_every_n(self, monkeypatch):
         # raising the closed form at n=12 keeps the margin, so only the
         # brute-force comparison can see it
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade.shade_of_last_bound
         monkeypatch.setattr(cascade, "shade_of_last_bound",
                             lambda m, n, k: real(m, n, k) + (n == 12))
@@ -683,7 +679,6 @@ class TestSweeps:
     def test_last_shade_margin_reports_a_lost_margin(self, monkeypatch):
         # the closed form at n=6, m=1 lowered from 3 to 1: (1-1)*8 > 6*1
         # fails, and brute force still reads 3
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade.shade_of_last_bound
         monkeypatch.setattr(cascade, "shade_of_last_bound",
                             lambda m, n, k: real(m, n, k) - 2 * (n == 6 and m == 1))
@@ -694,7 +689,6 @@ class TestSweeps:
     def test_last_shade_margin_is_strict(self, monkeypatch):
         # a shade of 4 at n=6, m=4, on both routes, meets the bound
         # exactly: (4-1)*8 == 6*4 is no strict margin
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade._segment_checks
 
         def tied(n, k, up):
@@ -706,7 +700,6 @@ class TestSweeps:
         assert report.violations == ((6, 4, 4),)
 
     def test_last_shade_margin_reports_a_lost_tie(self, monkeypatch):
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade.shade_of_last_bound
         monkeypatch.setattr(cascade, "shade_of_last_bound",
                             lambda m, n, k: real(m, n, k) + (n == 4))
@@ -715,7 +708,6 @@ class TestSweeps:
         assert report.notes == ()
 
     def test_kkt_oracle_reports_a_closed_form_mismatch(self, monkeypatch):
-        cascade = importlib.import_module("sperner.cascade")
         real = cascade.shade_of_last_bound
         monkeypatch.setattr(cascade, "shade_of_last_bound",
                             lambda m, n, k: real(m, n, k) + (n == 3 and k == 1))
