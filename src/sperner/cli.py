@@ -84,11 +84,11 @@ def _segment_or_file(args):
     return full_level(args.n, args.k)
 
 
-def _cmd_shadow(args, direction: str) -> int:
+def _cmd_shadow(args) -> int:
     from .cascade import new_shade, new_shadow, shade, shadow
     from .ground import format_set
     fam = _segment_or_file(args)
-    if direction == "shadow":
+    if args.command == "shadow":
         out = new_shadow(fam) if args.new else shadow(fam)
     else:
         out = new_shade(fam) if args.new else shade(fam)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--new", action="store_true",
                        help="fresh contributions only (per squashed position)")
         add_format(p)
-        p.set_defaults(func=lambda a, _name=name: _cmd_shadow(a, _name))
+        p.set_defaults(func=_cmd_shadow)
 
     p_cascade = sub.add_parser("cascade", help="k-binomial representation")
     p_cascade.add_argument("m", type=int)

@@ -624,10 +624,10 @@ def _audit(f: Family, trace,
     return sound, stepped, m
 
 
-def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
-    """One stripe (i = stripe, stripe+nstripes, ...) of the all-pairs
-    normalization sweep, with the antichain count; results merge
-    associatively across stripes.
+def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
+    """One stripe (i = stripe, stripe + PAIR_SWEEP_STRIPES, ...) of the
+    all-pairs normalization sweep, with the antichain count; results
+    merge associatively across stripes.
 
     Row i works on bitsets over antichain indices.  Its partners, the
     j <= i that cross fams[i], are those with no member that misses a
@@ -653,7 +653,7 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     # imported when the stripe runs, so normalize runs only in a sweep and
     # a wrapper set on sperner.normalize.normalize_pair sees every pair
     from .normalize import SelectionError, normalize_pair
-    n, stripe, nstripes = args
+    n, stripe = args
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
@@ -661,7 +661,7 @@ def _pair_sweep_stripe(args: tuple[int, int, int]) -> tuple:
     crossing = moved = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
-    for i in range(stripe, count, nstripes):
+    for i in range(stripe, count, PAIR_SWEEP_STRIPES):
         fi, ti = fams[i], traces[i]
         partners = ((2 << i) - 1) & ~_or_rows(missers, fi.members)
         crossing += partners.bit_count()
@@ -734,7 +734,7 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     from .parallel import parallel_map
-    tasks = [(n, s, PAIR_SWEEP_STRIPES) for s in range(PAIR_SWEEP_STRIPES)]
+    tasks = [(n, s) for s in range(PAIR_SWEEP_STRIPES)]
     results = parallel_map(_pair_sweep_stripe, tasks, workers)
     antichains = results[0][0]
     crossing = sum(r[1] for r in results)

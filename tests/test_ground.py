@@ -139,18 +139,6 @@ class TestCrossIntersecting:
         with pytest.raises(ValueError):
             is_cross_intersecting(fam(4, (1,)), fam(5, (1,)))
 
-    def test_complement_exclusion_exhaustive_n4(self):
-        # crossing antichain pairs never contain a member plus its
-        # complement on the other side
-        from sperner.verifier import enumerate_antichains
-        fams = list(enumerate_antichains(4))
-        for a in fams:
-            for b in fams:
-                if not is_cross_intersecting(a, b):
-                    continue
-                bset = set(b.members)
-                assert not any(complement(x, 4) in bset for x in a.members)
-
 
 class TestFullLevel:
     def test_examples(self):

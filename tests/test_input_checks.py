@@ -41,15 +41,12 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
      "compact notation needs single-digit elements"),
     (lambda: parse_family("# only a comment\n"),
      "family file has no 'n=<int>' header"),
-    (lambda: parse_family("n=4\n{5}\n"), "set {5} uses elements outside 1..4"),
     (lambda: parse_family("n=x\n{1}\n"),
      "family file header must be 'n=<int>', got 'n=x'"),
     (lambda: parse_family("n=1_2\n"),
      "family file header must be 'n=<int>', got 'n=1_2'"),
     (lambda: parse_family("n=\u0664\n"),
      "family file header must be 'n=<int>', got 'n=\u0664'"),
-    (lambda: parse_family("n=4\n{1,2,x}\n"),
-     "cannot parse set literal: '{1,2,x}'"),
     (lambda: parse_family("n=4\n1\u00b2\n"),
      "cannot parse set literal: '1\u00b2'"),
     (lambda: _bits(-1), "a set mask is non-negative, got -1"),
@@ -98,9 +95,9 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
         "parse_set-braced-unicode-digit", "parse_set-braced-underscore",
         "parse_set-braced-zero", "parse_set-braced-negative",
         "format_set-compact-10", "parse_family-no-header",
-        "parse_family-member-outside", "parse_family-header-not-int",
+        "parse_family-header-not-int",
         "parse_family-header-underscore", "parse_family-header-unicode-digit",
-        "parse_family-member-not-int", "parse_family-unicode-digit",
+        "parse_family-unicode-digit",
         "_bits-negative", "elements_of-negative", "unrank-level",
         "rank-negative", "kkt_shadow_bound-negative-m",
         "kkt_shadow_bound-level-0", "new_shade-rank-n", "new_shadow-rank-0", "check_lemma-limit",

@@ -4,6 +4,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,14 +16,16 @@ SRC = ROOT / "src" / "sperner"
 
 
 def test_no_assert_statements():
-    # python -O strips assert statements, so an invariant the program
-    # relies on must be an explicit raise
+    # python -O strips assert statements and `if __debug__:` blocks, and
+    # nothing else, so with neither in the package -O runs the same code;
+    # an invariant the program relies on must be an explicit raise
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = [f"{path.name}:{node.lineno}"
              for path in paths
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
 
 
@@ -103,13 +106,14 @@ LAYERS = ("ground", "squashed", "cascade", "differences", "normalize",
           "parallel", "verifier")
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter holds module once it imports sperner.cli
+@lru_cache(maxsize=None)
+def _loaded_by_cli_import() -> frozenset[str]:
+    """The modules a fresh interpreter holds once it imports sperner.cli
     and then runs every layer module, as some command does."""
-    return _fresh("import importlib, sys, sperner.cli\n"
-                  f"for name in {LAYERS!r}:\n"
-                  "    importlib.import_module('sperner.' + name)\n"
-                  f"print({module!r} in sys.modules)") == "True"
+    return frozenset(_fresh("import importlib, sys, sperner.cli\n"
+                            f"for name in {LAYERS!r}:\n"
+                            "    importlib.import_module('sperner.' + name)\n"
+                            "print(*sys.modules)").split())
 
 
 @pytest.mark.parametrize("argv, layers", [
@@ -165,21 +169,21 @@ def test_package_serves_its_layers_unrun():
 def test_cli_import_skips_process_pool():
     # the pool machinery loads only when a run asks for workers, so a
     # plain CLI start does not pay for multiprocessing, pickle and socket
-    assert not _loaded_by_cli_import("concurrent.futures")
+    assert "concurrent.futures" not in _loaded_by_cli_import()
 
 
 def test_cli_import_skips_dataclasses():
     # dataclasses imports inspect, ast, dis and tokenize, and compiles the
     # methods it generates when each record class is defined, which every
     # CLI start would pay; the records are NamedTuples instead
-    assert not _loaded_by_cli_import("dataclasses")
+    assert "dataclasses" not in _loaded_by_cli_import()
 
 
 def test_cli_import_skips_fractions():
     # fractions imports decimal and numbers; only damped_term_gain, the
     # shade table and the local counting bounds build a Fraction, so they
     # import it when they run
-    assert not _loaded_by_cli_import("fractions")
+    assert "fractions" not in _loaded_by_cli_import()
 
 
 def test_lemma_checks_skip_fractions():

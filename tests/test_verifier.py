@@ -143,14 +143,6 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="oracle supports 1 <= n <= 6"):
             count_antichains_oracle(n)
 
-    def test_every_yield_is_an_antichain_and_unique(self):
-        for n in (3, 4):
-            seen = set()
-            for f in enumerate_antichains(n):
-                assert is_antichain(f)
-                assert f.members not in seen
-                seen.add(f.members)
-
     def test_n1_convention(self):
         fams = sorted(f.members for f in enumerate_antichains(1))
         assert fams == [(), (0,), (1,)]  # empty family, {emptyset}, {{1}}
@@ -165,12 +157,6 @@ class TestEnumeration:
         # raw mask-tuple walk (no Family materialization) stays fast
         count = sum(1 for _ in antichain_mask_tuples(range(1 << 6)))
         assert count == DEDEKIND[6]
-
-    def test_min_size_prune_consistent(self):
-        universe = list(range(1 << 4))
-        everything = [a for a in antichain_mask_tuples(universe) if len(a) >= 3]
-        pruned = list(antichain_mask_tuples(universe, min_size=3))
-        assert sorted(everything) == sorted(pruned)
 
     @pytest.mark.parametrize("min_size", [0, 2, 4])
     @pytest.mark.parametrize("name", sorted(WALK_UNIVERSES))
@@ -320,10 +306,6 @@ class TestCanonicalForms:
             assert orbit == images
             assert factorial(n) % len(orbit) == 0
 
-    def test_canonical_pair_materializes_representative(self):
-        a, b = canonical_pair(full_level(3, 2), fam(3, (1, 2)))
-        assert isinstance(a, Family) and isinstance(b, Family)
-
 
 class TestCensus:
     @staticmethod
@@ -386,15 +368,6 @@ class TestCensus:
         assert not incomplete and set(buckets) == {best, best - 1}
         for pairs in buckets.values():
             assert len({tuple(sorted(p)) for p in pairs}) == len(pairs)
-
-    def test_budget_marks_incomplete(self):
-        census = max_cross_sum(5, budget_seconds=0.0)
-        assert census.incomplete
-
-    def test_out_of_range(self):
-        for n in (-1, 0, 7):
-            with pytest.raises(ValueError, match=r"1 <= n <= 6"):
-                max_cross_sum(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_seed_floor_keeps_every_pair(self, n):
@@ -545,12 +518,6 @@ class TestOrbitClasses:
 
 
 class TestTheoremReports:
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_extremal(self, n):
-        report = extremal_report(n)
-        assert report["match"]
-        assert report["formula_value"] == max_sum_formula(n)
-
     @pytest.mark.parametrize("n,expected_ordered", [(3, 6), (4, 20), (5, 20)])
     def test_near_extremal(self, n, expected_ordered):
         report = near_extremal_report(n)
@@ -605,20 +572,8 @@ class TestSize4Classes:
         assert len(report["found_classes"]) == 4
         assert not report["match"]
 
-    def test_examples(self):
-        assert len(fam(4, (1,), (2, 3), (2, 4), (3, 4))) == 4
-        assert len(full_level(4, 1)) == 4
-        assert len(fam(4, (1,), (2, 3, 4))) == 2
-
 
 class TestSweeps:
-    def test_last_shade_margin(self):
-        report = sweep_last_shade_margin(12)
-        assert report.passed
-        assert report.notes  # the n=4, m=3 tie is confirmed
-        expected = sum(comb(n, n // 2) - 2 for n in (6, 8, 10, 12))
-        assert report.instances == expected
-
     def test_last_shade_margin_brute_cross_check(self):
         from sperner.cascade import shade, shade_of_last_bound
         from sperner.squashed import last_segment
