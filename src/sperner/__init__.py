@@ -7,9 +7,13 @@ Every public name lives in its layer module (``sperner.ground.Family``,
 ``sperner.cascade.cascade``); the package serves only the seven layers.
 Importing the package runs none of them: each is registered lazily and
 runs on its first attribute access, so a command runs only the layers it
-calls.  On Python 3.11 any attribute access runs a lazy module, so a
-layer that needs another layer only in some functions imports it inside
-them."""
+calls.  A module imports the layers it uses at its top, never inside a
+function: by name (``from .ground import Family``) a layer it needs
+whenever it runs, and as the lazy module (``from . import cascade``) a
+layer that only some of its functions call, through it
+(``cascade.shadow(f)``).  Binding a lazy layer does not run it, so this
+registry alone decides when a layer runs, and a call through it reads
+the layer's current attribute."""
 
 import importlib.util
 import sys

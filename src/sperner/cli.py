@@ -1,13 +1,16 @@
 """Command-line front end: order listing, shadow/shade queries, cascade
 display, the inequality-check catalogue, normalization, sweeps, and the
 exhaustive theorem verifications, with text/json/csv output.  Each
-handler imports the layers it calls, so a process runs only those."""
+handler calls its layers through their lazy modules, so a process runs
+only the layers its command calls."""
 
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+
+from . import cascade, differences, ground, normalize, squashed, verifier
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -24,8 +27,9 @@ def _emit(args, payload, lines=(), table=None, csv_table=None, verdict=None,
     document; it is called only for JSON, so text and CSV skip its cost.
     In text, `table` (headers, rows) is laid out in aligned columns above
     `lines`; without a table, a `verdict` closes the lines with PASS or
-    FAIL (a table carries its own status column).  CSV writes `csv_table`, by default `table`.  A false
-    verdict exits EXIT_CLAIM_FAILED, anything else EXIT_OK."""
+    FAIL (a table carries its own status column).  CSV writes
+    `csv_table`, by default `table`.  A false verdict exits
+    EXIT_CLAIM_FAILED, anything else EXIT_OK."""
     if args.format == "json":
         import json
         print(json.dumps(payload(), indent=indent))
@@ -54,17 +58,14 @@ def _emit(args, payload, lines=(), table=None, csv_table=None, verdict=None,
 
 
 def _cmd_order(args) -> int:
-    from .ground import format_set
     fam = _segment_or_file(args)
     return _emit(args, lambda: {"n": args.n, "k": args.k, "sets": fam.sets()},
-                 map(format_set, fam.members))
+                 map(ground.format_set, fam.members))
 
 
 def _segment_or_file(args):
     """The Family read from --family, the --first or --last segment of
     level k, or the whole level; at most one of the three options."""
-    from .ground import full_level, read_family
-    from .squashed import first_segment, last_segment
     given = [flag for flag, value in (("--family", args.family),
                                       ("--first", args.first),
                                       ("--last", args.last))
@@ -74,49 +75,46 @@ def _segment_or_file(args):
     if args.family is not None:
         if args.n is not None or args.k is not None:
             raise ValueError("--family and positional n and k are mutually exclusive")
-        return read_family(args.family)
+        return ground.read_family(args.family)
     if args.n is None or args.k is None:
         raise ValueError("give either --family or both n and k")
     if args.first is not None:
-        return first_segment(args.n, args.k, args.first)
+        return squashed.first_segment(args.n, args.k, args.first)
     if args.last is not None:
-        return last_segment(args.n, args.k, args.last)
-    return full_level(args.n, args.k)
+        return squashed.last_segment(args.n, args.k, args.last)
+    return ground.full_level(args.n, args.k)
 
 
 def _cmd_shadow(args) -> int:
-    from .cascade import new_shade, new_shadow, shade, shadow
-    from .ground import format_set
     fam = _segment_or_file(args)
     if args.command == "shadow":
-        out = new_shadow(fam) if args.new else shadow(fam)
+        out = cascade.new_shadow(fam) if args.new else cascade.shadow(fam)
     else:
-        out = new_shade(fam) if args.new else shade(fam)
+        out = cascade.new_shade(fam) if args.new else cascade.shade(fam)
     return _emit(args, lambda: {"n": fam.n, "size": len(out), "sets": out.sets()},
-                 map(format_set, out.members))
+                 map(ground.format_set, out.members))
 
 
 def _cmd_cascade(args) -> int:
-    from .cascade import cascade
-    rep = cascade(args.m, args.k)
+    rep = cascade.cascade(args.m, args.k)
     return _emit(args, lambda: {"m": args.m, "k": args.k,
                                 "terms": [list(t) for t in rep.terms]},
                  [str(rep)])
 
 
 def _cmd_table1(args) -> int:
-    from .cascade import shade_table
-    from .ground import elements_of, format_set
-    rows = shade_table(4)
-    cells = [[str(r.m), format_set(r.last_set, compact=True),
-              " ".join(format_set(s, compact=True) for s in r.new_shade) or "-",
+    rows = cascade.shade_table(4)
+    cells = [[str(r.m), ground.format_set(r.last_set, compact=True),
+              " ".join(ground.format_set(s, compact=True)
+                       for s in r.new_shade) or "-",
               str(r.shade_size)] for r in rows]
     headers = ["m", "last_set", "new_shade", "shade_size"]
     return _emit(
         args,
         lambda: [{"m": r.m,
-                  "last_set": list(elements_of(r.last_set)),
-                  "new_shade": [list(elements_of(s)) for s in r.new_shade],
+                  "last_set": list(ground.elements_of(r.last_set)),
+                  "new_shade": [list(ground.elements_of(s))
+                                for s in r.new_shade],
                   "shade_size": r.shade_size,
                   "bound": [r.bound.numerator, r.bound.denominator]}
                  for r in rows],
@@ -130,9 +128,8 @@ def _cmd_table1(args) -> int:
 def _cmd_lemmas(args) -> int:
     # an unknown --id is refused by check_lemma, so CHECKS stays the one
     # list of ids and building the parser does not run differences
-    from .differences import CHECKS, check_lemma
-    ids = list(CHECKS) if args.id is None else [args.id]
-    reports = [check_lemma(check_id, args.max) for check_id in ids]
+    ids = list(differences.CHECKS) if args.id is None else [args.id]
+    reports = [differences.check_lemma(check_id, args.max) for check_id in ids]
     rows = [[r.check_id, str(r.limit), str(r.instances),
              str(len(r.violations)), "pass" if r.passed else "FAIL"]
             for r in reports]
@@ -149,35 +146,32 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from .ground import Family, elements_of, format_family, format_set, read_family
-    from .normalize import SelectionError, normalize_to_middle
-    fam = read_family(args.family)
-    partner = (Family(fam.n, ()) if args.partner is None
-               else read_family(args.partner))
+    fam = ground.read_family(args.family)
+    partner = (ground.Family(fam.n, ()) if args.partner is None
+               else ground.read_family(args.partner))
     try:
-        trace = normalize_to_middle(fam, partner)
-    except SelectionError as exc:
+        trace = normalize.normalize_to_middle(fam, partner)
+    except normalize.SelectionError as exc:
         print(f"selection failure: {exc}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
     steps = [f"step {i}: {s.direction} from rank {s.rank}: "
-             f"removed {' '.join(map(format_set, s.removed))}; "
-             f"inserted {' '.join(map(format_set, s.inserted))}"
+             f"removed {' '.join(map(ground.format_set, s.removed))}; "
+             f"inserted {' '.join(map(ground.format_set, s.inserted))}"
              for i, s in enumerate(trace.steps, 1)]
     return _emit(args,
                  lambda: {
                      "ok": True,
                      "steps": [{"direction": s.direction, "rank": s.rank,
-                                "removed": [elements_of(m) for m in s.removed],
-                                "inserted": [elements_of(m) for m in s.inserted]}
+                                "removed": list(map(ground.elements_of, s.removed)),
+                                "inserted": list(map(ground.elements_of, s.inserted))}
                                for s in trace.steps],
                      "final": trace.final.sets()},
                  [*(steps or ["no steps needed"]), "final:",
-                  *format_family(trace.final).splitlines()])
+                  *ground.format_family(trace.final).splitlines()])
 
 
 def _cmd_lemma_3_15(args) -> int:
-    from .verifier import size4_antichain_classes_report
-    report = size4_antichain_classes_report()
+    report = verifier.size4_antichain_classes_report()
     return _emit(args,
                  lambda: {"scanned": report["scanned"],
                           "eligible": report["eligible"],
@@ -191,8 +185,7 @@ def _cmd_lemma_3_15(args) -> int:
 
 
 def _cmd_normalization(args) -> int:
-    from .verifier import normalization_pair_sweep
-    report = normalization_pair_sweep(args.n, workers=args.workers)
+    report = verifier.normalization_pair_sweep(args.n, workers=args.workers)
     return _emit(args,
                  lambda: {"n": report.n, "antichains": report.antichains,
                           "crossing_pairs": report.crossing_pairs,
@@ -208,7 +201,6 @@ def _cmd_normalization(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    from .verifier import extremal_report, near_extremal_report
     target, n, budget = args.target, args.n, args.budget_seconds
     # below these sizes the almost-extremal characterization does not
     # hold, so a FAIL there would not refute the claim
@@ -218,10 +210,10 @@ def _cmd_theorem(args) -> int:
         raise ValueError("theorem-1.6 concerns even ground sizes n >= 4")
 
     if target == "theorem-1.4":
-        report = extremal_report(n, budget_seconds=budget)
+        report = verifier.extremal_report(n, budget_seconds=budget)
         detail = f"optimal pair classes: {len(report['census'].optimum_pairs)}"
     else:
-        report = near_extremal_report(n, budget_seconds=budget)
+        report = verifier.near_extremal_report(n, budget_seconds=budget)
         detail = (f"near-optimal ordered pairs: expected "
                   f"{report['expected_ordered']}, found "
                   f"{report['found_ordered']}")
@@ -277,11 +269,8 @@ def _theorem_payload(report: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    # imported per call, so a later rebinding of these names in the
-    # verifier module (perfbench's tracer wraps them) is the one called
-    from .verifier import sweep_last_shade_margin, sweep_shadow_excess
-    sweep = {"lemma-3.8": sweep_shadow_excess,
-             "lemma-3.14": sweep_last_shade_margin}[args.target]
+    sweep = {"lemma-3.8": verifier.sweep_shadow_excess,
+             "lemma-3.14": verifier.sweep_last_shade_margin}[args.target]
     report = sweep() if args.max_n is None else sweep(args.max_n)
     return _emit(args,
                  lambda: {"name": report.name, "instances": report.instances,

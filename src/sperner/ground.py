@@ -76,13 +76,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(b + 1 for b in _bits(mask))
 
 
-def complement(x: int, n: int) -> int:
-    """The set {1..n} - x."""
-    check_ground(n)
-    check_mask(x, n)
-    return ((1 << n) - 1) ^ x
-
-
 def independent(x: int, y: int) -> bool:
     """True iff neither set contains the other; equal sets are dependent."""
     return bool(x & ~y) and bool(y & ~x)

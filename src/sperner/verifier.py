@@ -25,6 +25,7 @@ from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import cascade, normalize, parallel, squashed
 from .ground import (Family, _bits, full_level, is_antichain,
                      is_cross_intersecting, sort_members)
 
@@ -185,11 +186,11 @@ def count_antichains_oracle(n: int) -> int:
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
     """Antichains with all members in ranks {n/2, n/2+1} and at least
     min_size members (even n)."""
-    from .squashed import level_masks
     if n % 2:
         raise ValueError("middle band enumeration needs even n")
     k = n // 2
-    return antichain_mask_tuples(level_masks(n, k + 1) + level_masks(n, k), min_size)
+    return antichain_mask_tuples(
+        squashed.level_masks(n, k + 1) + squashed.level_masks(n, k), min_size)
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +506,22 @@ def size4_antichain_classes_report() -> dict:
 # closed-form sweeps that need shadow machinery
 
 
-def sweep_shadow_excess(n_max: int = 13) -> SweepReport:
+def sweep_shadow_excess(n_max: int = 13) -> cascade.SweepReport:
     """Odd n, level k = ceil(n/2)+1: the shadow of the first m k-sets has
     at least m+2 members, for every m up to C(n,k).  The closed form is
     cross-checked against brute force at every instance."""
-    from .cascade import SweepReport, _segment_checks
     if not 3 <= n_max <= 13:
         raise ValueError("supported n_max range is 3..13 (odd levels only)")
     instances = 0
     bad = []
     for n in range(3, n_max + 1, 2):
-        for m, bound, brute in _segment_checks(n, (n + 1) // 2 + 1, False):
+        for m, bound, brute in cascade._segment_checks(n, (n + 1) // 2 + 1, False):
             instances += 1
             if bound < m + 2:
                 bad.append((n, m, bound))
             if brute != bound:
                 bad.append((n, m, "brute-force mismatch", brute, bound))
-    return SweepReport("shadow-excess", instances, tuple(bad))
+    return cascade.SweepReport("shadow-excess", instances, tuple(bad))
 
 
 # The pair sweep always runs this many interleaved row stripes, so its
@@ -588,14 +588,13 @@ def _pair_sweep_setup(n: int) -> tuple:
     record of what a push did.  A process builds this on first use, so it
     enumerates, pushes and audits each antichain once, whichever stripes
     it runs."""
-    from .normalize import SelectionError, _normalized, middle_band
-    band = middle_band(n)
+    band = normalize.middle_band(n)
     fams = list(enumerate_antichains(n))
     traces = []
     for f in fams:
         try:
-            traces.append(_normalized(f))
-        except SelectionError:
+            traces.append(normalize._normalized(f))
+        except normalize.SelectionError:
             # not stored by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
             traces.append(None)
@@ -650,9 +649,11 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     unmoved pair needs both sides sound, and a moved pair also needs the
     two finals to cross.  Only violating pairs are decoded to sets.
     """
-    # imported when the stripe runs, so normalize runs only in a sweep and
-    # a wrapper set on sperner.normalize.normalize_pair sees every pair
-    from .normalize import SelectionError, normalize_pair
+    # read from the module once per stripe: a wrapper set on
+    # sperner.normalize.normalize_pair sees every pair, and the pair loop
+    # looks neither name up
+    normalize_pair = normalize.normalize_pair
+    SelectionError = normalize.SelectionError
     n, stripe = args
     (fams, traces, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
@@ -733,9 +734,8 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    from .parallel import parallel_map
     tasks = [(n, s) for s in range(PAIR_SWEEP_STRIPES)]
-    results = parallel_map(_pair_sweep_stripe, tasks, workers)
+    results = parallel.parallel_map(_pair_sweep_stripe, tasks, workers)
     antichains = results[0][0]
     crossing = sum(r[1] for r in results)
     moved = sum(r[2] for r in results)
@@ -745,14 +745,12 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
                            tuple(failures), tuple(violations))
 
 
-def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
+def sweep_last_shade_margin(n_max: int = 12) -> cascade.SweepReport:
     """Even n >= 6, level k = n/2: |shade of the last m k-sets| strictly
     exceeds n/(n+2)*m + 1 for every 1 <= m < C(n,k) - 1.  Comparisons are
     integer cross-multiplied, and the closed form is cross-checked against
     brute force at every instance; also confirms that the lone documented
     exception n=4, m=3 is an exact tie."""
-    from .cascade import (SweepReport, _fresh_sizes, _segment_checks,
-                          shade_of_last_bound)
     if not 6 <= n_max <= 12:
         raise ValueError("supported n_max range is 6..12")
     instances = 0
@@ -760,7 +758,7 @@ def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
     notes = []
     for n in range(6, n_max + 1, 2):
         k = n // 2
-        checks = islice(_segment_checks(n, k, True), comb(n, k) - 2)
+        checks = islice(cascade._segment_checks(n, k, True), comb(n, k) - 2)
         for m, size, brute in checks:
             instances += 1
             # size > n/(n+2)*m + 1  <=>  (size-1)*(n+2) > n*m
@@ -768,9 +766,10 @@ def sweep_last_shade_margin(n_max: int = 12) -> SweepReport:
                 bad.append((n, m, size))
             if brute != size:
                 bad.append((n, m, "brute-force mismatch", brute, size))
-    tie = shade_of_last_bound(3, 4, 2)
-    if (tie - 1) * 6 == 4 * 3 and tie == _fresh_sizes(4, 2, True)[3]:
+    tie = cascade.shade_of_last_bound(3, 4, 2)
+    if (tie - 1) * 6 == 4 * 3 and tie == cascade._fresh_sizes(4, 2, True)[3]:
         notes.append("n=4, m=3 is an exact tie (|shade|=3 equals the bound)")
     else:
         bad.append((4, 3, tie, "expected an exact tie"))
-    return SweepReport("last-shade-margin", instances, tuple(bad), tuple(notes))
+    return cascade.SweepReport("last-shade-margin", instances, tuple(bad),
+                               tuple(notes))

@@ -8,33 +8,10 @@ import pytest
 
 from conftest import checkout_env, fam
 from sperner import ground
-from sperner.ground import (Family, _bits, complement, format_family,
-                            format_set, full_level, independent, is_antichain,
+from sperner.ground import (Family, _bits, format_family, format_set,
+                            full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
                             parse_set)
-
-
-class TestComplement:
-    def test_examples(self):
-        assert complement(mask_of([1, 2]), 4) == mask_of([3, 4])
-        assert complement(0, 4) == mask_of([1, 2, 3, 4])
-        assert complement(mask_of([1, 3, 5]), 5) == mask_of([2, 4])
-
-    def test_involution(self):
-        for n in range(7, 13):
-            for x in range(1 << n):
-                assert complement(complement(x, n), n) == x
-
-    def test_involution_exhaustive_small(self):
-        for n in range(1, 7):
-            for x in range(1 << n):
-                assert complement(complement(x, n), n) == x
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            complement(1 << 4, 4)
-        with pytest.raises(ValueError):
-            complement(0, 61)
 
 
 def reference_bits(m):
@@ -102,11 +79,11 @@ class TestIndependent:
 
     def test_containment_reversal(self):
         # A <= B iff complement(B) <= complement(A), so independence is
-        # preserved by complementing both sides (in swapped order)
+        # preserved by complementing both sides (in swapped order); 0xFF
+        # is {1..8}
         for x in range(1 << 8):
             for y in range(1 << 8):
-                assert independent(x, y) == independent(complement(y, 8),
-                                                         complement(x, 8))
+                assert independent(x, y) == independent(0xFF ^ y, 0xFF ^ x)
 
 
 class TestAntichain:

@@ -120,7 +120,11 @@ def _loaded_by_cli_import() -> frozenset[str]:
     ((), ""),
     (("verify", "theorem-1.4", "--n", "3"), "ground verifier"),
     (("lemmas", "check", "--id", "3.2"), "differences"),
-], ids=["import", "census", "lemma-check"])
+    (("sweep", "lemma-3.8", "--max-n", "3"), "ground squashed cascade verifier"),
+    (("verify", "normalization", "--n", "2"),
+     "ground squashed cascade normalize parallel verifier"),
+    (("shadow", "4", "2", "--first", "2"), "ground squashed cascade"),
+], ids=["import", "census", "lemma-check", "sweep", "audit", "shadow"])
 def test_a_start_runs_only_the_layers_its_command_calls(argv, layers):
     # the package registers each layer lazily, and a lazy module turns
     # into a plain module when it first runs, so a layer whose type is
@@ -133,6 +137,22 @@ def test_a_start_runs_only_the_layers_its_command_calls(argv, layers):
         f"print(*(n for n in {LAYERS!r}",
         "        if type(sys.modules.get('sperner.' + n)) is types.ModuleType))"])
     assert _fresh(probe) == layers
+
+
+def test_layers_are_bound_at_the_top():
+    # a module binds the layers it calls at its top and calls through
+    # them, so the lazy registry in sperner/__init__ alone decides when a
+    # layer runs, and a relative import inside a function would be a
+    # second, hand-placed copy of that rule
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = sorted({f"{path.name}:{node.lineno}"
+                    for path in paths
+                    for func in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.ImportFrom) and node.level})
+    assert found == []
 
 
 def test_every_layer_is_registered():
