@@ -186,24 +186,21 @@ def test_package_serves_its_layers_unrun():
                                          "AttributeError"]
 
 
-def test_cli_import_skips_process_pool():
+@pytest.mark.parametrize("module", [
     # the pool machinery loads only when a run asks for workers, so a
     # plain CLI start does not pay for multiprocessing, pickle and socket
-    assert "concurrent.futures" not in _loaded_by_cli_import()
-
-
-def test_cli_import_skips_dataclasses():
+    "concurrent.futures",
     # dataclasses imports inspect, ast, dis and tokenize, and compiles the
     # methods it generates when each record class is defined, which every
     # CLI start would pay; the records are NamedTuples instead
-    assert "dataclasses" not in _loaded_by_cli_import()
-
-
-def test_cli_import_skips_fractions():
+    "dataclasses",
     # fractions imports decimal and numbers; only damped_term_gain, the
     # shade table and the local counting bounds build a Fraction, so they
     # import it when they run
-    assert "fractions" not in _loaded_by_cli_import()
+    "fractions",
+])
+def test_cli_import_skips(module):
+    assert module not in _loaded_by_cli_import()
 
 
 def test_lemma_checks_skip_fractions():

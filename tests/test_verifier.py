@@ -489,9 +489,12 @@ class TestOrbitClasses:
         assert len(census.near_optimum_pairs) == len(
             {canonical_pair(a, b) for a, b in census.raw_near})
 
-    def test_theorem_1_4_compares_raw_pairs(self, monkeypatch):
+    @pytest.mark.parametrize("report", [extremal_report,
+                                        near_extremal_report])
+    def test_theorem_1_4_compares_raw_pairs(self, monkeypatch, report):
         # (hi, lo) has the same canonical form as (lo, hi) only if the
-        # check forgets the pair order; a raw comparison sees it missing
+        # check forgets the pair order; a raw comparison sees it missing,
+        # and the near report, which assumes theorem 1.4's pairs, fails too
         real = max_cross_sum(4)
         lo, hi = full_level(4, 2), full_level(4, 3)
         swapped = real._replace(raw_optimum=tuple(
@@ -499,7 +502,7 @@ class TestOrbitClasses:
         assert swapped.raw_optimum == ((lo, hi),)
         monkeypatch.setattr(verifier, "max_cross_sum",
                             lambda n, budget_seconds=None: swapped)
-        assert not extremal_report(4)["match"]
+        assert not report(4)["match"]
 
     def test_orbit_once_per_class(self, monkeypatch):
         calls = {"_orbit": 0, "canonical_pair": 0, "canonical_pair_key": 0}
