@@ -44,15 +44,183 @@ def row(line, expected, files=None):
     return pytest.param(line, expected, files or {}, id=line)
 
 
-def run_row(capsys, monkeypatch, tmp_path, line, files):
-    """Run one row's command line in tmp_path, beside the files it reads."""
+@pytest.fixture
+def cli(capsys, monkeypatch, tmp_path):
+    """Run one command line in tmp_path, beside the files it reads."""
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    return run(capsys, *shlex.split(line))
+
+    def run_line(line, files=None):
+        for name, text in (files or {}).items():
+            (tmp_path / name).write_text(text)
+        return run(capsys, *shlex.split(line))
+    return run_line
+
+
+FAM = {"fam.txt": "n=4\n{1,2,3}\n"}
+
+
+class TestOrder:
+    def test_list_level(self, cli):
+        assert cli("order list 4 2") == (
+            0, "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n", "")
+
+    def test_first_and_last(self, cli):
+        assert cli("order list 5 3 --first 2") == (0, "{1,2,3}\n{1,2,4}\n", "")
+        assert cli("order list 4 2 --last 1") == (0, "{3,4}\n", "")
+
+    def test_mutually_exclusive(self, cli):
+        assert cli("order list 4 2 --first 1 --last 1") == (
+            2, "", "error: --first and --last are mutually exclusive\n")
+
+    def test_json(self, cli):
+        assert cli("order list 3 2 --format json") == (
+            0, '{"n": 3, "k": 2, "sets": [[1, 2], [1, 3], [2, 3]]}\n', "")
+
+    def test_validation_error_is_usage(self, cli):
+        assert cli("order list 4 9") == (
+            2, "", "error: level 9 out of range for n=4\n")
+
+
+class TestShadowShade:
+    def test_shadow_of_segment(self, cli):
+        # the text twin of the json row of TestExactOutput
+        assert cli("shadow 5 3 --first 5") == (
+            0, "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n{1,5}\n{2,5}\n", "")
+
+    def test_new_shade_single(self, cli):
+        assert cli("shade 4 2 --last 1 --new") == (
+            0, "{1,3,4}\n{2,3,4}\n", "")
+
+    def test_family_file(self, cli):
+        assert cli("shadow --family fam.txt", FAM) == (
+            0, "{1,2}\n{1,3}\n{2,3}\n", "")
+
+    def test_missing_arguments(self, cli):
+        assert cli("shadow") == (
+            2, "", "error: give either --family or both n and k\n")
+
+    def test_first_and_last_exclusive(self, cli):
+        assert cli("shadow 5 3 --first 2 --last 3") == (
+            2, "", "error: --first and --last are mutually exclusive\n")
+
+    def test_family_and_segment_exclusive(self, cli):
+        assert cli("shade --family fam.txt --last 1", FAM) == (
+            2, "", "error: --family and --last are mutually exclusive\n")
+
+    @pytest.mark.parametrize("command", ["shadow", "shade"])
+    @pytest.mark.parametrize("positional", [("5", "3"), ("5",)])
+    def test_family_and_positional_exclusive(self, cli, command, positional):
+        # the file's n=4 family would be used with the 5 and 3 ignored
+        assert cli(f"{command} {' '.join(positional)} --family fam.txt",
+                   FAM) == (
+            2, "", "error: --family and positional n and k are mutually "
+            "exclusive\n")
+
+    @pytest.mark.parametrize("flag,value", [("--last", "99"), ("--first", "-1"),
+                                            ("--first", "7")])
+    def test_segment_count_out_of_range_is_usage(self, cli, flag, value):
+        # the message names the count given, not the window it would cut
+        assert cli(f"shade 4 2 {flag} {value}") == (
+            2, "", f"error: m={value} out of range for C(4,2)=6\n")
+
+    def test_family_file_repeating_a_set_is_usage(self, cli):
+        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1,2}\n{2,1}\n"}) == (
+            2, "", "error: family members must be pairwise distinct\n")
+
+    def test_family_file_member_outside_the_ground_is_usage(self, cli):
+        # the message quotes the set as written, not its mask 16
+        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1}\n{5}\n"}) == (
+            2, "", "error: set {5} uses elements outside 1..4\n")
+
+    def test_family_file_member_not_an_integer_is_usage(self, cli):
+        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1,2,x}\n"}) == (
+            2, "", "error: cannot parse set literal: '{1,2,x}'\n")
+
+
+class TestCascade:
+    def test_text(self, cli):
+        assert cli("cascade 5 3") == (0, "C(4,3)+C(2,2)\n", "")
+
+    def test_json(self, cli):
+        assert cli("cascade 5 3 --format json") == (
+            0, '{"m": 5, "k": 3, "terms": [[4, 3], [2, 2]]}\n', "")
+
+    def test_invalid(self, cli):
+        assert cli("cascade 0 3") == (
+            2, "", "error: cascade representation needs m >= 1, got 0\n")
+
+
+class TestTable1:
+    def test_text_exact(self, cli):
+        assert cli("table1") == (0, (
+            "m  last_set  new_shade  shade_size  bound\n"
+            "1  34        134 234    2           5/3\n"
+            "2  24        124        3           7/3\n"
+            "3  14        -          3           3\n"
+            "4  23        123        4           11/3\n"
+            "5  13        -          4           13/3\n"
+            "6  12        -          4           5\n"), "")
+
+    def test_csv_exact(self, cli):
+        assert cli("table1 --format csv") == (0, (
+            "m,last_set,new_shade,shade_size,lemma_1_9_bound_num,"
+            "lemma_1_9_bound_den\n"
+            "1,34,134 234,2,5,3\n"
+            "2,24,124,3,7,3\n"
+            "3,14,-,3,3,1\n"
+            "4,23,123,4,11,3\n"
+            "5,13,-,4,13,3\n"
+            "6,12,-,4,5,1\n"), "")
+
+    def test_json(self, cli):
+        assert cli("table1 --format json") == (0, (
+            '[{"m": 1, "last_set": [3, 4], "new_shade": [[1, 3, 4], [2, 3, '
+            '4]], "shade_size": 2, "bound": [5, 3]}, {"m": 2, "last_set": '
+            '[2, 4], "new_shade": [[1, 2, 4]], "shade_size": 3, "bound": [7, '
+            '3]}, {"m": 3, "last_set": [1, 4], "new_shade": [], "shade_size": '
+            '3, "bound": [3, 1]}, {"m": 4, "last_set": [2, 3], "new_shade": '
+            '[[1, 2, 3]], "shade_size": 4, "bound": [11, 3]}, {"m": 5, '
+            '"last_set": [1, 3], "new_shade": [], "shade_size": 4, "bound": '
+            '[13, 3]}, {"m": 6, "last_set": [1, 2], "new_shade": [], '
+            '"shade_size": 4, "bound": [5, 1]}]\n'), "")
 
 
 class TestLemmas:
+    def test_single_id(self, cli):
+        assert cli("lemmas check --id 3.13 --max 20") == (0, (
+            "id    limit  instances  violations  status\n"
+            "3.13  20     19         0           pass\n"), "")
+
+    def test_all_default(self, cli):
+        # the aligned text table; the csv row of TestExactOutput is its twin
+        assert cli("lemmas check") == (0, (
+            "id    limit  instances  violations  status\n"
+            "3.2   40     820        0           pass\n"
+            "3.3   40     820        0           pass\n"
+            "3.4   20     2470       0           pass\n"
+            "3.5   30     961        0           pass\n"
+            "3.6   30     29         0           pass\n"
+            "3.7   25     78         0           pass\n"
+            "3.10  20     2869       0           pass\n"
+            "3.11  20     2660       0           pass\n"
+            "3.12  20     190        0           pass\n"
+            "3.13  20     19         0           pass\n"), "")
+
+    def test_json(self, cli):
+        assert cli("lemmas check --id 3.6 --format json") == (0, (
+            '[{"id": "3.6", "description": "sum_{r<=j} term_gain(j-2+r,r) == 1",'
+            ' "limit": 30, "instances": 29, "violations": [], "passed": true}]\n'),
+            "")
+
+    @pytest.mark.parametrize("args,check_id,limit",
+                             [(("--max", "1"), "3.4", 1),
+                              (("--id", "3.7", "--max", "2"), "3.7", 2)])
+    def test_limit_without_instances_is_usage(self, cli, args, check_id,
+                                              limit):
+        # a check that ran over no instance must not print pass
+        assert cli(f"lemmas check {' '.join(args)}") == (
+            2, "", f"error: check {check_id} has no instance up to limit {limit}\n")
+
     def test_unknown_id_rejected(self):
         # its own process, so the exit status is the one a shell sees
         result = run_process("lemmas", "check", "--id", "9.9")
@@ -204,61 +372,9 @@ class TestExactOutput:
     """Whole exit code, stdout and stderr, one table per exit status."""
 
     @pytest.mark.parametrize("line, expected, files", [
-        row("order list 4 2", "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n"),
-        row("order list 5 3 --first 2", "{1,2,3}\n{1,2,4}\n"),
-        row("order list 4 2 --last 1", "{3,4}\n"),
-        row("order list 3 2 --format json",
-            '{"n": 3, "k": 2, "sets": [[1, 2], [1, 3], [2, 3]]}\n'),
-        row("shadow 5 3 --first 5",
-            "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n{1,5}\n{2,5}\n"),
         row("shadow 5 3 --first 5 --format json",
             '{"n": 5, "size": 8, "sets": [[1, 2], [1, 3], [2, 3], [1, 4], '
             '[2, 4], [3, 4], [1, 5], [2, 5]]}\n'),
-        row("shade 4 2 --last 1 --new", "{1,3,4}\n{2,3,4}\n"),
-        row("shadow --family fam.txt", "{1,2}\n{1,3}\n{2,3}\n",
-            {"fam.txt": "n=4\n{1,2,3}\n"}),
-        row("cascade 5 3", "C(4,3)+C(2,2)\n"),
-        row("cascade 5 3 --format json",
-            '{"m": 5, "k": 3, "terms": [[4, 3], [2, 2]]}\n'),
-        row("table1",
-            "m  last_set  new_shade  shade_size  bound\n"
-            "1  34        134 234    2           5/3\n"
-            "2  24        124        3           7/3\n"
-            "3  14        -          3           3\n"
-            "4  23        123        4           11/3\n"
-            "5  13        -          4           13/3\n"
-            "6  12        -          4           5\n"),
-        row("table1 --format csv",
-            "m,last_set,new_shade,shade_size,lemma_1_9_bound_num,"
-            "lemma_1_9_bound_den\n"
-            "1,34,134 234,2,5,3\n"
-            "2,24,124,3,7,3\n"
-            "3,14,-,3,3,1\n"
-            "4,23,123,4,11,3\n"
-            "5,13,-,4,13,3\n"
-            "6,12,-,4,5,1\n"),
-        row("table1 --format json",
-            '[{"m": 1, "last_set": [3, 4], "new_shade": [[1, 3, 4], [2, 3, '
-            '4]], "shade_size": 2, "bound": [5, 3]}, {"m": 2, "last_set": '
-            '[2, 4], "new_shade": [[1, 2, 4]], "shade_size": 3, "bound": [7, '
-            '3]}, {"m": 3, "last_set": [1, 4], "new_shade": [], "shade_size": '
-            '3, "bound": [3, 1]}, {"m": 4, "last_set": [2, 3], "new_shade": '
-            '[[1, 2, 3]], "shade_size": 4, "bound": [11, 3]}, {"m": 5, '
-            '"last_set": [1, 3], "new_shade": [], "shade_size": 4, "bound": '
-            '[13, 3]}, {"m": 6, "last_set": [1, 2], "new_shade": [], '
-            '"shade_size": 4, "bound": [5, 1]}]\n'),
-        row("lemmas check",
-            "id    limit  instances  violations  status\n"
-            "3.2   40     820        0           pass\n"
-            "3.3   40     820        0           pass\n"
-            "3.4   20     2470       0           pass\n"
-            "3.5   30     961        0           pass\n"
-            "3.6   30     29         0           pass\n"
-            "3.7   25     78         0           pass\n"
-            "3.10  20     2869       0           pass\n"
-            "3.11  20     2660       0           pass\n"
-            "3.12  20     190        0           pass\n"
-            "3.13  20     19         0           pass\n"),
         row("lemmas check --format csv",
             "id,limit,instances,violations,status\n"
             "3.2,40,820,0,pass\n"
@@ -271,12 +387,6 @@ class TestExactOutput:
             "3.11,20,2660,0,pass\n"
             "3.12,20,190,0,pass\n"
             "3.13,20,19,0,pass\n"),
-        row("lemmas check --id 3.13 --max 20",
-            "id    limit  instances  violations  status\n"
-            "3.13  20     19         0           pass\n"),
-        row("lemmas check --id 3.6 --format json",
-            '[{"id": "3.6", "description": "sum_{r<=j} term_gain(j-2+r,r) == 1",'
-            ' "limit": 30, "instances": 29, "violations": [], "passed": true}]\n'),
         row("normalize --family up.txt",
             "step 1: up from rank 1: removed {1}; inserted {1,2}\n"
             "final:\nn=4\n{1,2}\n{2,3,4}\n",
@@ -341,48 +451,13 @@ class TestExactOutput:
             '"violations": [], "notes": ["n=4, m=3 is an exact tie '
             '(|shade|=3 equals the bound)"], "passed": true}\n'),
     ])
-    def test_passing_run(self, capsys, monkeypatch, tmp_path, line, expected,
-                         files):
-        assert run_row(capsys, monkeypatch, tmp_path, line, files) == (
-            0, expected, "")
+    def test_passing_run(self, cli, line, expected, files):
+        assert cli(line, files) == (0, expected, "")
 
     @pytest.mark.parametrize("line, expected, files", [
-        row("order list 4 2 --first 1 --last 1",
-            "error: --first and --last are mutually exclusive\n"),
-        row("order list 4 9", "error: level 9 out of range for n=4\n"),
-        row("shadow", "error: give either --family or both n and k\n"),
-        row("shadow 5 3 --first 2 --last 3",
-            "error: --first and --last are mutually exclusive\n"),
-        row("shade --family fam.txt --last 1",
-            "error: --family and --last are mutually exclusive\n",
-            {"fam.txt": "n=4\n{1,2,3}\n"}),
-        # the file's n=4 family would be used with the 5 and 3 ignored
-        *(row(f"{command} {positional} --family fam.txt",
-              "error: --family and positional n and k are mutually "
-              "exclusive\n", {"fam.txt": "n=4\n{1,2,3}\n"})
-          for command in ("shadow", "shade") for positional in ("5 3", "5")),
-        # the message names the count given, not the window it would cut
-        row("shade 4 2 --last 99", "error: m=99 out of range for C(4,2)=6\n"),
-        row("shade 4 2 --first -1", "error: m=-1 out of range for C(4,2)=6\n"),
-        row("shade 4 2 --first 7", "error: m=7 out of range for C(4,2)=6\n"),
-        row("shadow --family repeat.txt",
-            "error: family members must be pairwise distinct\n",
-            {"repeat.txt": "n=4\n{1,2}\n{2,1}\n"}),
-        # the message quotes the set as written, not its mask 16
-        row("shadow --family outside.txt",
-            "error: set {5} uses elements outside 1..4\n",
-            {"outside.txt": "n=4\n{1}\n{5}\n"}),
-        row("shadow --family x.txt", "error: cannot parse set literal: '{1,2,x}'\n",
-            {"x.txt": "n=4\n{1,2,x}\n"}),
         # a family file that is not there: the OSError branch of main
         row("shadow --family nope.txt",
             "error: [Errno 2] No such file or directory: 'nope.txt'\n"),
-        row("cascade 0 3", "error: cascade representation needs m >= 1, got 0\n"),
-        # a check that ran over no instance must not print pass
-        row("lemmas check --max 1",
-            "error: check 3.4 has no instance up to limit 1\n"),
-        row("lemmas check --id 3.7 --max 2",
-            "error: check 3.7 has no instance up to limit 2\n"),
         row("normalize --family chain.txt",
             "error: input family is not an antichain\n",
             {"chain.txt": "n=4\n{1}\n{1,2}\n"}),
@@ -412,10 +487,8 @@ class TestExactOutput:
             "error: supported n_max range is 3..13 (odd levels only)\n"),
         row("sweep lemma-3.14 --max-n 0", "error: supported n_max range is 6..12\n"),
     ])
-    def test_usage_error(self, capsys, monkeypatch, tmp_path, line, expected,
-                         files):
-        assert run_row(capsys, monkeypatch, tmp_path, line, files) == (
-            2, "", expected)
+    def test_usage_error(self, cli, line, expected, files):
+        assert cli(line, files) == (2, "", expected)
 
     @pytest.mark.parametrize("n, optimum", [(5, 20), (6, 35)])
     def test_budget_cut_census(self, capsys, n, optimum):
