@@ -25,202 +25,34 @@ def run_process(*argv, stdout=subprocess.PIPE):
                           env=checkout_env(), timeout=120)
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run_rejected(capsys, *argv):
-    """A command line that argparse itself ends (an error or --help)."""
-    with pytest.raises(SystemExit) as info:
-        main(list(argv))
-    captured = capsys.readouterr()
-    return info.value.code, captured.out, captured.err
-
-
 def row(line, expected, files=None):
     """A table row named by its command line; `files` maps name to text."""
-    return pytest.param(line, expected, files or {}, id=line)
+    return pytest.param(line, expected, files, id=line)
 
 
 @pytest.fixture
 def cli(capsys, monkeypatch, tmp_path):
-    """Run one command line in tmp_path, beside the files it reads."""
+    """Run one command line in tmp_path, beside the files it names, and
+    return (exit code, stdout, stderr); an argparse exit (an error or
+    --help) gives its code as a return would."""
     monkeypatch.chdir(tmp_path)
 
     def run_line(line, files=None):
         for name, text in (files or {}).items():
             (tmp_path / name).write_text(text)
-        return run(capsys, *shlex.split(line))
+        try:
+            code = main(shlex.split(line))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
     return run_line
 
 
 FAM = {"fam.txt": "n=4\n{1,2,3}\n"}
 
 
-class TestOrder:
-    def test_list_level(self, cli):
-        assert cli("order list 4 2") == (
-            0, "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n", "")
-
-    def test_first_and_last(self, cli):
-        assert cli("order list 5 3 --first 2") == (0, "{1,2,3}\n{1,2,4}\n", "")
-        assert cli("order list 4 2 --last 1") == (0, "{3,4}\n", "")
-
-    def test_mutually_exclusive(self, cli):
-        assert cli("order list 4 2 --first 1 --last 1") == (
-            2, "", "error: --first and --last are mutually exclusive\n")
-
-    def test_json(self, cli):
-        assert cli("order list 3 2 --format json") == (
-            0, '{"n": 3, "k": 2, "sets": [[1, 2], [1, 3], [2, 3]]}\n', "")
-
-    def test_validation_error_is_usage(self, cli):
-        assert cli("order list 4 9") == (
-            2, "", "error: level 9 out of range for n=4\n")
-
-
-class TestShadowShade:
-    def test_shadow_of_segment(self, cli):
-        # the text twin of the json row of TestExactOutput
-        assert cli("shadow 5 3 --first 5") == (
-            0, "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n{1,5}\n{2,5}\n", "")
-
-    def test_new_shade_single(self, cli):
-        assert cli("shade 4 2 --last 1 --new") == (
-            0, "{1,3,4}\n{2,3,4}\n", "")
-
-    def test_family_file(self, cli):
-        assert cli("shadow --family fam.txt", FAM) == (
-            0, "{1,2}\n{1,3}\n{2,3}\n", "")
-
-    def test_missing_arguments(self, cli):
-        assert cli("shadow") == (
-            2, "", "error: give either --family or both n and k\n")
-
-    def test_first_and_last_exclusive(self, cli):
-        assert cli("shadow 5 3 --first 2 --last 3") == (
-            2, "", "error: --first and --last are mutually exclusive\n")
-
-    def test_family_and_segment_exclusive(self, cli):
-        assert cli("shade --family fam.txt --last 1", FAM) == (
-            2, "", "error: --family and --last are mutually exclusive\n")
-
-    @pytest.mark.parametrize("command", ["shadow", "shade"])
-    @pytest.mark.parametrize("positional", [("5", "3"), ("5",)])
-    def test_family_and_positional_exclusive(self, cli, command, positional):
-        # the file's n=4 family would be used with the 5 and 3 ignored
-        assert cli(f"{command} {' '.join(positional)} --family fam.txt",
-                   FAM) == (
-            2, "", "error: --family and positional n and k are mutually "
-            "exclusive\n")
-
-    @pytest.mark.parametrize("flag,value", [("--last", "99"), ("--first", "-1"),
-                                            ("--first", "7")])
-    def test_segment_count_out_of_range_is_usage(self, cli, flag, value):
-        # the message names the count given, not the window it would cut
-        assert cli(f"shade 4 2 {flag} {value}") == (
-            2, "", f"error: m={value} out of range for C(4,2)=6\n")
-
-    def test_family_file_repeating_a_set_is_usage(self, cli):
-        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1,2}\n{2,1}\n"}) == (
-            2, "", "error: family members must be pairwise distinct\n")
-
-    def test_family_file_member_outside_the_ground_is_usage(self, cli):
-        # the message quotes the set as written, not its mask 16
-        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1}\n{5}\n"}) == (
-            2, "", "error: set {5} uses elements outside 1..4\n")
-
-    def test_family_file_member_not_an_integer_is_usage(self, cli):
-        assert cli("shadow --family fam.txt", {"fam.txt": "n=4\n{1,2,x}\n"}) == (
-            2, "", "error: cannot parse set literal: '{1,2,x}'\n")
-
-
-class TestCascade:
-    def test_text(self, cli):
-        assert cli("cascade 5 3") == (0, "C(4,3)+C(2,2)\n", "")
-
-    def test_json(self, cli):
-        assert cli("cascade 5 3 --format json") == (
-            0, '{"m": 5, "k": 3, "terms": [[4, 3], [2, 2]]}\n', "")
-
-    def test_invalid(self, cli):
-        assert cli("cascade 0 3") == (
-            2, "", "error: cascade representation needs m >= 1, got 0\n")
-
-
-class TestTable1:
-    def test_text_exact(self, cli):
-        assert cli("table1") == (0, (
-            "m  last_set  new_shade  shade_size  bound\n"
-            "1  34        134 234    2           5/3\n"
-            "2  24        124        3           7/3\n"
-            "3  14        -          3           3\n"
-            "4  23        123        4           11/3\n"
-            "5  13        -          4           13/3\n"
-            "6  12        -          4           5\n"), "")
-
-    def test_csv_exact(self, cli):
-        assert cli("table1 --format csv") == (0, (
-            "m,last_set,new_shade,shade_size,lemma_1_9_bound_num,"
-            "lemma_1_9_bound_den\n"
-            "1,34,134 234,2,5,3\n"
-            "2,24,124,3,7,3\n"
-            "3,14,-,3,3,1\n"
-            "4,23,123,4,11,3\n"
-            "5,13,-,4,13,3\n"
-            "6,12,-,4,5,1\n"), "")
-
-    def test_json(self, cli):
-        assert cli("table1 --format json") == (0, (
-            '[{"m": 1, "last_set": [3, 4], "new_shade": [[1, 3, 4], [2, 3, '
-            '4]], "shade_size": 2, "bound": [5, 3]}, {"m": 2, "last_set": '
-            '[2, 4], "new_shade": [[1, 2, 4]], "shade_size": 3, "bound": [7, '
-            '3]}, {"m": 3, "last_set": [1, 4], "new_shade": [], "shade_size": '
-            '3, "bound": [3, 1]}, {"m": 4, "last_set": [2, 3], "new_shade": '
-            '[[1, 2, 3]], "shade_size": 4, "bound": [11, 3]}, {"m": 5, '
-            '"last_set": [1, 3], "new_shade": [], "shade_size": 4, "bound": '
-            '[13, 3]}, {"m": 6, "last_set": [1, 2], "new_shade": [], '
-            '"shade_size": 4, "bound": [5, 1]}]\n'), "")
-
-
 class TestLemmas:
-    def test_single_id(self, cli):
-        assert cli("lemmas check --id 3.13 --max 20") == (0, (
-            "id    limit  instances  violations  status\n"
-            "3.13  20     19         0           pass\n"), "")
-
-    def test_all_default(self, cli):
-        # the aligned text table; the csv row of TestExactOutput is its twin
-        assert cli("lemmas check") == (0, (
-            "id    limit  instances  violations  status\n"
-            "3.2   40     820        0           pass\n"
-            "3.3   40     820        0           pass\n"
-            "3.4   20     2470       0           pass\n"
-            "3.5   30     961        0           pass\n"
-            "3.6   30     29         0           pass\n"
-            "3.7   25     78         0           pass\n"
-            "3.10  20     2869       0           pass\n"
-            "3.11  20     2660       0           pass\n"
-            "3.12  20     190        0           pass\n"
-            "3.13  20     19         0           pass\n"), "")
-
-    def test_json(self, cli):
-        assert cli("lemmas check --id 3.6 --format json") == (0, (
-            '[{"id": "3.6", "description": "sum_{r<=j} term_gain(j-2+r,r) == 1",'
-            ' "limit": 30, "instances": 29, "violations": [], "passed": true}]\n'),
-            "")
-
-    @pytest.mark.parametrize("args,check_id,limit",
-                             [(("--max", "1"), "3.4", 1),
-                              (("--id", "3.7", "--max", "2"), "3.7", 2)])
-    def test_limit_without_instances_is_usage(self, cli, args, check_id,
-                                              limit):
-        # a check that ran over no instance must not print pass
-        assert cli(f"lemmas check {' '.join(args)}") == (
-            2, "", f"error: check {check_id} has no instance up to limit {limit}\n")
-
     def test_unknown_id_rejected(self):
         # its own process, so the exit status is the one a shell sees
         result = run_process("lemmas", "check", "--id", "9.9")
@@ -229,34 +61,29 @@ class TestLemmas:
 
 
 class TestNormalizeCommand:
-    def test_empty_partner_path_rejected(self, capsys, tmp_path):
+    def test_empty_partner_path_rejected(self, cli):
         # an empty path names no partner file; it is not the empty family
-        f = tmp_path / "f.txt"
-        f.write_text("n=4\n{1}\n")
-        code, out, err = run(capsys, "normalize", "--family", str(f),
-                             "--partner", "")
+        code, out, err = cli("normalize --family f.txt --partner ''",
+                             {"f.txt": "n=4\n{1}\n"})
         assert code == 2 and out == "" and err.startswith("error:")
 
-    def test_selection_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+    def test_selection_failure_exits_1(self, cli, monkeypatch):
         from sperner import normalize
 
         def fail(n, members, up):
             raise SelectionError("up", 1, 2, 1)
 
         monkeypatch.setattr(normalize, "_step", fail)
-        path = tmp_path / "f.txt"
-        path.write_text("n=4\n{1}\n{2,3,4}\n")
-        code, out, err = run(capsys, "normalize", "--family", str(path))
-        assert code == 1 and out == ""
-        assert err == ("selection failure: selection failure pushing up from "
-                       "rank 1: needed 2 replacement sets, the pool holds only 1\n")
+        assert cli("normalize --family f.txt",
+                   {"f.txt": "n=4\n{1}\n{2,3,4}\n"}) == (
+            1, "", "selection failure: selection failure pushing up from "
+            "rank 1: needed 2 replacement sets, the pool holds only 1\n")
 
 
 class TestVerify:
     @pytest.mark.parametrize("n", ["1", "2", "3", "4", "5"])
-    def test_theorem_1_4_json_schema(self, capsys, n):
-        code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", n,
-                           "--format", "json")
+    def test_theorem_1_4_json_schema(self, cli, n):
+        code, out, _ = cli(f"verify theorem-1.4 --n {n} --format json")
         assert code == 0
         payload = json.loads(out)
         Draft202012Validator(CENSUS_SCHEMA).validate(payload)
@@ -271,10 +98,9 @@ class TestVerify:
         (5, 20, (1, 20, 1, 10), 1, 2),
         (6, 35, (2, 70, 1, 35), 2, 4),
     ])
-    def test_theorem_1_4_census_counts(self, capsys, n, optimum, counts,
+    def test_theorem_1_4_census_counts(self, cli, n, optimum, counts,
                                        classes, near_classes):
-        code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", str(n),
-                           "--format", "json")
+        code, out, _ = cli(f"verify theorem-1.4 --n {n} --format json")
         assert code == 0
         payload = json.loads(out)
         assert payload["optimum"] == optimum
@@ -284,23 +110,22 @@ class TestVerify:
         assert len(payload["optimal_pairs"]) == classes
         assert len(payload["near_optimal_pairs"]) == near_classes
 
-    def test_theorem_1_5(self, capsys):
-        code, out, _ = run(capsys, "verify", "theorem-1.5", "--n", "3",
-                           "--format", "json")
+    def test_theorem_1_5(self, cli):
+        code, out, _ = cli("verify theorem-1.5 --n 3 --format json")
         assert code == 0
         payload = json.loads(out)
         Draft202012Validator(CENSUS_SCHEMA).validate(payload)
         assert payload["characterization"]["expected_ordered"] == 6
 
-    def test_lemma_3_15_fails_on_an_oversize_family(self, capsys, monkeypatch):
+    def test_lemma_3_15_fails_on_an_oversize_family(self, cli, monkeypatch):
         with_oversize_family(monkeypatch)
-        code, out, _ = run(capsys, "verify", "lemma-3.15")
+        code, out, _ = cli("verify lemma-3.15")
         assert code == 1
         assert out == ("antichains scanned: 169; with a 1-set or 3-set: 103; "
                        "size-4 classes: 4 (expected 4)\n"
                        "FAIL\n")
 
-    def test_selection_failure_fails_the_audit(self, capsys, monkeypatch):
+    def test_selection_failure_fails_the_audit(self, cli, monkeypatch):
         from sperner import normalize, verifier
         real = normalize.normalize_pair
         empty = Family(3, ())
@@ -315,13 +140,11 @@ class TestVerify:
         report = verifier.normalization_pair_sweep(3)
         assert len(report.selection_failures) == 1 and not report.violations
         assert not report.passed
-        code, out, _ = run(capsys, "verify", "normalization", "--n", "3",
-                           "--format", "json")
+        code, out, _ = cli("verify normalization --n 3 --format json")
         assert code == 1 and json.loads(out)["match"] is False
 
-    def test_theorem_1_4_n6_json_schema(self, capsys):
-        code, out, _ = run(capsys, "verify", "theorem-1.4", "--n", "6",
-                           "--format", "json")
+    def test_theorem_1_4_n6_json_schema(self, cli):
+        code, out, _ = cli("verify theorem-1.4 --n 6 --format json")
         assert code == 0
         payload = json.loads(out)
         Draft202012Validator(CENSUS_SCHEMA).validate(payload)
@@ -341,20 +164,19 @@ class TestVerify:
         ("verify normalization --n 3 --budget-seconds 5",
          "unrecognized arguments: --budget-seconds 5"),
     )])
-    def test_option_the_target_never_reads_is_usage(self, capsys, line,
-                                                    message):
-        code, out, err = run_rejected(capsys, *shlex.split(line))
+    def test_option_the_target_never_reads_is_usage(self, cli, line, message):
+        code, out, err = cli(line)
         assert code == 2 and out == ""
         assert err.endswith(f": error: {message}\n")
 
-    def test_target_help_lists_only_its_options(self, capsys):
-        code, out, _ = run_rejected(capsys, "verify", "theorem-1.4", "--help")
+    def test_target_help_lists_only_its_options(self, cli):
+        code, out, _ = cli("verify theorem-1.4 --help")
         assert code == 0
         assert "--budget-seconds" in out and "--workers" not in out
 
 
 class TestSweepCommand:
-    def test_defaults_match_the_benchmark_pins(self, capsys, monkeypatch):
+    def test_defaults_match_the_benchmark_pins(self, cli, monkeypatch):
         # the benchmark's checks pin each default sweep's instance count;
         # load them by path, writing no bytecode beside them
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -363,7 +185,7 @@ class TestSweepCommand:
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
         for target in ("lemma-3.8", "lemma-3.14"):
-            code, out, _ = run(capsys, "sweep", target, "--format", "json")
+            code, out, _ = cli(f"sweep {target} --format json")
             assert code == 0
             assert json.loads(out)["instances"] == checks.sweep_instances(target)
 
@@ -372,9 +194,68 @@ class TestExactOutput:
     """Whole exit code, stdout and stderr, one table per exit status."""
 
     @pytest.mark.parametrize("line, expected, files", [
+        row("order list 4 2", "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n"),
+        row("order list 5 3 --first 2", "{1,2,3}\n{1,2,4}\n"),
+        row("order list 4 2 --last 1", "{3,4}\n"),
+        row("order list 3 2 --format json",
+            '{"n": 3, "k": 2, "sets": [[1, 2], [1, 3], [2, 3]]}\n'),
+        # the text twin of the json row below
+        row("shadow 5 3 --first 5",
+            "{1,2}\n{1,3}\n{2,3}\n{1,4}\n{2,4}\n{3,4}\n{1,5}\n{2,5}\n"),
         row("shadow 5 3 --first 5 --format json",
             '{"n": 5, "size": 8, "sets": [[1, 2], [1, 3], [2, 3], [1, 4], '
             '[2, 4], [3, 4], [1, 5], [2, 5]]}\n'),
+        row("shade 4 2 --last 1 --new", "{1,3,4}\n{2,3,4}\n"),
+        row("shadow --family fam.txt", "{1,2}\n{1,3}\n{2,3}\n", FAM),
+        row("cascade 5 3", "C(4,3)+C(2,2)\n"),
+        row("cascade 5 3 --format json",
+            '{"m": 5, "k": 3, "terms": [[4, 3], [2, 2]]}\n'),
+        row("table1",
+            "m  last_set  new_shade  shade_size  bound\n"
+            "1  34        134 234    2           5/3\n"
+            "2  24        124        3           7/3\n"
+            "3  14        -          3           3\n"
+            "4  23        123        4           11/3\n"
+            "5  13        -          4           13/3\n"
+            "6  12        -          4           5\n"),
+        row("table1 --format csv",
+            "m,last_set,new_shade,shade_size,lemma_1_9_bound_num,"
+            "lemma_1_9_bound_den\n"
+            "1,34,134 234,2,5,3\n"
+            "2,24,124,3,7,3\n"
+            "3,14,-,3,3,1\n"
+            "4,23,123,4,11,3\n"
+            "5,13,-,4,13,3\n"
+            "6,12,-,4,5,1\n"),
+        row("table1 --format json",
+            '[{"m": 1, "last_set": [3, 4], "new_shade": [[1, 3, 4], [2, 3, '
+            '4]], "shade_size": 2, "bound": [5, 3]}, {"m": 2, "last_set": '
+            '[2, 4], "new_shade": [[1, 2, 4]], "shade_size": 3, "bound": [7, '
+            '3]}, {"m": 3, "last_set": [1, 4], "new_shade": [], "shade_size": '
+            '3, "bound": [3, 1]}, {"m": 4, "last_set": [2, 3], "new_shade": '
+            '[[1, 2, 3]], "shade_size": 4, "bound": [11, 3]}, {"m": 5, '
+            '"last_set": [1, 3], "new_shade": [], "shade_size": 4, "bound": '
+            '[13, 3]}, {"m": 6, "last_set": [1, 2], "new_shade": [], '
+            '"shade_size": 4, "bound": [5, 1]}]\n'),
+        row("lemmas check --id 3.13 --max 20",
+            "id    limit  instances  violations  status\n"
+            "3.13  20     19         0           pass\n"),
+        # the aligned text table; the csv row below is its twin
+        row("lemmas check",
+            "id    limit  instances  violations  status\n"
+            "3.2   40     820        0           pass\n"
+            "3.3   40     820        0           pass\n"
+            "3.4   20     2470       0           pass\n"
+            "3.5   30     961        0           pass\n"
+            "3.6   30     29         0           pass\n"
+            "3.7   25     78         0           pass\n"
+            "3.10  20     2869       0           pass\n"
+            "3.11  20     2660       0           pass\n"
+            "3.12  20     190        0           pass\n"
+            "3.13  20     19         0           pass\n"),
+        row("lemmas check --id 3.6 --format json",
+            '[{"id": "3.6", "description": "sum_{r<=j} term_gain(j-2+r,r) == 1",'
+            ' "limit": 30, "instances": 29, "violations": [], "passed": true}]\n'),
         row("lemmas check --format csv",
             "id,limit,instances,violations,status\n"
             "3.2,40,820,0,pass\n"
@@ -421,6 +302,10 @@ class TestExactOutput:
             "final:\nn=13\n{1,2,3,4,5,6,7}\n{1,2,3,4,5,6,8}\n"
             "{4,5,6,7,8,9,10,11}\n",
             {"n13.txt": "n=13\n{1}\n{2,3}\n{4,5,6,7,8,9,10,11,12,13}\n"}),
+        row("verify theorem-1.4 --n 4",
+            "n=4  optimum=10  formula=10\n"
+            "optimal pair classes: 2\n"
+            "PASS\n"),
         row("verify theorem-1.6 --n 4",
             "n=4  optimum=10  formula=10\n"
             "near-optimal ordered pairs: expected 20, found 20\n"
@@ -455,6 +340,36 @@ class TestExactOutput:
         assert cli(line, files) == (0, expected, "")
 
     @pytest.mark.parametrize("line, expected, files", [
+        row("order list 4 2 --first 1 --last 1",
+            "error: --first and --last are mutually exclusive\n"),
+        row("order list 4 9", "error: level 9 out of range for n=4\n"),
+        row("shadow", "error: give either --family or both n and k\n"),
+        row("shadow 5 3 --first 2 --last 3",
+            "error: --first and --last are mutually exclusive\n"),
+        row("shade --family fam.txt --last 1",
+            "error: --family and --last are mutually exclusive\n", FAM),
+        # the file's n=4 family would be used with the 5 and 3 ignored
+        *(row(f"{command} {positional} --family fam.txt",
+              "error: --family and positional n and k are mutually exclusive\n",
+              FAM)
+          for command in ("shadow", "shade") for positional in ("5 3", "5")),
+        # the message names the count given, not the window it would cut
+        *(row(f"shade 4 2 {flag} {m}", f"error: m={m} out of range for C(4,2)=6\n")
+          for flag, m in (("--last", "99"), ("--first", "-1"), ("--first", "7"))),
+        row("shadow --family repeat.txt",
+            "error: family members must be pairwise distinct\n",
+            {"repeat.txt": "n=4\n{1,2}\n{2,1}\n"}),
+        # the message quotes the set as written, not its mask 16
+        row("shadow --family outside.txt",
+            "error: set {5} uses elements outside 1..4\n",
+            {"outside.txt": "n=4\n{1}\n{5}\n"}),
+        row("shadow --family x.txt", "error: cannot parse set literal: '{1,2,x}'\n",
+            {"x.txt": "n=4\n{1,2,x}\n"}),
+        row("cascade 0 3", "error: cascade representation needs m >= 1, got 0\n"),
+        # a check that ran over no instance must not print pass
+        row("lemmas check --max 1", "error: check 3.4 has no instance up to limit 1\n"),
+        row("lemmas check --id 3.7 --max 2",
+            "error: check 3.7 has no instance up to limit 2\n"),
         # a family file that is not there: the OSError branch of main
         row("shadow --family nope.txt",
             "error: [Errno 2] No such file or directory: 'nope.txt'\n"),
@@ -491,20 +406,19 @@ class TestExactOutput:
         assert cli(line, files) == (2, "", expected)
 
     @pytest.mark.parametrize("n, optimum", [(5, 20), (6, 35)])
-    def test_budget_cut_census(self, capsys, n, optimum):
+    def test_budget_cut_census(self, cli, n, optimum):
         # a census cut by its budget refutes nothing: INCOMPLETE, not FAIL
-        assert run(capsys, "verify", "theorem-1.4", "--n", str(n),
-                   "--budget-seconds", "0") == (
+        assert cli(f"verify theorem-1.4 --n {n} --budget-seconds 0") == (
             3,
             f"n={n}  optimum={optimum}  formula={optimum}\n"
             "optimal pair classes: 0\n"
             "INCOMPLETE\n",
             "search budget exhausted; results are partial\n")
 
-    def test_lemmas_violation_lines(self, capsys, monkeypatch):
+    def test_lemmas_violation_lines(self, cli, monkeypatch):
         from sperner import differences
         monkeypatch.setattr(differences, "term_gain", lambda n, r: 0)
-        assert run(capsys, "lemmas", "check", "--id", "3.3", "--max", "2") == (
+        assert cli("lemmas check --id 3.3 --max 2") == (
             1,
             "id   limit  instances  violations  status\n"
             "3.3  2      3          2           FAIL\n"
@@ -512,12 +426,12 @@ class TestExactOutput:
             "  violation 3.3: (2, 2)\n",
             "")
 
-    def test_sweep_violation_lines(self, capsys, monkeypatch):
+    def test_sweep_violation_lines(self, cli, monkeypatch):
         from sperner import cascade
         real = cascade.kkt_shadow_bound
         monkeypatch.setattr(cascade, "kkt_shadow_bound",
                             lambda m, k: real(m, k) - 1)
-        assert run(capsys, "sweep", "lemma-3.8", "--max-n", "3") == (
+        assert cli("sweep lemma-3.8 --max-n 3") == (
             1,
             "shadow-excess: 1 instances, 2 violations\n"
             "  violation: (3, 1, 2)\n"
