@@ -142,6 +142,9 @@ class Family:
     order by (n, members).
     """
 
+    # _pushed is normalize._normalized's memo; nothing else writes it
+    __slots__ = ("n", "members", "_pushed")
+
     n: int
     members: tuple[int, ...]
 
@@ -151,17 +154,20 @@ class Family:
             check_mask(m, n)
         if len(set(members)) != len(members):
             raise ValueError("family members must be pairwise distinct")
-        # written to the instance dict, past the __setattr__ that refuses
-        # every later assignment
-        fields = self.__dict__
-        fields["n"] = n
-        fields["members"] = sort_members(members)
+        # written past the __setattr__ that refuses every later assignment
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", sort_members(members))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: Family is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}: Family is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, which the refusing
+        # __setattr__ would stop; the memo is not carried over
+        return type(self), (self.n, self.members)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n={self.n!r}, members={self.members!r})"

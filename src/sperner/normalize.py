@@ -33,7 +33,7 @@ partner is read only to validate the input and, before a down step, to
 check its member sizes.  The ``Family`` functions are thin wrappers that
 call the kernel and build a ``Family`` only for a result that moved;
 ``normalize_to_middle`` and ``normalize_pair`` share one memoized full
-push per ``Family`` object, kept in that object's instance dict: an
+push per ``Family`` object, kept in that object's ``_pushed`` slot: an
 all-pairs audit that passes the same objects pushes each family once and
 never hashes one.
 """
@@ -174,20 +174,23 @@ def _trace(f: Family, steps: list[Step],
                               Family(f.n, members) if steps else f)
 
 
-# the instance-dict key of a family's memoized full push
+# the Family slot that holds a family's memoized full push
 _PUSHED = "_pushed"
 
 
 def _normalized(f: Family) -> NormalizationTrace:
-    """The full push of f, stored on f and returned by identity on every
-    later call.  The memo is per object: an equal family built apart is
-    pushed apart, to an equal trace.  Storing it leaves f's equality,
-    hash, order and repr alone, which read only n and members.  A push
-    that raises stores nothing and raises again on the next call."""
-    fields = f.__dict__
-    trace = fields.get(_PUSHED)
-    if trace is None:
-        trace = fields[_PUSHED] = _trace(f, *_push(f.n, f.members))
+    """The full push of f, stored in f's _pushed slot and returned by
+    identity on every later call; an unset slot is a miss.  The memo is
+    per object: an equal family built apart is pushed apart, to an equal
+    trace.  Storing it leaves f's equality, hash, order and repr alone,
+    which read only n and members.  A push that raises stores nothing and
+    raises again on the next call."""
+    try:
+        return f._pushed
+    except AttributeError:
+        pass
+    trace = _trace(f, *_push(f.n, f.members))
+    object.__setattr__(f, _PUSHED, trace)
     return trace
 
 
@@ -235,10 +238,10 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     their own, equal, trace.  With `validate` (the default) the pair is
     checked before the memo is read; the all-pairs audit passes False,
     since its pairs are crossing antichains by construction.  A hit is
-    two instance-dict reads, so no family is hashed or compared."""
+    two slot reads, so no family is hashed or compared."""
     if validate:
         _validate(a, b)
     try:
-        return a.__dict__[_PUSHED], b.__dict__[_PUSHED]
-    except KeyError:
+        return a._pushed, b._pushed
+    except AttributeError:
         return _normalized(a), _normalized(b)

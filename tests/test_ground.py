@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from sperner.ground import (Family, _bits, format_family, format_set,
                             full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
                             parse_set)
+from sperner.normalize import normalize_pair
 
 
 def reference_bits(m):
@@ -198,6 +201,22 @@ class TestFamily:
         with pytest.raises(ValueError):
             Family(61, ())
         Family(60, (1 << 59,))  # allowed
+
+    @pytest.mark.parametrize("pushed", [False, True], ids=["unpushed", "pushed"])
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        lambda f: pickle.loads(pickle.dumps(f, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    def test_clone_rebuilds_without_memo(self, clone, pushed):
+        f = fam(5, (1, 2), (1, 3))
+        if pushed:
+            normalize_pair(f, f)
+        g = clone(f)
+        assert type(g) is Family and g == f and g is not f
+        assert not hasattr(g, "_pushed")
+        assert hasattr(f, "_pushed") is pushed
 
 
 class TestTextFormats:

@@ -145,7 +145,7 @@ class TestTerminationGuard:
         f = fam(4, (1,))
         with pytest.raises(RuntimeError, match="up phase failed to terminate"):
             normalize_to_middle(f, EMPTY4)
-        assert normalize._PUSHED not in vars(f)
+        assert not hasattr(f, normalize._PUSHED)
         assert len(push_up_min_rank(f, EMPTY4).steps) == 1
 
 
@@ -453,11 +453,11 @@ class TestNormalizePair:
 
 
 class TestPushMemo:
-    """Each Family object keeps its own full push in its instance dict."""
+    """Each Family object keeps its own full push in its _pushed slot."""
 
     def test_sweep_hashes_no_family(self, monkeypatch):
         # the sweep calls normalize_pair on the table's own objects, so the
-        # memo answers by two dict reads; a cache keyed by the family
+        # memo answers by two slot reads; a cache keyed by the family
         # hashed both sides of each of the 3 831 calls at n=4
         calls = []
         real = Family.__hash__
@@ -484,12 +484,27 @@ class TestPushMemo:
         fresh = [Family(f.n, f.members) for f in pushed]
         for f in pushed:
             _normalized(f)
-            assert normalize._PUSHED in vars(f)
+            assert hasattr(f, normalize._PUSHED)
         assert pushed == fresh
         assert [hash(f) for f in pushed] == [hash(g) for g in fresh]
         assert [repr(f) for f in pushed] == [repr(g) for g in fresh]
         assert ([[f < g for g in fresh] for f in pushed]
                 == [[f < g for g in fresh] for f in fresh])
+
+    def test_memo_has_one_home(self):
+        # no instance dict to hold a second copy, no assignment or deletion
+        # past the refusing __setattr__ and __delattr__, and a hit returns
+        # the trace held in the slot
+        f = fam(4, (1,))
+        assert not hasattr(f, "__dict__")
+        normalize_pair(f, f)
+        for name in ("n", "members", normalize._PUSHED, "label"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        ta, tb = normalize_pair(f, f)
+        assert ta is f._pushed and tb is f._pushed and ta.steps
 
     def test_equal_families_built_apart_get_equal_traces(self):
         a = fam(5, (1, 2), (1, 3))
@@ -510,7 +525,7 @@ class TestPushMemo:
         for _ in range(2):
             with pytest.raises(SelectionError):
                 normalize_pair(f, f)
-            assert normalize._PUSHED not in vars(f)
+            assert not hasattr(f, normalize._PUSHED)
 
 
 # ---------------------------------------------------------------------------
