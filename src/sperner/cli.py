@@ -251,8 +251,8 @@ def _theorem_payload(report: dict) -> dict:
         "near_optimal_pairs": sets(census.near_optimum_pairs),
         "reduced_by_isomorphism": True,
         "counts": {
-            "ordered_optimum": census.ordered_count_optimum,
-            "ordered_near": census.ordered_count_near,
+            "ordered_optimum": len(census.raw_optimum),
+            "ordered_near": len(census.raw_near),
             "unordered_optimum": census.unordered_count_optimum,
             "unordered_near": census.unordered_count_near,
         },

@@ -259,10 +259,11 @@ def max_sum_formula(n: int) -> int:
 class SearchCensus(NamedTuple):
     """Aggregate of one exhaustive pair search.
 
-    raw_* lists hold ordered pairs (both orders of an asymmetric pair).
-    *_pairs names each orbit of raw_* under ground permutations (no A/B
-    swap) by its least pair: the canonical form in a complete census,
-    the least found pair in a budget-cut one.  Counts derive from raw_*.
+    raw_* lists hold ordered pairs (both orders of an asymmetric pair),
+    so len(raw_*) is the ordered count.  *_pairs names each orbit of
+    raw_* under ground permutations (no A/B swap) by its least pair: the
+    canonical form in a complete census, the least found pair in a
+    budget-cut one.  The unordered counts derive from raw_* too.
     """
 
     n: int
@@ -272,14 +273,6 @@ class SearchCensus(NamedTuple):
     raw_optimum: tuple[tuple[Family, Family], ...]
     raw_near: tuple[tuple[Family, Family], ...]
     incomplete: bool = False     # true when the wall-clock budget expired
-
-    @property
-    def ordered_count_optimum(self) -> int:
-        return len(self.raw_optimum)
-
-    @property
-    def ordered_count_near(self) -> int:
-        return len(self.raw_near)
 
     @property
     def unordered_count_optimum(self) -> int:
@@ -311,13 +304,13 @@ def _census_scan(n: int, deadline: float | None,
     and has at least best - 1 - |row i| members, so a walk of the
     transversal finds it.
 
-    Every crossing pair with sum s >= best - 1 is collected, where best is
-    the running maximum (never below seed_best); at the end only the pairs
-    at the final best and best - 1 are kept.  Nothing needed is pruned:
-    the running best never exceeds the final one and rows shrink, so once
-    2 * |row i| < best - 1 no later pair can reach the final best - 1.
-    At n = 6 that is 1 381 rows and 211 transversal walks, 1 417
-    antichains drawn in all.
+    Each crossing pair with sum s >= best - 1, best the running maximum
+    (never below seed_best), is filed under s as it is found, and only
+    the lists at the final best and best - 1 are returned.  Nothing
+    needed is pruned: the running best never exceeds the final one and
+    rows shrink, so once 2 * |row i| < best - 1 no later pair can reach
+    the final best - 1.  At n = 6 that is 1 381 rows and 211 transversal
+    walks, 1 417 antichains drawn in all.
     """
     floor = seed_best - 1
     half = (floor + 1) // 2
@@ -326,7 +319,7 @@ def _census_scan(n: int, deadline: float | None,
 
     incomplete = False
     best = seed_best
-    found = []
+    by_sum: dict[int, list] = {}
     everything = (1 << len(rows)) - 1
     for i, a in enumerate(rows):
         size_a = len(a)
@@ -339,7 +332,7 @@ def _census_scan(n: int, deadline: float | None,
             s = size_a + len(rows[j])
             if s >= best - 1:
                 best = max(best, s)
-                found.append((s, a, rows[j]))
+                by_sum.setdefault(s, []).append((a, rows[j]))
         need = max(best - 1 - size_a, 0)
         if need >= half:
             continue
@@ -348,13 +341,8 @@ def _census_scan(n: int, deadline: float | None,
             if len(b) < half:
                 s = size_a + len(b)
                 best = max(best, s)
-                found.append((s, a, b))
-
-    buckets: dict[int, list] = {best: [], best - 1: []}
-    for s, a, b in found:
-        if s >= best - 1:
-            buckets[s].append((a, b))
-    return best, buckets, incomplete
+                by_sum.setdefault(s, []).append((a, b))
+    return best, {s: by_sum.get(s, []) for s in (best, best - 1)}, incomplete
 
 
 def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
@@ -571,10 +559,9 @@ def _pair_sweep_setup(n: int) -> tuple:
     """The antichains of {1..n} and their tables for the all-pairs sweep,
     in this order:
 
-    - fams, the antichains;
-    - traces[i], the pushed trace of fams[i] (None on SelectionError),
-      which _normalized also stores on fams[i] itself, and audits[i], its
-      _audit;
+    - fams, the antichains, each holding its pushed trace in the _pushed
+      slot where _normalized stores it (unset on SelectionError);
+    - audits[i], the _audit of fams[i]'s push (None on SelectionError);
     - contains[x], the antichains (a bitset over antichain indices) that
       have subset x as a member;
     - missers[y] and pushed[y], the antichains with a member that misses
@@ -587,22 +574,20 @@ def _pair_sweep_setup(n: int) -> tuple:
     it runs."""
     band = normalize.middle_band(n)
     fams = list(enumerate_antichains(n))
-    traces = []
+    audits = []
     for f in fams:
         try:
-            traces.append(normalize._normalized(f))
+            audits.append(_audit(f, normalize._normalized(f), band))
         except normalize.SelectionError:
             # not stored by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
-            traces.append(None)
-    audits = [None if t is None else _audit(f, t, band)
-              for f, t in zip(fams, traces)]
+            audits.append(None)
     contains = _holders(n, (f.members for f in fams))
     missers = _missers(n, contains)
     pushed = _missers(n, _holders(n, (() if a is None else a[2] for a in audits)))
     stepped = sum(1 << j for j, a in enumerate(audits) if a and a[1])
     sound = sum(1 << j for j, a in enumerate(audits) if a and a[0])
-    return fams, traces, audits, contains, missers, pushed, stepped, sound
+    return fams, audits, contains, missers, pushed, stepped, sound
 
 
 def _audit(f: Family, trace,
@@ -634,11 +619,12 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     fams[i]) call, and failures and violations name the pair in that
     order too, so each unordered pair is called and reported once, lower
     index first.  The calls take the table's own Family objects, so the
-    memo on each object answers them with the table's traces by
-    identity, with no hashing.  A pair whose call raises SelectionError
-    is recorded as a failure.  Any other call must return the table's
-    two traces, the two families' own pushes (by identity, or by value
-    after an identity miss); anything else raises RuntimeError.  So
+    memo on each object answers them with the push the table stored in
+    its _pushed slot, by identity, with no hashing.  A pair whose call
+    raises SelectionError is recorded as a failure, before any slot is
+    read.  Any other call must return the two families' own pushes, the
+    traces in fams[j]._pushed and fams[i]._pushed (by identity, or by
+    value after an identity miss); anything else raises RuntimeError.  So
     _audit runs only in the table, and one bitset row audits the
     partners that passed selection by one rule, reading the table's
     stepped, sound, and pushed[x], the partners whose final misses the
@@ -652,7 +638,7 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     normalize_pair = normalize.normalize_pair
     SelectionError = normalize.SelectionError
     n, stripe = args
-    (fams, traces, audits, contains,
+    (fams, audits, contains,
      missers, pushed, stepped, sound) = _pair_sweep_setup(n)
     count = len(fams)
     full = (1 << n) - 1
@@ -660,7 +646,7 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     failures: list[tuple] = []
     violations: list[tuple] = []
     for i in range(stripe, count, PAIR_SWEEP_STRIPES):
-        fi, ti = fams[i], traces[i]
+        fi = fams[i]
         partners = ((2 << i) - 1) & ~_or_rows(missers, fi.members)
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
@@ -670,14 +656,15 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
             violations.append(("complement", fams[j].sets(), fi.sets()))
         row = partners
         for j in _bits(partners):
-            fj, tj = fams[j], traces[j]
+            fj = fams[j]
             try:
                 ta, tb = normalize_pair(fj, fi, False)
             except SelectionError as exc:
                 row ^= 1 << j
                 failures.append((fj.sets(), fi.sets(), str(exc)))
                 continue
-            if not ((ta is tj or ta == tj) and (tb is ti or tb == ti)):
+            if not ((ta is fj._pushed or ta == fj._pushed)
+                    and (tb is fi._pushed or tb == fi._pushed)):
                 raise RuntimeError(
                     f"normalize_pair({fj.sets()}, {fi.sets()}) returned "
                     "other traces than the two families' own pushes")

@@ -294,16 +294,20 @@ class TestNormalizePair:
 
     @staticmethod
     def _sweep_with_faked_push(monkeypatch, victim, fake_trace):
-        """The n=4 sweep with victim's push replaced by fake_trace, which
-        is not stored on the victim: the table and normalize_pair's memo
-        miss both read it from the patched _normalized.  Returns the
-        report and the honest one, whose table pushed every antichain."""
+        """The n=4 sweep with victim's push replaced by fake_trace: the
+        patched _normalized stores it in the _pushed slot of the table's
+        family equal to victim, as _normalized does, so the table's audit
+        and every normalize_pair call read it there.  Returns the report
+        and the honest one, whose table pushed every antichain."""
         honest = verifier.normalization_pair_sweep(4)
         verifier._pair_sweep_setup.cache_clear()
         real = normalize._normalized
 
         def faking(f):
-            return fake_trace if f == victim else real(f)
+            if f != victim:
+                return real(f)
+            object.__setattr__(f, normalize._PUSHED, fake_trace)
+            return fake_trace
 
         monkeypatch.setattr(normalize, "_normalized", faking)
         return verifier.normalization_pair_sweep(4), honest
@@ -473,10 +477,9 @@ class TestPushMemo:
 
     def test_pair_returns_the_table_traces(self):
         assert verifier.normalization_pair_sweep(4).passed
-        fams, traces = verifier._pair_sweep_setup(4)[:2]
-        for f, t in zip(fams, traces):
+        for f in verifier._pair_sweep_setup(4)[0]:
             ta, tb = normalize_pair(f, f, False)
-            assert ta is t and tb is t
+            assert ta is f._pushed and tb is f._pushed
 
     def test_memo_leaves_the_value_alone(self):
         pushed = [fam(4), fam(4, (1,)), fam(4, (1, 2), (3,)), fam(4, (2, 3)),

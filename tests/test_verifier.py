@@ -24,6 +24,16 @@ from sperner.verifier import (DEDEKIND, antichain_mask_tuples,
                               sweep_last_shade_margin, sweep_shadow_excess)
 
 
+def both_orders(n, pairs):
+    """The ordered Family pairs, both orders of each, of the given pairs of
+    member mask tuples over {1..n}."""
+    out = set()
+    for a, b in pairs:
+        fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
+        out |= {(fa, fb), (fb, fa)}
+    return out
+
+
 def brute_antichains(universe, min_size):
     """Every subset of the universe, in universe order, that is pairwise
     incomparable and has at least min_size members."""
@@ -376,18 +386,10 @@ class TestCensus:
         # every antichain as a row and is the reference
         best, buckets, incomplete = _census_scan(n, None, 0)
         assert not incomplete
-
-        def ordered(pairs):
-            out = set()
-            for a, b in pairs:
-                fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
-                out |= {(fa, fb), (fb, fa)}
-            return out
-
         census = max_cross_sum(n)
         assert census.optimum == best
-        assert set(census.raw_optimum) == ordered(buckets[best])
-        assert set(census.raw_near) == ordered(buckets[best - 1])
+        assert set(census.raw_optimum) == both_orders(n, buckets[best])
+        assert set(census.raw_near) == both_orders(n, buckets[best - 1])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_against_naive_oracle(self, n):
@@ -402,19 +404,11 @@ class TestCensus:
                     continue
                 s = len(a) + len(b)
                 best = max(best, s)
-                pairs.setdefault(s, []).append((a, b))
+                pairs.setdefault(s, []).append((a.members, b.members))
         census = max_cross_sum(n)
         assert census.optimum == best
-
-        def ordered(unordered_pairs):
-            out = set()
-            for a, b in unordered_pairs:
-                out.add((a, b))
-                out.add((b, a))
-            return out
-
-        assert set(census.raw_optimum) == ordered(pairs[best])
-        assert set(census.raw_near) == ordered(pairs.get(best - 1, []))
+        assert set(census.raw_optimum) == both_orders(n, pairs[best])
+        assert set(census.raw_near) == both_orders(n, pairs.get(best - 1, []))
         assert census.unordered_count_optimum == len(pairs[best])
         assert census.unordered_count_near == len(pairs.get(best - 1, []))
 
@@ -453,9 +447,7 @@ def _drop_one_near_pair(monkeypatch, incomplete):
 
     def lossy(n, deadline, seed_best):
         best, buckets, _ = scan(n, deadline, seed_best)
-        a, b = buckets[best - 1].pop(0)
-        fa, fb = Family.from_masks(n, a), Family.from_masks(n, b)
-        dropped.extend({(fa, fb), (fb, fa)})
+        dropped.extend(both_orders(n, [buckets[best - 1].pop(0)]))
         return best, buckets, incomplete
 
     monkeypatch.setattr(verifier, "_census_scan", lossy)
