@@ -216,7 +216,7 @@ def _cmd_theorem(args) -> int:
         report = verifier.near_extremal_report(n, budget_seconds=budget)
         detail = (f"near-optimal ordered pairs: expected "
                   f"{report['expected_ordered']}, found "
-                  f"{report['found_ordered']}")
+                  f"{len(report['census'].raw_near)}")
     census = report["census"]
     lines = [f"n={census.n}  optimum={census.optimum}  "
              f"formula={report['formula_value']}",
@@ -261,7 +261,7 @@ def _theorem_payload(report: dict) -> dict:
     if "expected_ordered" in report:
         payload["characterization"] = {
             "expected_ordered": report["expected_ordered"],
-            "found_ordered": report["found_ordered"],
+            "found_ordered": len(census.raw_near),
             "missing": sets(report["missing"]),
             "unexpected": sets(report["unexpected"]),
         }

@@ -174,10 +174,6 @@ def _trace(f: Family, steps: list[Step],
                               Family(f.n, members) if steps else f)
 
 
-# the Family slot that holds a family's memoized full push
-_PUSHED = "_pushed"
-
-
 def _normalized(f: Family) -> NormalizationTrace:
     """The full push of f, stored in f's _pushed slot and returned by
     identity on every later call; an unset slot is a miss.  The memo is
@@ -190,7 +186,7 @@ def _normalized(f: Family) -> NormalizationTrace:
     except AttributeError:
         pass
     trace = _trace(f, *_push(f.n, f.members))
-    object.__setattr__(f, _PUSHED, trace)
+    object.__setattr__(f, "_pushed", trace)
     return trace
 
 

@@ -447,7 +447,6 @@ def near_extremal_report(n: int, budget_seconds: float | None = None) -> dict:
     return {
         **report,
         "expected_ordered": len(expected),
-        "found_ordered": len(found),
         "missing": tuple(sorted(set(expected) - set(found))),
         "unexpected": tuple(sorted(set(found) - set(expected))),
         "match": report["match"] and set(expected) == set(found),
@@ -561,48 +560,42 @@ def _pair_sweep_setup(n: int) -> tuple:
 
     - fams, the antichains, each holding its pushed trace in the _pushed
       slot where _normalized stores it (unset on SelectionError);
-    - audits[i], the _audit of fams[i]'s push (None on SelectionError);
     - contains[x], the antichains (a bitset over antichain indices) that
       have subset x as a member;
     - missers[y] and pushed[y], the antichains with a member that misses
-      subset y, and those whose audited final has one (see _missers);
-    - stepped and sound, the antichains whose audit says so.
+      subset y, and those whose pushed final has one (see _missers);
+    - stepped, the antichains whose push takes a step, and sound, those
+      whose push is sound: its final keeps the family's size, is an
+      antichain and lies in the middle band, and a push without steps
+      returns the family.
 
-    Every mask over antichains reads the audits, so the audit is the one
-    record of what a push did.  A process builds this on first use, so it
-    enumerates, pushes and audits each antichain once, whichever stripes
-    it runs."""
-    band = normalize.middle_band(n)
+    A failed push sets no bit and has no final.  A process builds this on
+    first use, so it enumerates, pushes and checks each antichain once,
+    whichever stripes it runs."""
+    lo, hi = normalize.middle_band(n)
     fams = list(enumerate_antichains(n))
-    audits = []
-    for f in fams:
+    finals = []
+    stepped = sound = 0
+    for j, f in enumerate(fams):
         try:
-            audits.append(_audit(f, normalize._normalized(f), band))
+            trace = normalize._normalized(f)
         except normalize.SelectionError:
             # not stored by _normalized, so each pair it spoils raises it
             # again in normalize_pair and records it there
-            audits.append(None)
+            finals.append(())
+            continue
+        final = trace.final
+        finals.append(final.members)
+        if trace.steps:
+            stepped |= 1 << j
+        if (len(final) == len(f) and is_antichain(final)
+                and all(lo <= x.bit_count() <= hi for x in final.members)
+                and (trace.steps or final == f)):
+            sound |= 1 << j
     contains = _holders(n, (f.members for f in fams))
     missers = _missers(n, contains)
-    pushed = _missers(n, _holders(n, (() if a is None else a[2] for a in audits)))
-    stepped = sum(1 << j for j, a in enumerate(audits) if a and a[1])
-    sound = sum(1 << j for j, a in enumerate(audits) if a and a[0])
-    return fams, audits, contains, missers, pushed, stepped, sound
-
-
-def _audit(f: Family, trace,
-           band: tuple[int, int]) -> tuple[bool, bool, tuple[int, ...]]:
-    """(sound, stepped, final members) of f's pushed trace.  Sound: the
-    final keeps f's size, is an antichain and lies in band, the middle
-    band (lo, hi) of f's ground, and a trace without steps returns f."""
-    final = trace.final
-    m = final.members
-    lo, hi = band
-    stepped = bool(trace.steps)
-    sound = (len(m) == len(f) and is_antichain(final)
-             and all(lo <= x.bit_count() <= hi for x in m)
-             and (stepped or final == f))
-    return sound, stepped, m
+    pushed = _missers(n, _holders(n, finals))
+    return fams, contains, missers, pushed, stepped, sound
 
 
 def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
@@ -624,13 +617,13 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     raises SelectionError is recorded as a failure, before any slot is
     read.  Any other call must return the two families' own pushes, the
     traces in fams[j]._pushed and fams[i]._pushed (by identity, or by
-    value after an identity miss); anything else raises RuntimeError.  So
-    _audit runs only in the table, and one bitset row audits the
-    partners that passed selection by one rule, reading the table's
-    stepped, sound, and pushed[x], the partners whose final misses the
-    member x of i's final: a pair moved if either side stepped, an
-    unmoved pair needs both sides sound, and a moved pair also needs the
-    two finals to cross.  Only violating pairs are decoded to sets.
+    value after an identity miss); anything else raises RuntimeError.
+    One bitset row audits the partners that passed selection by one rule,
+    reading the table's stepped and sound bits, fams[i]._pushed's final,
+    and pushed[x], the partners whose final misses the member x of that
+    final: a pair moved if either side stepped, an unmoved pair needs
+    both sides sound, and a moved pair also needs the two finals to
+    cross.  Only violating pairs are decoded to sets.
     """
     # read from the module once per stripe: a wrapper set on
     # sperner.normalize.normalize_pair sees every pair, and the pair loop
@@ -638,8 +631,7 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     normalize_pair = normalize.normalize_pair
     SelectionError = normalize.SelectionError
     n, stripe = args
-    (fams, audits, contains,
-     missers, pushed, stepped, sound) = _pair_sweep_setup(n)
+    fams, contains, missers, pushed, stepped, sound = _pair_sweep_setup(n)
     count = len(fams)
     full = (1 << n) - 1
     crossing = moved = 0
@@ -671,14 +663,13 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
         if not row:
             # every partner failed selection, as all do when i's push did
             continue
-        a_sound, a_stepped, a_final = audits[i]
         # shifted pairs moved (a side stepped), still pairs did not
-        shifted = row if a_stepped else row & stepped
+        shifted = row if stepped >> i & 1 else row & stepped
         still = row ^ shifted
         moved += shifted.bit_count()
-        if a_sound:
+        if sound >> i & 1:
             still &= ~sound
-            shifted &= ~sound | _or_rows(pushed, a_final)
+            shifted &= ~sound | _or_rows(pushed, fi._pushed.final.members)
         for j in _bits(still):
             violations.append(("identity", fams[j].sets(), fi.sets()))
         for j in _bits(shifted):

@@ -1,5 +1,5 @@
 import re
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 import pytest
 
@@ -145,7 +145,7 @@ class TestTerminationGuard:
         f = fam(4, (1,))
         with pytest.raises(RuntimeError, match="up phase failed to terminate"):
             normalize_to_middle(f, EMPTY4)
-        assert not hasattr(f, normalize._PUSHED)
+        assert not hasattr(f, "_pushed")
         assert len(push_up_min_rank(f, EMPTY4).steps) == 1
 
 
@@ -306,7 +306,7 @@ class TestNormalizePair:
         def faking(f):
             if f != victim:
                 return real(f)
-            object.__setattr__(f, normalize._PUSHED, fake_trace)
+            object.__setattr__(f, "_pushed", fake_trace)
             return fake_trace
 
         monkeypatch.setattr(normalize, "_normalized", faking)
@@ -363,9 +363,10 @@ class TestNormalizePair:
         assert (report.crossing_pairs, report.moved_pairs) == (
             honest.crossing_pairs, honest.moved_pairs)
 
-    # each case corrupts one antichain's audit while the table is built,
-    # so the whole-row bitset path reads it for every partner; the
-    # stepped and sound masks and pushed[] all follow the audit
+    # each case corrupts one antichain's entry in the sweep's table: its
+    # bit in sound or stepped, or its final, stored in its _pushed slot
+    # with pushed[] rebuilt from the slots, so the whole-row bitset path
+    # reads the corruption for every partner
     @pytest.mark.parametrize("n, victim, fields, violations, moved", [
         # unmoved pairs with an unsound side fail the identity check
         (2, ((1,), (2,)), {"sound": False},
@@ -382,18 +383,25 @@ class TestNormalizePair:
     def test_sweep_reads_a_corrupted_audit_row_by_row(
             self, monkeypatch, n, victim, fields, violations, moved):
         victim = fam(n, *victim)
-        real = verifier._audit
+        build = verifier._pair_sweep_setup.__wrapped__
 
-        def corrupted(f, trace, band):
-            sound, stepped, final = real(f, trace, band)
-            if f != victim:
-                return sound, stepped, final
+        @cache  # as the real table is: every stripe reads the one build
+        def corrupted(m):
+            fams, contains, missers, pushed, stepped, sound = build(m)
+            k = fams.index(victim)
+            v = 1 << k
+            if "stepped" in fields:
+                stepped = stepped | v if fields["stepped"] else stepped & ~v
+            if "sound" in fields:
+                sound = sound | v if fields["sound"] else sound & ~v
             if "final" in fields:
-                final = fam(n, *fields["final"]).members
-            return (fields.get("sound", sound), fields.get("stepped", stepped),
-                    final)
+                object.__setattr__(fams[k], "_pushed", NormalizationTrace(
+                    fams[k]._pushed.steps, fam(m, *fields["final"])))
+                pushed = verifier._missers(m, verifier._holders(
+                    m, (g._pushed.final.members for g in fams)))
+            return fams, contains, missers, pushed, stepped, sound
 
-        monkeypatch.setattr(verifier, "_audit", corrupted)
+        monkeypatch.setattr(verifier, "_pair_sweep_setup", corrupted)
         report = verifier.normalization_pair_sweep(n)
         assert report.violations == violations
         assert report.moved_pairs == moved
@@ -487,7 +495,7 @@ class TestPushMemo:
         fresh = [Family(f.n, f.members) for f in pushed]
         for f in pushed:
             _normalized(f)
-            assert hasattr(f, normalize._PUSHED)
+            assert hasattr(f, "_pushed")
         assert pushed == fresh
         assert [hash(f) for f in pushed] == [hash(g) for g in fresh]
         assert [repr(f) for f in pushed] == [repr(g) for g in fresh]
@@ -501,7 +509,7 @@ class TestPushMemo:
         f = fam(4, (1,))
         assert not hasattr(f, "__dict__")
         normalize_pair(f, f)
-        for name in ("n", "members", normalize._PUSHED, "label"):
+        for name in ("n", "members", "_pushed", "label"):
             with pytest.raises(AttributeError):
                 setattr(f, name, None)
             with pytest.raises(AttributeError):
@@ -528,7 +536,7 @@ class TestPushMemo:
         for _ in range(2):
             with pytest.raises(SelectionError):
                 normalize_pair(f, f)
-            assert not hasattr(f, normalize._PUSHED)
+            assert not hasattr(f, "_pushed")
 
 
 # ---------------------------------------------------------------------------
