@@ -28,19 +28,25 @@ and last member.  A step's pool is the set of covers (up) or facets
 (down) of the removed members, read from the generators behind
 ``cascade.shade`` and ``cascade.shadow``, and the greedy choice is its
 least masks: on one rank integer order is squashed order.  It keeps no
-per-n state, so pushes run at every ground size ``Family`` accepts.  The
+per-n table, so pushes run at every ground size ``Family`` accepts.  The
 partner is read only to validate the input and, before a down step, to
-check its member sizes.  The ``Family`` functions are thin wrappers that
-call the kernel and build a ``Family`` only for a result that moved;
+check its member sizes.  A step depends only on the ground size, the
+direction and the members it removes, so each distinct step is built
+once per process and shared by every push that takes it (``_replacement``);
+likewise each distinct moved final is one shared ``Family`` (``_final``).
+The ``Family`` functions are thin wrappers that call the kernel;
 ``normalize_to_middle`` and ``normalize_pair`` share one memoized full
 push per ``Family`` object, kept in that object's ``_pushed`` slot: an
 all-pairs audit that passes the same objects pushes each family once and
-never hashes one.
+never hashes one.  The audit builds its table of pushes in the calling
+process, and forked pool workers inherit it (see
+``verifier._pair_sweep_setup``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import NamedTuple
 
 from .cascade import _covers, _facets
@@ -84,28 +90,34 @@ def middle_band(n: int) -> tuple[int, int]:
 # the kernel: sorted member tuples
 
 
-def _step(n: int, members: tuple[int, ...],
-          up: bool) -> tuple[Step, tuple[int, ...]]:
-    """Replace every member of the minimum (up) or maximum (down) rank by
-    the first shade (shadow) sets in squashed order; too small a pool
-    raises SelectionError."""
-    if up:
-        rank = members[0].bit_count()
-        cut = bisect_right(members, rank, key=int.bit_count)
-        doomed, retained = members[:cut], members[cut:]
-    else:
-        rank = members[-1].bit_count()
-        cut = bisect_left(members, rank, key=int.bit_count)
-        doomed, retained = members[cut:], members[:cut]
+@lru_cache(maxsize=None)
+def _replacement(n: int, doomed: tuple[int, ...], up: bool) -> Step:
+    """The step that replaces the members `doomed`, all of one rank, by
+    the first shade (up) or shadow (down) sets in squashed order; too
+    small a pool raises SelectionError, which is not cached."""
+    rank = doomed[0].bit_count()
     pool = sorted({c for m in doomed
                    for c in (_covers(m, n) if up else _facets(m))})
     need = len(doomed)
     direction = "up" if up else "down"
     if len(pool) < need:
         raise SelectionError(direction, rank, need, len(pool))
-    inserted = tuple(pool[:need])
-    return (Step(direction, rank, doomed, inserted),
-            sort_members(retained + inserted))
+    return Step(direction, rank, doomed, tuple(pool[:need]))
+
+
+def _step(n: int, members: tuple[int, ...],
+          up: bool) -> tuple[Step, tuple[int, ...]]:
+    """Replace every member of the minimum (up) or maximum (down) rank;
+    the step depends on those members alone, so each distinct one is
+    built once (see _replacement)."""
+    if up:
+        cut = bisect_right(members, members[0].bit_count(), key=int.bit_count)
+        doomed, retained = members[:cut], members[cut:]
+    else:
+        cut = bisect_left(members, members[-1].bit_count(), key=int.bit_count)
+        doomed, retained = members[cut:], members[:cut]
+    step = _replacement(n, doomed, up)
+    return step, sort_members(retained + step.inserted)
 
 
 def _settle(n: int, members: tuple[int, ...], up: bool, bound: int,
@@ -168,19 +180,27 @@ def _check_partner_sizes(f: Family, partner: Family) -> None:
             f"{small} partner member(s) are smaller")
 
 
+@lru_cache(maxsize=None)
+def _final(n: int, members: tuple[int, ...]) -> Family:
+    """The one Family of a moved push's final members: pushes that end on
+    equal members share it."""
+    return Family(n, members)
+
+
 def _trace(f: Family, steps: list[Step],
            members: tuple[int, ...]) -> NormalizationTrace:
     return NormalizationTrace(tuple(steps),
-                              Family(f.n, members) if steps else f)
+                              _final(f.n, members) if steps else f)
 
 
 def _normalized(f: Family) -> NormalizationTrace:
     """The full push of f, stored in f's _pushed slot and returned by
     identity on every later call; an unset slot is a miss.  The memo is
     per object: an equal family built apart is pushed apart, to an equal
-    trace.  Storing it leaves f's equality, hash, order and repr alone,
-    which read only n and members.  A push that raises stores nothing and
-    raises again on the next call."""
+    trace that holds the same shared steps and final.  Storing it leaves
+    f's equality, hash, order and repr alone, which read only n and
+    members.  A push that raises stores nothing and raises again on the
+    next call."""
     try:
         return f._pushed
     except AttributeError:
@@ -231,7 +251,10 @@ def normalize_pair(a: Family, b: Family, validate: bool = True
     The pushes are memoized on the Family objects (see _normalized):
     each object passed in is pushed once, and every later call with it
     returns that same trace object.  Equal families built apart each keep
-    their own, equal, trace.  With `validate` (the default) the pair is
+    their own, equal, trace, whose steps and final are the shared ones.
+    The all-pairs audit pushes its families while its caller builds the
+    table, which forked workers inherit, so there every push that
+    succeeded is a hit.  With `validate` (the default) the pair is
     checked before the memo is read; the all-pairs audit passes False,
     since its pairs are crossing antichains by construction.  A hit is
     two slot reads, so no family is hashed or compared."""

@@ -569,9 +569,13 @@ def _pair_sweep_setup(n: int) -> tuple:
       antichain and lies in the middle band, and a push without steps
       returns the family.
 
-    A failed push sets no bit and has no final.  A process builds this on
-    first use, so it enumerates, pushes and checks each antichain once,
-    whichever stripes it runs."""
+    A failed push sets no bit and has no final.  normalization_pair_sweep
+    builds this in the calling process before any stripe runs, so the
+    stripes of a forked pool inherit it and the audit enumerates, pushes
+    and checks each antichain once.  A spawned or forkserver worker
+    shares no memory with the caller and builds its own on first use.
+    Pushes share their steps and moved finals (see normalize._replacement
+    and normalize._final), so the table holds each distinct one once."""
     lo, hi = normalize.middle_band(n)
     fams = list(enumerate_antichains(n))
     finals = []
@@ -600,8 +604,8 @@ def _pair_sweep_setup(n: int) -> tuple:
 
 def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     """One stripe (i = stripe, stripe + PAIR_SWEEP_STRIPES, ...) of the
-    all-pairs normalization sweep, with the antichain count; results
-    merge associatively across stripes.
+    all-pairs normalization sweep; results merge associatively across
+    stripes.
 
     Row i works on bitsets over antichain indices.  Its partners, the
     j <= i that cross fams[i], are those with no member that misses a
@@ -674,7 +678,7 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
             violations.append(("identity", fams[j].sets(), fi.sets()))
         for j in _bits(shifted):
             violations.append(("preservation", fams[j].sets(), fi.sets()))
-    return count, crossing, moved, failures, violations
+    return crossing, moved, failures, violations
 
 
 class PairSweepReport(NamedTuple):
@@ -700,6 +704,10 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
     """Run normalize_pair over every unordered cross-intersecting pair of
     antichains of {1..n} (n <= 5) and audit the preserved properties.
 
+    The table (see _pair_sweep_setup) is built here, before the pool
+    starts, so forked workers inherit it and the audit builds it once at
+    any worker count.  Under the spawn or forkserver start method each
+    worker builds its own as well, one build more than the workers.
     Work is split into a fixed number of interleaved row stripes, so the
     rows of each stripe, and of each worker, cost about the same; merging
     is order-independent, so the report is identical at any worker count
@@ -709,13 +717,13 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
+    antichains = len(_pair_sweep_setup(n)[0])
     tasks = [(n, s) for s in range(PAIR_SWEEP_STRIPES)]
     results = parallel.parallel_map(_pair_sweep_stripe, tasks, workers)
-    antichains = results[0][0]
-    crossing = sum(r[1] for r in results)
-    moved = sum(r[2] for r in results)
-    failures = sorted(f for r in results for f in r[3])
-    violations = sorted(v for r in results for v in r[4])
+    crossing = sum(r[0] for r in results)
+    moved = sum(r[1] for r in results)
+    failures = sorted(f for r in results for f in r[2])
+    violations = sorted(v for r in results for v in r[3])
     return PairSweepReport(n, antichains, crossing, moved,
                            tuple(failures), tuple(violations))
 

@@ -164,21 +164,29 @@ class TestSelectionFailurePath:
         err = info.value
         assert err.direction == "up" and err.rank == 2
         assert err.needed == 3 and err.found == 1
+        # the step memo caches no failure: the same demand raises again
+        with pytest.raises(SelectionError) as again:
+            _step(3, f.members, up=True)
+        assert again.value is not err
+        assert ((again.value.direction, again.value.rank, again.value.needed,
+                 again.value.found) == ("up", 2, 3, 1))
         assert (outcome(ref_step, f, Family(3, ()), 2, "up")
                 == ("selection", "up", 2, 3, 1))
 
 
 class TestNormalizePair:
-    def test_spawned_workers_give_the_same_report(self):
-        # spawned workers share no memory with the parent: each builds the
-        # sweep tables itself, and the report must not change
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_give_the_same_report(self, method):
+        # spawned and forkserver workers share no memory with the parent:
+        # each builds the sweep tables itself, and the report must not
+        # change
         import subprocess
         import sys
         script = (
             "import multiprocessing\n"
             "from sperner.verifier import normalization_pair_sweep\n"
             "if __name__ == '__main__':\n"
-            "    multiprocessing.set_start_method('spawn')\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
             "    two = normalization_pair_sweep(4, workers=2)\n"
             "    one = normalization_pair_sweep(4, workers=1)\n"
             "    assert two == one, (two, one)\n"
@@ -245,11 +253,30 @@ class TestNormalizePair:
         assert report.antichains == 168
         assert len(calls) == 168
 
-    def test_sweep_builds_no_table_in_the_caller(self):
-        # with a pool, only the worker processes build the audit table
-        report = verifier.normalization_pair_sweep(4, workers=2)
-        assert report.antichains == 168
-        assert verifier._pair_sweep_setup.cache_info().currsize == 0
+    def test_forked_workers_inherit_the_callers_table(self):
+        # the caller builds the audit table before the pool starts, so the
+        # forked workers enumerate nothing: one enumeration in all processes
+        import subprocess
+        import sys
+        script = (
+            "import multiprocessing\n"
+            "from sperner import verifier\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('fork')\n"
+            "    calls = multiprocessing.Value('i', 0)\n"
+            "    real = verifier.enumerate_antichains\n"
+            "    def counting(n):\n"
+            "        with calls.get_lock():\n"
+            "            calls.value += 1\n"
+            "        return real(n)\n"
+            "    verifier.enumerate_antichains = counting\n"
+            "    report = verifier.normalization_pair_sweep(4, workers=2)\n"
+            "    print(report.antichains, calls.value)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=checkout_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["168", "1"]
 
     # each case fakes one side's trace for a single pair.  Off the
     # diagonal, a sweep that takes the stored audit of {{4}} without
@@ -523,9 +550,23 @@ class TestPushMemo:
         assert a == b and a is not b
         ta, tb = normalize_pair(a, b)
         assert ta.steps and ta == tb
-        # one trace per object: b was pushed on its own
+        # one trace per object: b was pushed on its own, to the same
+        # shared step and final
         assert ta is not tb
+        assert ta.final is tb.final and ta.steps[0] is tb.steps[0]
         assert normalize_pair(a, b) == (ta, tb)
+
+    def test_audit_table_shares_each_step_and_final(self):
+        # one Step object per distinct (direction, removed members), one
+        # final Family per distinct final members of a moved push
+        traces = [f._pushed for f in verifier._pair_sweep_setup(4)[0]]
+        steps = [s for t in traces for s in t.steps]
+        finals = [t.final for t in traces if t.steps]
+        kinds = {(s.direction, s.removed) for s in steps}
+        ends = {f.members for f in finals}
+        assert len(kinds) < len(steps) and len(ends) < len(finals)
+        assert len({id(s) for s in steps}) == len(kinds)
+        assert len({id(f) for f in finals}) == len(ends)
 
     def test_failed_push_stores_nothing(self, monkeypatch):
         def failing(n, members):
