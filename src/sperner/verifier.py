@@ -620,8 +620,8 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     its _pushed slot, by identity, with no hashing.  A pair whose call
     raises SelectionError is recorded as a failure, before any slot is
     read.  Any other call must return the two families' own pushes, the
-    traces in fams[j]._pushed and fams[i]._pushed (by identity, or by
-    value after an identity miss); anything else raises RuntimeError.
+    traces in fams[j]._pushed and fams[i]._pushed, by identity; anything
+    else raises RuntimeError.
     One bitset row audits the partners that passed selection by one rule,
     reading the table's stepped and sound bits, fams[i]._pushed's final,
     and pushed[x], the partners whose final misses the member x of that
@@ -659,8 +659,7 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
                 row ^= 1 << j
                 failures.append((fj.sets(), fi.sets(), str(exc)))
                 continue
-            if not ((ta is fj._pushed or ta == fj._pushed)
-                    and (tb is fi._pushed or tb == fi._pushed)):
+            if not (ta is fj._pushed and tb is fi._pushed):
                 raise RuntimeError(
                     f"normalize_pair({fj.sets()}, {fi.sets()}) returned "
                     "other traces than the two families' own pushes")

@@ -1,18 +1,30 @@
 import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from sperner.ground import Family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def checkout_env() -> dict[str, str]:
-    """os.environ with this checkout's sources first on PYTHONPATH, for a
-    fresh interpreter that must import this package and no other copy."""
+def run_python(*args, stdout=subprocess.PIPE, timeout=120):
+    """A fresh interpreter run on args, with this checkout's sources first
+    on PYTHONPATH so it imports this package and no other copy; its output
+    is captured as text, and a run past the timeout fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return env
+    try:
+        return subprocess.run([sys.executable, *args], env=env, text=True,
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"python {shlex.join(args)} did not return within "
+                    f"{timeout} s")
 
 
 def fam(n, *sets):

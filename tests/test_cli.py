@@ -2,27 +2,19 @@ import importlib.util
 import json
 import os
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from conftest import checkout_env, with_oversize_family
+from conftest import run_python, with_oversize_family
 from sperner.cli import build_parser, main
 from sperner.ground import Family
 from sperner.normalize import SelectionError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CENSUS_SCHEMA = json.loads((REPO_ROOT / "schemas" / "census.schema.json").read_text())
-
-
-def run_process(*argv, stdout=subprocess.PIPE):
-    """The CLI as its own interpreter, with this checkout's sources."""
-    return subprocess.run([sys.executable, "-m", "sperner.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE,
-                          env=checkout_env(), timeout=120)
 
 
 def row(line, expected, files=None):
@@ -50,14 +42,6 @@ def cli(capsys, monkeypatch, tmp_path):
 
 
 FAM = {"fam.txt": "n=4\n{1,2,3}\n"}
-
-
-class TestLemmas:
-    def test_unknown_id_rejected(self):
-        # its own process, so the exit status is the one a shell sees
-        result = run_process("lemmas", "check", "--id", "9.9")
-        assert result.returncode == 2 and result.stdout == b""
-        assert b"'9.9'" in result.stderr
 
 
 class TestNormalizeCommand:
@@ -352,6 +336,9 @@ class TestExactOutput:
             {"x.txt": "n=4\n{1,2,x}\n"}),
         row("cascade 0 3", "error: cascade representation needs m >= 1, got 0\n"),
         # a check that ran over no instance must not print pass
+        row("lemmas check --id 9.9",
+            "error: unknown check id '9.9'; known: 3.2, 3.3, 3.4, 3.5, 3.6, "
+            "3.7, 3.10, 3.11, 3.12, 3.13\n"),
         row("lemmas check --max 1", "error: check 3.4 has no instance up to limit 1\n"),
         row("lemmas check --id 3.7 --max 2",
             "error: check 3.7 has no instance up to limit 2\n"),
@@ -443,9 +430,9 @@ class TestProcess:
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
         try:
-            proc = run_process("lemmas", "check", "--format", "json",
-                               stdout=write_end)
+            proc = run_python("-m", "sperner.cli", "lemmas", "check",
+                              "--format", "json", stdout=write_end)
         finally:
             os.close(write_end)
         assert proc.returncode == 141
-        assert proc.stderr == b""
+        assert proc.stderr == ""

@@ -1,14 +1,12 @@
 import copy
 import pickle
 import random
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-from conftest import checkout_env, fam
+from conftest import fam, run_python
 from sperner import ground
 from sperner.ground import (Family, _bits, format_family, format_set,
                             full_level, independent, is_antichain,
@@ -280,10 +278,5 @@ def test_negative_mask_rejected(call):
     # negative mask never reaches 0, and must fail here, not stall the suite
     script = ("from sperner import ground, squashed\n"
               f"try:\n    {call}\nexcept ValueError:\n    print('rejected')\n")
-    try:
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=checkout_env(),
-                              capture_output=True, text=True, timeout=10)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{call} did not return within 10 s")
+    proc = run_python("-c", script, timeout=10)
     assert proc.stdout == "rejected\n", proc.stderr

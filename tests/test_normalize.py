@@ -1,9 +1,10 @@
 import re
+from collections import Counter
 from functools import cache, cmp_to_key
 
 import pytest
 
-from conftest import checkout_env, fam, greedy_antichain, rank_set
+from conftest import fam, greedy_antichain, rank_set, run_python
 from sperner.ground import (Family, full_level, independent, is_antichain,
                             is_cross_intersecting)
 from sperner import normalize, verifier
@@ -175,27 +176,41 @@ class TestSelectionFailurePath:
 
 
 class TestNormalizePair:
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_spawned_workers_give_the_same_report(self, method):
-        # spawned and forkserver workers share no memory with the parent:
-        # each builds the sweep tables itself, and the report must not
-        # change
-        import subprocess
-        import sys
-        script = (
-            "import multiprocessing\n"
-            "from sperner.verifier import normalization_pair_sweep\n"
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_spawned_workers_give_the_same_report(self, method, tmp_path):
+        # the caller builds the audit table before the pool starts: forked
+        # workers inherit it and build none, while spawn and forkserver
+        # workers share no memory with the caller and each builds its own
+        # (none if it gets no stripe); the report must not change.  The
+        # script is a file, so spawned workers re-run its patch, which logs
+        # the pid of each enumeration, one per table built
+        log = tmp_path / "builds"
+        script = tmp_path / "audit.py"
+        script.write_text(
+            "import multiprocessing, os\n"
+            "from sperner import verifier\n"
+            "real = verifier.enumerate_antichains\n"
+            "def logged(n):\n"
+            f"    with open({str(log)!r}, 'a') as out:\n"
+            "        print(os.getpid(), file=out)\n"
+            "    return real(n)\n"
+            "verifier.enumerate_antichains = logged\n"
             "if __name__ == '__main__':\n"
             f"    multiprocessing.set_start_method({method!r})\n"
-            "    two = normalization_pair_sweep(4, workers=2)\n"
-            "    one = normalization_pair_sweep(4, workers=1)\n"
+            "    two = verifier.normalization_pair_sweep(4, workers=2)\n"
+            "    one = verifier.normalization_pair_sweep(4, workers=1)\n"
             "    assert two == one, (two, one)\n"
-            "    print(one.crossing_pairs)\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=checkout_env(), capture_output=True,
-                              text=True, timeout=120)
+            "    print(one.antichains, one.crossing_pairs, os.getpid())\n")
+        proc = run_python(str(script))
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) > 0
+        antichains, crossing, caller = proc.stdout.split()
+        assert (antichains, crossing) == ("168", "3831")
+        builds = Counter(log.read_text().split())
+        assert builds.pop(caller) == 1
+        if method == "fork":
+            assert builds == {}
+        else:
+            assert 1 <= len(builds) <= 2 and set(builds.values()) == {1}
 
     def test_stage_order_allows_low_partner(self):
         # partner has a member below n/2; pair normalization gives the
@@ -253,31 +268,6 @@ class TestNormalizePair:
         assert report.antichains == 168
         assert len(calls) == 168
 
-    def test_forked_workers_inherit_the_callers_table(self):
-        # the caller builds the audit table before the pool starts, so the
-        # forked workers enumerate nothing: one enumeration in all processes
-        import subprocess
-        import sys
-        script = (
-            "import multiprocessing\n"
-            "from sperner import verifier\n"
-            "if __name__ == '__main__':\n"
-            "    multiprocessing.set_start_method('fork')\n"
-            "    calls = multiprocessing.Value('i', 0)\n"
-            "    real = verifier.enumerate_antichains\n"
-            "    def counting(n):\n"
-            "        with calls.get_lock():\n"
-            "            calls.value += 1\n"
-            "        return real(n)\n"
-            "    verifier.enumerate_antichains = counting\n"
-            "    report = verifier.normalization_pair_sweep(4, workers=2)\n"
-            "    print(report.antichains, calls.value)\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=checkout_env(), capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["168", "1"]
-
     # each case fakes one side's trace for a single pair.  Off the
     # diagonal, a sweep that takes the stored audit of {{4}} without
     # checking that the returned trace is the table's misses the fake.
@@ -311,13 +301,15 @@ class TestNormalizePair:
         with pytest.raises(RuntimeError, match=pair):
             verifier.normalization_pair_sweep(4)
 
-        # equal traces built apart are the pushes all the same
+        # every call on the table's own families returns the traces in
+        # their slots, so equal traces built apart are refused as well
         def fresh(x, y, validate=True):
             return tuple(NormalizationTrace(t.steps, t.final)
                          for t in real(x, y, validate=validate))
 
         monkeypatch.setattr(normalize, "normalize_pair", fresh)
-        assert verifier.normalization_pair_sweep(4) == honest
+        with pytest.raises(RuntimeError, match="other traces"):
+            verifier.normalization_pair_sweep(4)
 
     @staticmethod
     def _sweep_with_faked_push(monkeypatch, victim, fake_trace):

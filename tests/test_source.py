@@ -2,14 +2,13 @@
 
 import ast
 import importlib
-import subprocess
+import shlex
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from conftest import checkout_env
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sperner"
@@ -95,48 +94,63 @@ def test_tracer_entry_points_exist():
 def _fresh(probe: str) -> str:
     """What a fresh interpreter with this checkout's sources prints for
     the Python source probe."""
-    result = subprocess.run([sys.executable, "-c", probe],
-                            env=checkout_env(), capture_output=True,
-                            text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    proc = run_python("-c", probe, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 LAYERS = ("ground", "squashed", "cascade", "differences", "normalize",
           "parallel", "verifier")
 
+HEAVY = (
+    # the pool machinery loads only when a run asks for workers, so a
+    # plain CLI start does not pay for multiprocessing, pickle and socket
+    "concurrent.futures",
+    # dataclasses imports inspect, ast, dis and tokenize, and compiles the
+    # methods it generates when each record class is defined, which every
+    # CLI start would pay; the records are NamedTuples instead
+    "dataclasses",
+    # fractions imports decimal and numbers; only damped_term_gain, the
+    # shade table and the local counting bounds build a Fraction, so they
+    # import it when they run, and the integer lemma catalogue does not
+    "fractions",
+)
 
-@lru_cache(maxsize=None)
-def _loaded_by_cli_import() -> frozenset[str]:
-    """The modules a fresh interpreter holds once it imports sperner.cli
-    and then runs every layer module, as some command does."""
-    return frozenset(_fresh("import importlib, sys, sperner.cli\n"
-                            f"for name in {LAYERS!r}:\n"
-                            "    importlib.import_module('sperner.' + name)\n"
-                            "print(*sys.modules)").split())
+
+def start(name, line, layers, heavy=""):
+    """A start-up row: the command line run in-process after the import."""
+    source = ("with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert sperner.cli.main({shlex.split(line)!r}) == 0")
+    return pytest.param(source, layers, heavy, id=name)
 
 
-@pytest.mark.parametrize("argv, layers", [
-    ((), ""),
-    (("verify", "theorem-1.4", "--n", "3"), "ground verifier"),
-    (("lemmas", "check", "--id", "3.2"), "differences"),
-    (("sweep", "lemma-3.8", "--max-n", "3"), "ground squashed cascade verifier"),
-    (("verify", "normalization", "--n", "2"),
-     "ground squashed cascade normalize parallel verifier"),
-    (("shadow", "4", "2", "--first", "2"), "ground squashed cascade"),
-], ids=["import", "census", "lemma-check", "sweep", "audit", "shadow"])
-def test_a_start_runs_only_the_layers_its_command_calls(argv, layers):
+@pytest.mark.parametrize("source, layers, heavy", [
+    pytest.param("", "", "", id="import"),
+    pytest.param(f"for name in {LAYERS!r}:\n"
+                 "    importlib.import_module('sperner.' + name)",
+                 " ".join(LAYERS), "", id="every-layer"),
+    start("census", "verify theorem-1.4 --n 3", "ground verifier"),
+    start("lemma-check", "lemmas check", "differences"),
+    start("sweep", "sweep lemma-3.8 --max-n 3",
+          "ground squashed cascade verifier"),
+    start("audit", "verify normalization --n 2",
+          "ground squashed cascade normalize parallel verifier"),
+    start("shadow", "shadow 4 2 --first 2", "ground squashed cascade"),
+    # the shade table's bounds are Fractions: the probe sees a heavy module
+    start("table1", "table1", "ground squashed cascade", "fractions"),
+])
+def test_a_start_runs_only_the_layers_its_command_calls(source, layers, heavy):
     # the package registers each layer lazily, and a lazy module turns
     # into a plain module when it first runs, so a layer whose type is
-    # still the lazy one was neither compiled nor executed
+    # still the lazy one was neither compiled nor executed; the second
+    # line names the HEAVY modules the start loaded
     probe = "\n".join([
-        "import contextlib, io, sys, types, sperner.cli",
-        f"if {list(argv)!r}:",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        f"        assert sperner.cli.main({list(argv)!r}) == 0",
+        "import contextlib, importlib, io, sys, types, sperner.cli",
+        source,
         f"print(*(n for n in {LAYERS!r}",
-        "        if type(sys.modules.get('sperner.' + n)) is types.ModuleType))"])
-    assert _fresh(probe) == layers
+        "        if type(sys.modules.get('sperner.' + n)) is types.ModuleType))",
+        f"print(*(m for m in {HEAVY!r} if m in sys.modules))"])
+    assert _fresh(probe) == f"{layers}\n{heavy}\n"
 
 
 def test_layers_are_bound_at_the_top():
@@ -182,36 +196,7 @@ def test_package_serves_its_layers_unrun():
         "    sperner.no_such_name",
         "except AttributeError:",
         "    print('AttributeError')"])
-    assert _fresh(probe).split("\n") == [" ".join(sorted(LAYERS)), "True",
-                                         "AttributeError"]
-
-
-@pytest.mark.parametrize("module", [
-    # the pool machinery loads only when a run asks for workers, so a
-    # plain CLI start does not pay for multiprocessing, pickle and socket
-    "concurrent.futures",
-    # dataclasses imports inspect, ast, dis and tokenize, and compiles the
-    # methods it generates when each record class is defined, which every
-    # CLI start would pay; the records are NamedTuples instead
-    "dataclasses",
-    # fractions imports decimal and numbers; only damped_term_gain, the
-    # shade table and the local counting bounds build a Fraction, so they
-    # import it when they run
-    "fractions",
-])
-def test_cli_import_skips(module):
-    assert module not in _loaded_by_cli_import()
-
-
-def test_lemma_checks_skip_fractions():
-    # the catalogue compares integers, so running all of it loads no
-    # fractions module
-    probe = "\n".join([
-        "import contextlib, io, sys, sperner.cli",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert sperner.cli.main(['lemmas', 'check']) == 0",
-        "print('fractions' in sys.modules)"])
-    assert _fresh(probe) == "False"
+    assert _fresh(probe) == f"{' '.join(sorted(LAYERS))}\nTrue\nAttributeError\n"
 
 
 def _writes_stdout(call: ast.Call) -> bool:
