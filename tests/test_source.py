@@ -4,6 +4,7 @@ import ast
 import importlib
 import shlex
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -117,40 +118,63 @@ HEAVY = (
 )
 
 
-def start(name, line, layers, heavy=""):
-    """A start-up row: the command line run in-process after the import."""
-    source = ("with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    assert sperner.cli.main({shlex.split(line)!r}) == 0")
-    return pytest.param(source, layers, heavy, id=name)
+def start(line):
+    """A start-up row's source: the command line run in-process after the
+    import."""
+    return ("with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert sperner.cli.main({shlex.split(line)!r}) == 0")
 
 
-@pytest.mark.parametrize("source, layers, heavy", [
-    pytest.param("", "", "", id="import"),
-    pytest.param(f"for name in {LAYERS!r}:\n"
-                 "    importlib.import_module('sperner.' + name)",
-                 " ".join(LAYERS), "", id="every-layer"),
-    start("census", "verify theorem-1.4 --n 3", "ground verifier"),
-    start("lemma-check", "lemmas check", "differences"),
-    start("sweep", "sweep lemma-3.8 --max-n 3",
-          "ground squashed cascade verifier"),
-    start("audit", "verify normalization --n 2",
-          "ground squashed cascade normalize parallel verifier"),
-    start("shadow", "shadow 4 2 --first 2", "ground squashed cascade"),
+# name: (source, the layers that ran, the HEAVY modules that loaded)
+STARTS = {
+    "import": ("", "", ""),
+    "every-layer": (f"for name in {LAYERS!r}:\n"
+                    "    importlib.import_module('sperner.' + name)",
+                    " ".join(LAYERS), ""),
+    "census": (start("verify theorem-1.4 --n 3"), "ground verifier", ""),
+    "lemma-check": (start("lemmas check"), "differences", ""),
+    "sweep": (start("sweep lemma-3.8 --max-n 3"),
+              "ground squashed cascade verifier", ""),
+    "audit": (start("verify normalization --n 2"),
+              "ground squashed cascade normalize parallel verifier", ""),
+    "shadow": (start("shadow 4 2 --first 2"), "ground squashed cascade", ""),
     # the shade table's bounds are Fractions: the probe sees a heavy module
-    start("table1", "table1", "ground squashed cascade", "fractions"),
-])
-def test_a_start_runs_only_the_layers_its_command_calls(source, layers, heavy):
+    "table1": (start("table1"), "ground squashed cascade", "fractions"),
+}
+
+
+@lru_cache(maxsize=None)
+def _started(name: str) -> str:
+    """The probe's report for the start-up row name: the layers that ran
+    on one line, and the HEAVY modules that loaded on the next."""
     # the package registers each layer lazily, and a lazy module turns
     # into a plain module when it first runs, so a layer whose type is
-    # still the lazy one was neither compiled nor executed; the second
-    # line names the HEAVY modules the start loaded
-    probe = "\n".join([
+    # still the lazy one was neither compiled nor executed
+    return _fresh("\n".join([
         "import contextlib, importlib, io, sys, types, sperner.cli",
-        source,
+        STARTS[name][0],
         f"print(*(n for n in {LAYERS!r}",
         "        if type(sys.modules.get('sperner.' + n)) is types.ModuleType))",
-        f"print(*(m for m in {HEAVY!r} if m in sys.modules))"])
-    assert _fresh(probe) == f"{layers}\n{heavy}\n"
+        f"print(*(m for m in {HEAVY!r} if m in sys.modules))"]))
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_a_start_runs_only_the_layers_its_command_calls(name):
+    _, layers, heavy = STARTS[name]
+    assert _started(name) == f"{layers}\n{heavy}\n"
+
+
+@pytest.mark.parametrize("module", HEAVY)
+def test_cli_import_skips(module):
+    # a CLI start that runs every layer module, as some command does,
+    # loads none of the heavy modules
+    assert module not in _started("every-layer").split("\n")[1].split()
+
+
+def test_lemma_checks_skip_fractions():
+    # the catalogue compares integers, so running all of it loads no
+    # fractions module
+    assert "fractions" not in _started("lemma-check").split("\n")[1].split()
 
 
 def test_layers_are_bound_at_the_top():
