@@ -572,10 +572,9 @@ def _pair_sweep_setup(n: int) -> tuple:
     A failed push sets no bit and has no final.  normalization_pair_sweep
     builds this in the calling process before any stripe runs, so the
     stripes of a forked pool inherit it and the audit enumerates, pushes
-    and checks each antichain once.  A spawned or forkserver worker
-    shares no memory with the caller and builds its own on first use.
-    Pushes share their steps and moved finals (see normalize._replacement
-    and normalize._final), so the table holds each distinct one once."""
+    and checks each antichain once.  Pushes share their steps and moved
+    finals (see normalize._replacement and normalize._final), so the table
+    holds each distinct one once."""
     lo, hi = normalize.middle_band(n)
     fams = list(enumerate_antichains(n))
     finals = []
@@ -705,12 +704,10 @@ def normalization_pair_sweep(n: int, workers: int = 1) -> PairSweepReport:
 
     The table (see _pair_sweep_setup) is built here, before the pool
     starts, so forked workers inherit it and the audit builds it once at
-    any worker count.  Under the spawn or forkserver start method each
-    worker builds its own as well, one build more than the workers.
-    Work is split into a fixed number of interleaved row stripes, so the
-    rows of each stripe, and of each worker, cost about the same; merging
-    is order-independent, so the report is identical at any worker count
-    and process start method.
+    any worker count.  Work is split into a fixed number of interleaved
+    row stripes, so the rows of each stripe, and of each worker, cost about
+    the same; merging is order-independent, so the report is identical at
+    any worker count.
     """
     if not 1 <= n <= 5:
         raise ValueError("the exhaustive pair sweep supports 1 <= n <= 5")

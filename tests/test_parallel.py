@@ -11,11 +11,16 @@ class NoPool(Exception):
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Make building a process pool raise NoPool."""
+    """Make building a process pool raise NoPool; the keyword arguments
+    of each attempt are appended to the list the fixture returns."""
+    calls = []
+
     def refuse(*args, **kwargs):
+        calls.append(kwargs)
         raise NoPool
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    return calls
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -35,3 +40,6 @@ def test_one_item_builds_no_pool(no_pool):
 def test_two_items_build_a_pool(no_pool):
     with pytest.raises(NoPool):
         parallel_map(abs, [-7, 8], workers=2)
+    # forked whatever the global start method, so workers inherit memory
+    [kwargs] = no_pool
+    assert kwargs["mp_context"].get_start_method() == "fork"

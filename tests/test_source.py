@@ -42,6 +42,33 @@ def test_bits_is_the_one_set_bit_decoder():
     assert found == []
 
 
+def test_parallel_is_the_one_process_pool():
+    # parallel_map's pool forks so that workers inherit the caller's
+    # tables; a module with its own pool or start method is a second path
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        if path.name == "parallel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [getattr(func, "id", getattr(func, "attr", ""))]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("get_context", "set_start_method")
+                      or name.startswith(("multiprocessing",
+                                          "concurrent.futures"))]
+    assert found == []
+
+
 def test_tests_import_only_the_test_toolchain():
     # tier-1 needs pytest and jsonschema and nothing else outside the
     # standard library, so a property test must cover its range itself
