@@ -12,7 +12,7 @@ from functools import total_ordering
 from itertools import combinations, compress
 from pathlib import Path
 from threading import Lock
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND = 60        # keeps every C(n,k) inside 64-bit range
 MAX_MATERIALIZE = 20   # largest n for which whole levels may be materialized
@@ -52,23 +52,27 @@ _BIT_INDEX_GROWTH = Lock()
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of mask's set bits, ascending.  The whole scan runs in
+def _bits(mask: int, items: Sequence | None = None) -> Iterator:
+    """An iterator over items[j] for each set bit j of mask, ascending;
+    without items, over the indices j themselves.  The whole scan runs in
     C: bin() writes the digits, translate turns them into one flag byte
-    per bit, lowest first, and compress picks the flagged entries of the
-    shared index list.  So no Python step runs per bit, set or not, and
-    no int is built per scanned position.  An empty mask returns before
-    the scan; at n = 6 every row of the census's pair scan is one."""
-    if not mask:
-        return []
+    per bit, lowest first, and compress picks the flagged entries of
+    items (or of the shared index list).  So no Python step runs per bit,
+    set or not, no int is built per scanned position, and a caller that
+    wants items[j] indexes nothing.  compress stops at the shorter of its
+    inputs, so a mask wider than items is refused rather than cut."""
     if mask < 0:
         raise ValueError(f"a set mask is non-negative, got {mask}")
     width = mask.bit_length()
-    if width > len(_BIT_INDEX):
-        with _BIT_INDEX_GROWTH:
-            _BIT_INDEX.extend(range(len(_BIT_INDEX), width))
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    return list(compress(_BIT_INDEX, flags))
+    if items is None:
+        items = _BIT_INDEX
+        if width > len(items):
+            with _BIT_INDEX_GROWTH:
+                items.extend(range(len(items), width))
+    elif width > len(items):
+        raise ValueError(f"mask has {width} bits, wider than its "
+                         f"{len(items)} items")
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
@@ -150,8 +154,9 @@ class Family:
 
     def __init__(self, n: int, members: tuple[int, ...]) -> None:
         check_ground(n)
-        for m in members:
-            check_mask(m, n)
+        if members and (min(members) < 0 or max(members) >> n):
+            for m in members:  # names the first member out of range
+                check_mask(m, n)
         if len(set(members)) != len(members):
             raise ValueError("family members must be pairwise distinct")
         # written past the __setattr__ that refuses every later assignment

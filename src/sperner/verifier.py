@@ -150,12 +150,15 @@ def antichain_mask_tuples(universe: Sequence[int],
 
 def enumerate_antichains(n: int) -> Iterator[Family]:
     """Every antichain of the power set of {1..n}, Dedekind-number many,
-    for 1 <= n <= 5; the n = 6 walk is antichain_mask_tuples(range(64))."""
+    for 1 <= n <= 5; the n = 6 walk is antichain_mask_tuples(range(64)).
+    The walk yields each antichain's members once, so each tuple goes to
+    Family as it is, with no dedupe pass (Family.from_masks has one for
+    the overlapping lists of shadow and shade)."""
     if not 1 <= n <= 5:
         raise ValueError("antichain enumeration supports 1 <= n <= 5; walk "
                          "antichain_mask_tuples(range(64)) for the n=6 mask tuples")
     for masks in antichain_mask_tuples(range(1 << n)):
-        yield Family.from_masks(n, masks)
+        yield Family(n, masks)
 
 
 def count_antichains_oracle(n: int) -> int:
@@ -299,10 +302,10 @@ def _census_scan(n: int, deadline: float | None,
     once and sorted largest first.  missers[y] (see _missers) is a bitset
     over row indices: the rows with a member that misses subset y.  So the
     rows crossing row i are those outside the OR of missers[x] over the
-    members x of row i.  A partner with fewer than half members lies
-    inside row i's transversal (the subsets meeting every member of row i)
-    and has at least best - 1 - |row i| members, so a walk of the
-    transversal finds it.
+    members x of row i, and _bits(mask, rows) picks them.  A partner
+    with fewer than half members lies inside row i's transversal (the
+    subsets meeting every member of row i) and has at least
+    best - 1 - |row i| members, so a walk of the transversal finds it.
 
     Each crossing pair with sum s >= best - 1, best the running maximum
     (never below seed_best), is filed under s as it is found, and only
@@ -328,11 +331,11 @@ def _census_scan(n: int, deadline: float | None,
         if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
-        for j in _bits((everything >> i << i) & ~_or_rows(missers, a)):
-            s = size_a + len(rows[j])
+        for b in _bits((everything >> i << i) & ~_or_rows(missers, a), rows):
+            s = size_a + len(b)
             if s >= best - 1:
                 best = max(best, s)
-                by_sum.setdefault(s, []).append((a, rows[j]))
+                by_sum.setdefault(s, []).append((a, b))
         need = max(best - 1 - size_a, 0)
         if need >= half:
             continue
@@ -588,11 +591,14 @@ def _pair_sweep_setup(n: int) -> tuple:
             finals.append(())
             continue
         final = trace.final
-        finals.append(final.members)
+        members = final.members
+        finals.append(members)
         if trace.steps:
             stepped |= 1 << j
-        if (len(final) == len(f) and is_antichain(final)
-                and all(lo <= x.bit_count() <= hi for x in final.members)
+        # members are sorted by rank, so the first and last bound every rank
+        if (len(members) == len(f) and is_antichain(final)
+                and (not members or lo <= members[0].bit_count()
+                     and members[-1].bit_count() <= hi)
                 and (trace.steps or final == f)):
             sound |= 1 << j
     contains = _holders(n, (f.members for f in fams))
@@ -611,18 +617,20 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     member of fams[i]: the complement of the OR of missers[x] over the
     members x of fams[i].  Taking them below i, not above, starts the
     row at bit 0, so decoding it scans i + 1 positions, not all of them.
-    Only their set bits are visited, each by one normalize_pair(fams[j],
-    fams[i]) call, and failures and violations name the pair in that
-    order too, so each unordered pair is called and reported once, lower
-    index first.  The calls take the table's own Family objects, so the
-    memo on each object answers them with the push the table stored in
-    its _pushed slot, by identity, with no hashing.  A pair whose call
-    raises SelectionError is recorded as a failure, before any slot is
-    read.  Any other call must return the two families' own pushes, the
-    traces in fams[j]._pushed and fams[i]._pushed, by identity; anything
-    else raises RuntimeError.
+    _bits(partners, fams) picks the partner families themselves, in C,
+    and each gets one normalize_pair(fams[j], fams[i]) call; failures and
+    violations name the pair in that order too, so each unordered pair is
+    called and reported once, lower index first.  The calls take the
+    table's own Family objects, so the memo on each object answers them
+    with the push the table stored in its _pushed slot, by identity, with
+    no hashing.  A pair whose call raises SelectionError is recorded as a
+    failure, before any slot is read, and its bit is found again by
+    identity to leave the row.  Any other call must return the two
+    families' own pushes, fams[j]._pushed and the row's trace, read once
+    per row, by identity; anything else raises RuntimeError.  So on that
+    path a pair costs its call, the unpack and two identity tests.
     One bitset row audits the partners that passed selection by one rule,
-    reading the table's stepped and sound bits, fams[i]._pushed's final,
+    reading the table's stepped and sound bits, the row trace's final,
     and pushed[x], the partners whose final misses the member x of that
     final: a pair moved if either side stepped, an unmoved pair needs
     both sides sound, and a moved pair also needs the two finals to
@@ -646,19 +654,21 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
         crossing += partners.bit_count()
         # complement exclusion: a crossing pair never contains a member
         # together with its complement on the other side
-        opposite = _or_rows(contains, (full ^ x for x in fi.members))
-        for j in _bits(partners & opposite):
-            violations.append(("complement", fams[j].sets(), fi.sets()))
+        opposite = _or_rows(contains, map(full.__xor__, fi.members))
+        for fj in _bits(partners & opposite, fams):
+            violations.append(("complement", fj.sets(), fi.sets()))
+        # unset when i's push failed selection; then every call raises
+        # SelectionError before the trace is compared
+        ti = getattr(fi, "_pushed", None)
         row = partners
-        for j in _bits(partners):
-            fj = fams[j]
+        for fj in _bits(partners, fams):
             try:
                 ta, tb = normalize_pair(fj, fi, False)
             except SelectionError as exc:
-                row ^= 1 << j
+                row ^= 1 << next(j for j in _bits(partners) if fams[j] is fj)
                 failures.append((fj.sets(), fi.sets(), str(exc)))
                 continue
-            if not (ta is fj._pushed and tb is fi._pushed):
+            if not (ta is fj._pushed and tb is ti):
                 raise RuntimeError(
                     f"normalize_pair({fj.sets()}, {fi.sets()}) returned "
                     "other traces than the two families' own pushes")
@@ -671,11 +681,11 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
         moved += shifted.bit_count()
         if sound >> i & 1:
             still &= ~sound
-            shifted &= ~sound | _or_rows(pushed, fi._pushed.final.members)
-        for j in _bits(still):
-            violations.append(("identity", fams[j].sets(), fi.sets()))
-        for j in _bits(shifted):
-            violations.append(("preservation", fams[j].sets(), fi.sets()))
+            shifted &= ~sound | _or_rows(pushed, ti.final.members)
+        for fj in _bits(still, fams):
+            violations.append(("identity", fj.sets(), fi.sets()))
+        for fj in _bits(shifted, fams):
+            violations.append(("preservation", fj.sets(), fi.sets()))
     return crossing, moved, failures, violations
 
 

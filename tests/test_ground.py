@@ -23,11 +23,18 @@ class TestBits:
     # each test starts _bits from an empty index list, so the list grows
     # in the test and is not only read at a width another test left
 
+    # with items, each set bit j picks items[j]: objects that are not
+    # their own index, so a pick by the wrong position shows
+    ITEMS = [f"item {j}" for j in range(1 << 12)]
+
     def test_every_mask_below_2_12(self, monkeypatch):
         monkeypatch.setattr(ground, "_BIT_INDEX", [])
-        assert _bits(0) == []
+        assert list(_bits(0)) == []
+        assert list(_bits(0, ())) == []
         for m in range(1 << 12):
-            assert _bits(m) == reference_bits(m)
+            assert list(_bits(m)) == reference_bits(m)
+            assert list(_bits(m, self.ITEMS)) == [
+                self.ITEMS[j] for j in reference_bits(m)]
 
     def test_seeded_wide_then_narrow(self, monkeypatch):
         # up to three times the 7 581 bits of an n=5 audit row; the widest
@@ -38,8 +45,12 @@ class TestBits:
             masks = [1 << (width - 1), (1 << width) - 1]
             masks += [rng.getrandbits(width) | 1 << (width - 1)
                       for _ in range(10)]
+            # items exactly as wide as the widest mask, and wider
+            items = [(width, j) for j in range(width + width % 2)]
             for m in masks:
-                assert _bits(m) == reference_bits(m)
+                assert list(_bits(m)) == reference_bits(m)
+                assert list(_bits(m, items)) == [
+                    items[j] for j in reference_bits(m)]
 
     def test_threads_widening_together_append_each_index_once(
             self, monkeypatch):
@@ -58,7 +69,7 @@ class TestBits:
 
         def widen():
             for width in range(1, 300):
-                if _bits((1 << width) - 1) != list(range(width)):
+                if list(_bits((1 << width) - 1)) != list(range(width)):
                     wrong.append(width)
                     return
 

@@ -25,6 +25,13 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda: Family(2, (4,)), "set 4 uses elements outside 1..2",
                  id="Family-outside-ground"),
+    # the range test reads only the least and largest member, so these
+    # pin that the message still names the member out of range
+    pytest.param(lambda: Family(3, (1, -2)), "set -2 uses elements outside 1..3",
+                 id="Family-negative-not-first"),
+    pytest.param(lambda: Family(3, (1, 2, 16)),
+                 "set 16 uses elements outside 1..3",
+                 id="Family-outside-not-first"),
     pytest.param(lambda: mask_of([0]), "elements are 1-indexed, got 0",
                  id="mask_of-zero"),
     pytest.param(lambda: parse_set("{1,2"), "unterminated set literal",
@@ -71,6 +78,12 @@ CHAIN_THROUGH_ONE = Family.from_sets(4, [(1,), (1, 2)])
                  id="parse_family-unicode-digit"),
     pytest.param(lambda: _bits(-1), "a set mask is non-negative, got -1",
                  id="_bits-negative"),
+    pytest.param(lambda: _bits(-1, "ab"), "a set mask is non-negative, got -1",
+                 id="_bits-items-negative"),
+    # compress would stop at the last item and drop the bits past it
+    pytest.param(lambda: _bits(0b101, "ab"),
+                 "mask has 3 bits, wider than its 2 items",
+                 id="_bits-items-too-few"),
     pytest.param(lambda: elements_of(-1), "a set mask is non-negative, got -1",
                  id="elements_of-negative"),
     pytest.param(lambda: unrank(4, 5, 0), "level 5 out of range for n=4",

@@ -438,6 +438,28 @@ class TestNormalizePair:
         assert len(report.selection_failures) == 7 and not report.violations
         assert not report.passed
 
+    def test_sweep_leaves_only_the_failed_pair_out_of_its_row(
+            self, monkeypatch):
+        # row {{1,2}} has partners below and above {{1}}, so a failure
+        # there must clear the bit of {{1}} and no other; the pair moved
+        # ({{1}} steps up), so it alone leaves the moved count
+        a, b = fam(3, (1,)), fam(3, (1, 2))
+        honest = verifier.normalization_pair_sweep(3)
+        real = normalize.normalize_pair
+        error = SelectionError("up", 1, 2, 1)
+
+        def one_failure(x, y, validate=True):
+            if (x, y) == (a, b):
+                raise error
+            return real(x, y, validate=validate)
+
+        monkeypatch.setattr(normalize, "normalize_pair", one_failure)
+        report = verifier.normalization_pair_sweep(3)
+        assert report.selection_failures == ((a.sets(), b.sets(), str(error)),)
+        assert report.crossing_pairs == honest.crossing_pairs
+        assert report.moved_pairs == honest.moved_pairs - 1
+        assert not report.violations
+
     def test_sweep_reports_a_set_and_its_complement(self, monkeypatch):
         # with every misser row empty each pair reads as crossing, so the
         # pairs that hold a set on one side and its complement on the
