@@ -43,15 +43,22 @@ MAX_WALK_GROUND = 12
 
 
 @lru_cache(maxsize=None)
-def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """The walk table of the power set of {1..n}, as three tuples:
+def _walk_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                tuple[int, ...], int]:
+    """The walk table of the power set of {1..n}, as three tuples and a
+    position:
 
     - cands, the subsets by descending comparable count, a stable sort of
       0..2^n-1 (a k-set has 2^k subsets and 2^(n-k) supersets, so the
       outer ranks come first and the widest rank last);
     - pos[s], the position of subset s in cands;
     - keep[i], a bitset over positions: the later candidates incomparable
-      to cands[i].
+      to cands[i];
+    - settled, the least position from which every later candidate lies
+      in keep: the candidates from there on are pairwise incomparable.
+      At even n they are the middle rank (positions 44..63 at n = 6); at
+      odd n the two middle ranks tie and interleave, so only the last few
+      qualify (3 candidates at n = 5, 4 at n = 7).
 
     The comparable candidates of s are its subsets and its supersets, each
     a row over positions from one subset-union pass of n * 2^(n-1) ORs
@@ -73,7 +80,10 @@ def _walk_table(n: int) -> tuple[tuple[int, ...], ...]:
     for i, s in enumerate(cands):
         later = everything >> (i + 1) << (i + 1)
         keep.append(later & ~(subsets[s] | supersets[s]))
-    return tuple(cands), tuple(pos), tuple(keep)
+    settled = len(cands)
+    while settled and keep[settled - 1] == everything >> settled << settled:
+        settled -= 1
+    return tuple(cands), tuple(pos), tuple(keep), settled
 
 
 def antichain_mask_tuples(universe: Sequence[int],
@@ -99,6 +109,19 @@ def antichain_mask_tuples(universe: Sequence[int],
     others first: the outer ranks branch and the widest rank is left as
     the free tail.  The universe only marks the start node's allowed
     candidates.
+
+    The candidates from the table's settled position on are pairwise
+    incomparable, so a child at a settled position is a free tail: its
+    candidate plus any subset of the later settled ones it is allowed.
+    A node that branches pushes one deferred entry, (chosen, ~high) with
+    high its allowed settled candidates, beneath its other children; the
+    entry yields every settled child's antichains in the order the
+    child's own node would.  It is pushed only when its first child,
+    the one with the longest tail, can reach min_size.  A node's scan
+    likewise stops testing keep rows at settled and takes the settled
+    candidates left as they are.  At n = 6 the unpruned walk pops 126 306
+    entries, 36 906 of them deferred, where one node per settled child
+    made 225 620.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
@@ -107,22 +130,45 @@ def antichain_mask_tuples(universe: Sequence[int],
     if n > MAX_WALK_GROUND:
         raise ValueError(f"walk candidates must be subsets of "
                          f"{{1..{MAX_WALK_GROUND}}}, got a set on {{1..{n}}}")
-    cands, pos, keep = _walk_table(n)
+    cands, pos, keep, settled = _walk_table(n)
     start = 0
     for s in universe:
         start |= 1 << pos[s]
 
+    under = (1 << settled) - 1  # the positions before settled
     stack = [((), start)]
     while stack:
         chosen, allowed = stack.pop()
         c = len(chosen)
+        if allowed < 0:  # a deferred entry: the settled children of chosen
+            tail = []
+            cand = ~allowed
+            while cand:
+                low = cand & -cand
+                tail.append(cands[low.bit_length() - 1])
+                cand ^= low
+            tail = tuple(tail)
+            k = len(tail)
+            need = min_size - c - 1  # members a child still misses
+            for j in range(k - max(need, 0)):
+                k -= 1  # the free tail after tail[j]
+                lo = need
+                if lo <= 0:
+                    yield chosen + (tail[j],)
+                    lo = 1
+                whole = chosen + tail[j:]
+                for r in range(lo, k):
+                    yield from islice(combinations(whole, c + 1 + r), comb(k, r))
+                if lo <= k:
+                    yield whole
+            continue
         need = min_size - c  # members still missing below min_size
         if need <= 0:
             yield chosen
             need = 1  # chosen alone is out: what follows adds a member
         rest = []
         cand = allowed
-        while cand:
+        while cand & under:  # the candidates before settled are tested
             low = cand & -cand
             i = low.bit_length() - 1
             cand ^= low
@@ -130,6 +176,10 @@ def antichain_mask_tuples(universe: Sequence[int],
                 break
             rest.append(cands[i])
         else:  # allowed is pairwise incomparable, or empty
+            while cand:  # and those left are settled
+                low = cand & -cand
+                rest.append(cands[low.bit_length() - 1])
+                cand ^= low
             k = len(rest)
             if need <= k:
                 whole = chosen + tuple(rest)
@@ -137,9 +187,14 @@ def antichain_mask_tuples(universe: Sequence[int],
                     yield from islice(combinations(whole, c + r), comb(k, r))
                 yield whole
             continue
-        # children pushed last-first, so they pop in walk order
+        # children pushed last-first, so they pop in walk order; the
+        # settled ones come last, in one deferred entry, pushed only when
+        # its first child (the one with the longest tail) reaches min_size
         need -= 1  # a child has one member more
-        cand = allowed
+        high = allowed >> settled << settled
+        if high.bit_count() > need:
+            stack.append((chosen, ~high))
+        cand = allowed ^ high
         while cand:
             i = cand.bit_length() - 1
             cand ^= 1 << i
@@ -169,9 +224,13 @@ def count_antichains_oracle(n: int) -> int:
     The levels up to n-1 elements are built pair by pair.  The last level
     is only counted: _holders marks the downsets holding each subset x,
     and D1 lies inside D0 exactly when it holds no subset outside D0, so
-    D0 contains every downset but those in the OR of holders[x] over x
-    not in D0.  Nothing here reads the walk or its tables, so the count
-    is a second route to the Dedekind numbers.
+    D0 contains every downset but those in the OR of holders[x] over the
+    upset U of subsets outside D0.  U minus its least subset x is again an
+    upset (every subset of x has a smaller index), so the upsets are
+    taken smallest first and each OR is the one of U - {x} with holders[x]
+    added: one OR per downset, with only the previous size's rows kept.
+    Nothing here reads the walk or its tables, so the count is a second
+    route to the Dedekind numbers.
     """
     if not 1 <= n <= 6:
         raise ValueError("oracle supports 1 <= n <= 6")
@@ -182,8 +241,18 @@ def count_antichains_oracle(n: int) -> int:
                     for d0 in downsets for d1 in downsets if not (d1 & ~d0)]
     holders = _holders(n - 1, map(_bits, downsets))
     everything = (1 << len(holders)) - 1  # every subset of {1..n-1}
-    return sum(len(downsets) - _or_rows(holders, _bits(everything ^ d0)).bit_count()
-               for d0 in downsets)
+    upsets: list[list[int]] = [[] for _ in range(len(holders) + 1)]
+    for d0 in downsets:
+        up = everything ^ d0
+        upsets[up.bit_count()].append(up)
+    # every pair (D0, D1) less those with D1 outside D0
+    count = len(downsets) ** 2
+    ors = {0: 0}  # the empty upset, whose D0 holds every downset
+    for level in upsets[1:]:
+        ors = {up: ors[up & (up - 1)] | holders[(up & -up).bit_length() - 1]
+               for up in level}
+        count -= sum(row.bit_count() for row in ors.values())
+    return count
 
 
 def middle_band_antichains(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
@@ -304,8 +373,9 @@ def _census_scan(n: int, deadline: float | None,
     rows crossing row i are those outside the OR of missers[x] over the
     members x of row i, and _bits(mask, rows) picks them.  A partner
     with fewer than half members lies inside row i's transversal (the
-    subsets meeting every member of row i) and has at least
-    best - 1 - |row i| members, so a walk of the transversal finds it.
+    subsets meeting every member of row i, see _transversal) and has at
+    least best - 1 - |row i| members, so a walk of the transversal finds
+    it.
 
     Each crossing pair with sum s >= best - 1, best the running maximum
     (never below seed_best), is filed under s as it is found, and only
@@ -339,8 +409,7 @@ def _census_scan(n: int, deadline: float | None,
         need = max(best - 1 - size_a, 0)
         if need >= half:
             continue
-        transversal = [y for y in range(1 << n) if not missers[y] >> i & 1]
-        for b in antichain_mask_tuples(transversal, need):
+        for b in antichain_mask_tuples(_bits(_transversal(n, a)), need):
             if len(b) < half:
                 s = size_a + len(b)
                 best = max(best, s)
@@ -561,6 +630,24 @@ def _missers(n: int, holders: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _meets(n: int) -> tuple[int, ...]:
+    """meets[x] = the subsets of {1..n} meeting subset x, a bitset over
+    subset indices."""
+    subsets = range(1 << n)
+    return tuple(sum(1 << y for y in subsets if x & y) for x in subsets)
+
+
+def _transversal(n: int, members: Iterable[int]) -> int:
+    """The subsets of {1..n} meeting every one of the members, a bitset
+    over subset indices: the AND of meets[x] over the members x."""
+    meets = _meets(n)
+    out = (1 << len(meets)) - 1
+    for x in members:
+        out &= meets[x]
+    return out
+
+
+@lru_cache(maxsize=None)
 def _pair_sweep_setup(n: int) -> tuple:
     """The antichains of {1..n} and their tables for the all-pairs sweep,
     in this order:
@@ -592,19 +679,8 @@ def _pair_sweep_setup(n: int) -> tuple:
     partners early: at n=5 the decode scans 14 235 229 positions for the
     3 915 500 crossing pairs, against 22 952 453 in walk order."""
     lo, hi = normalize.middle_band(n)
-    # meets[x] = the subsets meeting x, a bitset over subset indices, so a
-    # family's transversal is the AND of meets[x] over its members
-    subsets = range(1 << n)
-    meets = [sum(1 << y for y in subsets if x & y) for x in subsets]
-    everything = (1 << len(meets)) - 1
-
-    def transversal_size(f: Family) -> int:
-        out = everything
-        for x in f.members:
-            out &= meets[x]
-        return out.bit_count()
-
-    fams = sorted(enumerate_antichains(n), key=transversal_size, reverse=True)
+    fams = sorted(enumerate_antichains(n), reverse=True,
+                  key=lambda f: _transversal(n, f.members).bit_count())
     finals = []
     stepped = sound = 0
     for j, f in enumerate(fams):

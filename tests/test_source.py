@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import shlex
 import sys
 from functools import lru_cache
@@ -117,6 +118,16 @@ def test_tracer_entry_points_exist():
                for name in names
                if not hasattr(importlib.import_module(f"sperner.{module}"), name)]
     assert missing == []
+
+
+def test_walk_enumerators_are_generator_functions():
+    # the tracer counts verifier.antichains as the items of a generator
+    # function; a plain function returning an iterator would count none,
+    # and only a traced benchmark round would show it
+    from sperner import verifier
+
+    assert inspect.isgeneratorfunction(verifier.antichain_mask_tuples)
+    assert inspect.isgeneratorfunction(verifier.enumerate_antichains)
 
 
 def _fresh(probe: str) -> str:

@@ -65,8 +65,9 @@ def comparable(s, t):
 def brute_walk_table(n):
     """The walk table of the power set of {1..n} rebuilt by brute force:
     the subsets by descending comparable count (a stable sort), their
-    positions, and per position the later positions comparable to it and
-    those incomparable to it."""
+    positions, per position the later positions comparable to it and
+    those incomparable to it, and the least position from which the
+    candidates are pairwise incomparable."""
     power = range(1 << n)
     cands = sorted(power, key=lambda s: -sum(comparable(s, t) for t in power))
     pos = {s: i for i, s in enumerate(cands)}
@@ -75,7 +76,14 @@ def brute_walk_table(n):
         later = range(i + 1, 1 << n)
         clash.append(sum(1 << j for j in later if comparable(s, cands[j])))
         keep.append(sum(1 << j for j in later if not comparable(s, cands[j])))
-    return cands, pos, clash, keep
+    # a tail of pairwise incomparable candidates stays one when cut
+    # shorter, so the least such position is where, walking back from the
+    # end, a candidate first meets a comparable later one
+    settled = len(cands)
+    while settled and not any(comparable(cands[settled - 1], t)
+                              for t in cands[settled:]):
+        settled -= 1
+    return cands, pos, clash, keep, settled
 
 
 def reference_walk(universe, min_size=0):
@@ -83,7 +91,8 @@ def reference_walk(universe, min_size=0):
     the same table order, pruning and walk order as antichain_mask_tuples,
     on a table built by brute force."""
     universe = set(universe)
-    cands, pos, clash, keep = brute_walk_table(max(universe, default=0).bit_length())
+    n = max(universe, default=0).bit_length()
+    cands, pos, clash, keep, _ = brute_walk_table(n)
     start = 0
     for s in universe:
         start |= 1 << pos[s]
@@ -193,7 +202,7 @@ class TestEnumeration:
             assert list(antichain_mask_tuples(universe, min_size)) \
                 == list(reference_walk(universe, min_size))
 
-    @pytest.mark.parametrize("min_size", [14, 17])
+    @pytest.mark.parametrize("min_size", [12, 14, 17])
     def test_walk_order_matches_reference_on_n6_rows(self, min_size):
         assert list(antichain_mask_tuples(range(64), min_size)) \
             == list(reference_walk(range(64), min_size))
@@ -214,16 +223,28 @@ class TestEnumeration:
             for min_size in range(8):
                 assert list(antichain_mask_tuples(universe, min_size)) \
                     == list(reference_walk(universe, min_size))
+        # and one from 0..63, where up to twenty 3-sets are settled: a
+        # branching node hands its settled children to one deferred entry
+        rng = random.Random(64)
+        for _ in range(12):
+            universe = [rng.randrange(64) for _ in range(rng.randint(16, 28))]
+            for min_size in (0, 3, 6):
+                assert list(antichain_mask_tuples(universe, min_size)) \
+                    == list(reference_walk(universe, min_size))
 
     @pytest.mark.parametrize("n", range(10))
     def test_walk_table_against_brute_force(self, n):
         # the walk branches on the candidates comparable to the most
         # others first: a stable sort of the power set by that count
-        cands, pos, keep = verifier._walk_table(n)
-        brute_cands, _, _, brute_keep = brute_walk_table(n)
+        cands, pos, keep, settled = verifier._walk_table(n)
+        brute_cands, _, _, brute_keep, brute_settled = brute_walk_table(n)
         assert list(cands) == brute_cands
         assert [pos[s] for s in cands] == list(range(1 << n))
         assert list(keep) == brute_keep
+        assert settled == brute_settled
+        # the twenty 3-sets at n=6; at n=5 ranks 2 and 3 interleave, so
+        # only the last three candidates are pairwise incomparable
+        assert settled == {5: 29, 6: 44}.get(n, settled)
 
     def test_repeated_candidate_counts_once(self):
         assert sorted(antichain_mask_tuples([1, 1])) == [(), (1,)]
