@@ -117,11 +117,9 @@ def antichain_mask_tuples(universe: Sequence[int],
     high its allowed settled candidates, beneath its other children; the
     entry yields every settled child's antichains in the order the
     child's own node would.  It is pushed only when its first child,
-    the one with the longest tail, can reach min_size.  A node's scan
-    likewise stops testing keep rows at settled and takes the settled
-    candidates left as they are.  At n = 6 the unpruned walk pops 126 306
-    entries, 36 906 of them deferred, where one node per settled child
-    made 225 620.
+    the one with the longest tail, can reach min_size.  At n = 6 the
+    unpruned walk pops 126 306 entries, 36 906 of them deferred, where
+    one node per settled child made 225 620.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
@@ -135,7 +133,6 @@ def antichain_mask_tuples(universe: Sequence[int],
     for s in universe:
         start |= 1 << pos[s]
 
-    under = (1 << settled) - 1  # the positions before settled
     stack = [((), start)]
     while stack:
         chosen, allowed = stack.pop()
@@ -168,7 +165,7 @@ def antichain_mask_tuples(universe: Sequence[int],
             need = 1  # chosen alone is out: what follows adds a member
         rest = []
         cand = allowed
-        while cand & under:  # the candidates before settled are tested
+        while cand:
             low = cand & -cand
             i = low.bit_length() - 1
             cand ^= low
@@ -176,10 +173,6 @@ def antichain_mask_tuples(universe: Sequence[int],
                 break
             rest.append(cands[i])
         else:  # allowed is pairwise incomparable, or empty
-            while cand:  # and those left are settled
-                low = cand & -cand
-                rest.append(cands[low.bit_length() - 1])
-                cand ^= low
             k = len(rest)
             if need <= k:
                 whole = chosen + tuple(rest)
@@ -373,9 +366,9 @@ def _census_scan(n: int, deadline: float | None,
     rows crossing row i are those outside the OR of missers[x] over the
     members x of row i, and _bits(mask, rows) picks them.  A partner
     with fewer than half members lies inside row i's transversal (the
-    subsets meeting every member of row i, see _transversal) and has at
-    least best - 1 - |row i| members, so a walk of the transversal finds
-    it.
+    subsets meeting every member of row i, the AND of _meets rows) and
+    has at least best - 1 - |row i| members, so a walk of the transversal
+    finds it.
 
     Each crossing pair with sum s >= best - 1, best the running maximum
     (never below seed_best), is filed under s as it is found, and only
@@ -389,6 +382,8 @@ def _census_scan(n: int, deadline: float | None,
     half = (floor + 1) // 2
     rows = sorted(antichain_mask_tuples(range(1 << n), half), key=len, reverse=True)
     missers = _missers(n, _holders(n, rows))
+    meets = _meets(n)
+    every_subset = (1 << len(meets)) - 1
 
     incomplete = False
     best = seed_best
@@ -409,7 +404,10 @@ def _census_scan(n: int, deadline: float | None,
         need = max(best - 1 - size_a, 0)
         if need >= half:
             continue
-        for b in antichain_mask_tuples(_bits(_transversal(n, a)), need):
+        transversal = every_subset
+        for x in a:
+            transversal &= meets[x]
+        for b in antichain_mask_tuples(_bits(transversal), need):
             if len(b) < half:
                 s = size_a + len(b)
                 best = max(best, s)
@@ -641,19 +639,10 @@ def _missers(n: int, holders: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _meets(n: int) -> tuple[int, ...]:
     """meets[x] = the subsets of {1..n} meeting subset x, a bitset over
-    subset indices."""
+    subset indices, so a family's transversal (the subsets meeting every
+    member) is the AND of meets[x] over its members x."""
     subsets = range(1 << n)
     return tuple(sum(1 << y for y in subsets if x & y) for x in subsets)
-
-
-def _transversal(n: int, members: Iterable[int]) -> int:
-    """The subsets of {1..n} meeting every one of the members, a bitset
-    over subset indices: the AND of meets[x] over the members x."""
-    meets = _meets(n)
-    out = (1 << len(meets)) - 1
-    for x in members:
-        out &= meets[x]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -688,8 +677,16 @@ def _pair_sweep_setup(n: int) -> tuple:
     partners early: at n=5 the decode scans 14 235 229 positions for the
     3 915 500 crossing pairs, against 22 952 453 in walk order."""
     lo, hi = normalize.middle_band(n)
-    fams = sorted(enumerate_antichains(n), reverse=True,
-                  key=lambda f: _transversal(n, f.members).bit_count())
+    meets = _meets(n)
+    everything = (1 << len(meets)) - 1
+
+    def transversal_size(f: Family) -> int:
+        out = everything
+        for x in f.members:
+            out &= meets[x]
+        return out.bit_count()
+
+    fams = sorted(enumerate_antichains(n), key=transversal_size, reverse=True)
     finals = []
     stepped = sound = 0
     for j, f in enumerate(fams):
