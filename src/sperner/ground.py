@@ -9,9 +9,8 @@ to single bit operations.  Families keep their members sorted by
 from __future__ import annotations
 
 from functools import total_ordering
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from pathlib import Path
-from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND = 60        # keeps every C(n,k) inside 64-bit range
@@ -45,10 +44,6 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
-# _bits' index list 0, 1, 2, ..., grown on demand to the widest mask seen;
-# the lock keeps two threads from both appending the same indices
-_BIT_INDEX: list[int] = []
-_BIT_INDEX_GROWTH = Lock()
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -57,22 +52,19 @@ def _bits(mask: int, items: Sequence | None = None) -> Iterator:
     without items, over the indices j themselves.  The whole scan runs in
     C: bin() writes the digits, translate turns them into one flag byte
     per bit, lowest first, and compress picks the flagged entries of
-    items (or of the shared index list).  So no Python step runs per bit,
-    set or not, no int is built per scanned position, and a caller that
-    wants items[j] indexes nothing.  compress stops at the shorter of its
-    inputs, so a mask wider than items is refused rather than cut."""
+    items (or of count()).  So no Python step runs per bit, set or not,
+    and a caller that wants items[j] indexes nothing.  compress stops at
+    the shorter of its inputs, so a mask wider than items is refused
+    rather than cut."""
     if mask < 0:
         raise ValueError(f"a set mask is non-negative, got {mask}")
-    width = mask.bit_length()
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
     if items is None:
-        items = _BIT_INDEX
-        if width > len(items):
-            with _BIT_INDEX_GROWTH:
-                items.extend(range(len(items), width))
-    elif width > len(items):
-        raise ValueError(f"mask has {width} bits, wider than its "
+        return compress(count(), flags)
+    if mask.bit_length() > len(items):
+        raise ValueError(f"mask has {mask.bit_length()} bits, wider than its "
                          f"{len(items)} items")
-    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+    return compress(items, flags)
 
 
 def elements_of(mask: int) -> tuple[int, ...]:

@@ -96,30 +96,22 @@ def antichain_mask_tuples(universe: Sequence[int],
     A depth-first walk over (chosen, allowed) nodes, where allowed holds
     the later candidates incomparable to everything chosen.  A node
     yields chosen first, once it has min_size members, and every later
-    yield adds a member to it.  The node then scans allowed in position
-    order and stops at the first candidate whose keep row misses a later
-    allowed one.  If none does, the allowed candidates are pairwise
-    incomparable, and every subset of them extends chosen, so the node
-    yields those subsets by size instead of descending: chosen plus the
-    r-subsets of that free tail, rest, are the first C(len(rest), r)
-    combinations of chosen + rest of size len(chosen) + r, so itertools
-    builds each antichain once.  The walk reads the table of the power
-    set of {1..n}, n the bit length of the largest candidate (see
+    yield adds a member to it.  The walk reads the table of the power set
+    of {1..n}, n the bit length of the largest candidate (see
     _walk_table), which takes the candidates comparable to the most
-    others first: the outer ranks branch and the widest rank is left as
-    the free tail.  The universe only marks the start node's allowed
-    candidates.
-
-    The candidates from the table's settled position on are pairwise
-    incomparable, so a child at a settled position is a free tail: its
-    candidate plus any subset of the later settled ones it is allowed.
-    A node that branches pushes one deferred entry, (chosen, ~high) with
-    high its allowed settled candidates, beneath its other children; the
-    entry yields every settled child's antichains in the order the
-    child's own node would.  It is pushed only when its first child,
-    the one with the longest tail, can reach min_size.  At n = 6 the
-    unpruned walk pops 126 306 entries, 36 906 of them deferred, where
-    one node per settled child made 225 620.
+    others first, so the outer ranks branch; the universe only marks the
+    start node's allowed candidates.  The candidates from the table's
+    settled position on are pairwise incomparable, and that is the one
+    free-tail rule: a node whose allowed candidates are all settled
+    yields every subset of them added to chosen, by size, instead of
+    descending.  Chosen plus the r-subsets of that free tail, rest, are
+    the first C(len(rest), r) combinations of chosen + rest of size
+    len(chosen) + r, so itertools builds each antichain once.  Any other
+    node branches on its allowed candidates below settled and pushes its
+    allowed settled ones, high, as one entry (chosen, ~high) beneath its
+    children: a free-tail node whose chosen is yielded already, so it
+    needs one more member.  At n = 6 the unpruned walk pops 148 106
+    entries.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
@@ -129,6 +121,7 @@ def antichain_mask_tuples(universe: Sequence[int],
         raise ValueError(f"walk candidates must be subsets of "
                          f"{{1..{MAX_WALK_GROUND}}}, got a set on {{1..{n}}}")
     cands, pos, keep, settled = _walk_table(n)
+    below = (1 << settled) - 1
     start = 0
     for s in universe:
         start |= 1 << pos[s]
@@ -137,42 +130,19 @@ def antichain_mask_tuples(universe: Sequence[int],
     while stack:
         chosen, allowed = stack.pop()
         c = len(chosen)
-        if allowed < 0:  # a deferred entry: the settled children of chosen
-            tail = []
-            cand = ~allowed
-            while cand:
-                low = cand & -cand
-                tail.append(cands[low.bit_length() - 1])
-                cand ^= low
-            tail = tuple(tail)
-            k = len(tail)
-            need = min_size - c - 1  # members a child still misses
-            for j in range(k - max(need, 0)):
-                k -= 1  # the free tail after tail[j]
-                lo = need
-                if lo <= 0:
-                    yield chosen + (tail[j],)
-                    lo = 1
-                if lo <= k:
-                    whole = chosen + tail[j:]
-                    for r in range(lo, k):
-                        yield from islice(combinations(whole, c + 1 + r), comb(k, r))
-                    yield whole
-            continue
         need = min_size - c  # members still missing below min_size
-        if need <= 0:
+        if allowed < 0:  # a settled entry: chosen is yielded already
+            allowed = ~allowed
+            need = max(need, 1)
+        elif need <= 0:
             yield chosen
             need = 1  # chosen alone is out: what follows adds a member
-        rest = []
-        cand = allowed
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            if cand & keep[i] != cand:  # a later allowed one is comparable
-                break
-            rest.append(cands[i])
-        else:  # allowed is pairwise incomparable, or empty
+        if not allowed & below:  # a free tail, or empty
+            rest = []
+            while allowed:
+                low = allowed & -allowed
+                rest.append(cands[low.bit_length() - 1])
+                allowed ^= low
             k = len(rest)
             if need <= k:
                 whole = chosen + tuple(rest)
@@ -180,14 +150,13 @@ def antichain_mask_tuples(universe: Sequence[int],
                     yield from islice(combinations(whole, c + r), comb(k, r))
                 yield whole
             continue
-        # children pushed last-first, so they pop in walk order; the
-        # settled ones come last, in one deferred entry, pushed only when
-        # its first child (the one with the longest tail) reaches min_size
+        # children pushed last-first, so they pop in walk order, the
+        # settled entry last; each only when it can reach min_size
         need -= 1  # a child has one member more
-        high = allowed >> settled << settled
+        high = allowed & ~below
         if high.bit_count() > need:
             stack.append((chosen, ~high))
-        cand = allowed ^ high
+        cand = allowed & below
         while cand:
             i = cand.bit_length() - 1
             cand ^= 1 << i
@@ -675,7 +644,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     antichains inside its transversal, and those with large transversals
     are partners of many rows, so listing them first puts each row's
     partners early: at n=5 the decode scans 14 235 229 positions for the
-    3 915 500 crossing pairs, against 22 952 453 in walk order."""
+    3 915 500 crossing pairs, against 22 951 680 in walk order."""
     lo, hi = normalize.middle_band(n)
     meets = _meets(n)
     everything = (1 << len(meets)) - 1

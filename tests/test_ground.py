@@ -1,13 +1,10 @@
 import copy
 import pickle
 import random
-import threading
-import time
 
 import pytest
 
 from conftest import fam, run_python
-from sperner import ground
 from sperner.ground import (Family, _bits, format_family, format_set,
                             full_level, independent, is_antichain,
                             is_cross_intersecting, mask_of, parse_family,
@@ -20,15 +17,11 @@ def reference_bits(m):
 
 
 class TestBits:
-    # each test starts _bits from an empty index list, so the list grows
-    # in the test and is not only read at a width another test left
-
     # with items, each set bit j picks items[j]: objects that are not
     # their own index, so a pick by the wrong position shows
     ITEMS = [f"item {j}" for j in range(1 << 12)]
 
-    def test_every_mask_below_2_12(self, monkeypatch):
-        monkeypatch.setattr(ground, "_BIT_INDEX", [])
+    def test_every_mask_below_2_12(self):
         assert list(_bits(0)) == []
         assert list(_bits(0, ())) == []
         for m in range(1 << 12):
@@ -36,10 +29,8 @@ class TestBits:
             assert list(_bits(m, self.ITEMS)) == [
                 self.ITEMS[j] for j in reference_bits(m)]
 
-    def test_seeded_wide_then_narrow(self, monkeypatch):
-        # up to three times the 7 581 bits of an n=5 audit row; the widest
-        # mask grows the index, the narrower ones read a prefix of it
-        monkeypatch.setattr(ground, "_BIT_INDEX", [])
+    def test_seeded_wide_then_narrow(self):
+        # up to three times the 7 581 bits of an n=5 audit row
         rng = random.Random(35)
         for width in (3 * 7581, 7581, 7580, 1000, 64, 63, 2, 1):
             masks = [1 << (width - 1), (1 << width) - 1]
@@ -51,36 +42,6 @@ class TestBits:
                 assert list(_bits(m)) == reference_bits(m)
                 assert list(_bits(m, items)) == [
                     items[j] for j in reference_bits(m)]
-
-    def test_threads_widening_together_append_each_index_once(
-            self, monkeypatch):
-        # more threads than cores widen the shared index at once, each
-        # yielding its turn just after _bits reads the index's length; an
-        # unguarded growth then appends some indices twice
-        monkeypatch.setattr(ground, "_BIT_INDEX", [])
-
-        def yielding_len(x):
-            length = len(x)
-            time.sleep(0)
-            return length
-
-        monkeypatch.setattr(ground, "len", yielding_len, raising=False)
-        wrong = []
-
-        def widen():
-            for width in range(1, 300):
-                if list(_bits((1 << width) - 1)) != list(range(width)):
-                    wrong.append(width)
-                    return
-
-        threads = [threading.Thread(target=widen) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-        assert ground._BIT_INDEX == list(range(299))
 
 
 class TestIndependent:

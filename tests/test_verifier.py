@@ -65,17 +65,15 @@ def comparable(s, t):
 def brute_walk_table(n):
     """The walk table of the power set of {1..n} rebuilt by brute force:
     the subsets by descending comparable count (a stable sort), their
-    positions, per position the later positions comparable to it and
-    those incomparable to it, and the least position from which the
-    candidates are pairwise incomparable."""
+    positions, per position the later positions incomparable to it, and
+    the least position from which the candidates are pairwise
+    incomparable."""
     power = range(1 << n)
     cands = sorted(power, key=lambda s: -sum(comparable(s, t) for t in power))
     pos = {s: i for i, s in enumerate(cands)}
-    clash, keep = [], []
-    for i, s in enumerate(cands):
-        later = range(i + 1, 1 << n)
-        clash.append(sum(1 << j for j in later if comparable(s, cands[j])))
-        keep.append(sum(1 << j for j in later if not comparable(s, cands[j])))
+    keep = [sum(1 << j for j in range(i + 1, 1 << n)
+                if not comparable(s, cands[j]))
+            for i, s in enumerate(cands)]
     # a tail of pairwise incomparable candidates stays one when cut
     # shorter, so the least such position is where, walking back from the
     # end, a candidate first meets a comparable later one
@@ -83,49 +81,47 @@ def brute_walk_table(n):
     while settled and not any(comparable(cands[settled - 1], t)
                               for t in cands[settled:]):
         settled -= 1
-    return cands, pos, clash, keep, settled
+    return cands, pos, keep, settled
 
 
 def reference_walk(universe, min_size=0):
-    """The walk with each free-tail antichain built as chosen + extra:
-    the same table order, pruning and walk order as antichain_mask_tuples,
-    on a table built by brute force."""
+    """The walk order of antichain_mask_tuples, stated recursively on a
+    table built by brute force: a node yields chosen, then, if its
+    allowed candidates are all settled, chosen plus each nonempty subset
+    of them by size in combinations order; otherwise each child at an
+    allowed position below settled in position order, then chosen plus
+    the nonempty subsets of its allowed settled candidates, as a free
+    tail.  Subtrees that cannot reach min_size are cut, as in the walk;
+    they yield nothing, so the cut cannot move the order."""
     universe = set(universe)
     n = max(universe, default=0).bit_length()
-    cands, pos, clash, keep, _ = brute_walk_table(n)
-    start = 0
-    for s in universe:
-        start |= 1 << pos[s]
-    stack = [((), start)]
-    while stack:
-        chosen, allowed = stack.pop()
-        if not allowed:
-            if len(chosen) >= min_size:
-                yield chosen
-            continue
-        rest = []
-        cand = allowed
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            if clash[i] & allowed:
-                break
-            rest.append(cands[i])
-            cand ^= low
-        else:
-            for r in range(max(min_size - len(chosen), 0), len(rest) + 1):
-                for extra in combinations(rest, r):
-                    yield chosen + extra
-            continue
+    cands, pos, keep, settled = brute_walk_table(n)
+
+    def positions(bits):
+        return [i for i in range(len(cands)) if bits >> i & 1]
+
+    def free_tail(chosen, allowed):
+        rest = [cands[i] for i in positions(allowed)]
+        for r in range(max(min_size - len(chosen), 1), len(rest) + 1):
+            for extra in combinations(rest, r):
+                yield chosen + extra
+
+    def node(chosen, allowed):
         if len(chosen) >= min_size:
             yield chosen
-        cand = allowed
-        while cand:
-            i = cand.bit_length() - 1
-            cand ^= 1 << i
+        low = [i for i in positions(allowed) if i < settled]
+        if not low:
+            yield from free_tail(chosen, allowed)
+            return
+        for i in low:
             nxt = allowed & keep[i]
             if len(chosen) + 1 + nxt.bit_count() >= min_size:
-                stack.append((chosen + (cands[i],), nxt))
+                yield from node(chosen + (cands[i],), nxt)
+        high = allowed >> settled << settled
+        if len(chosen) + high.bit_count() >= min_size:
+            yield from free_tail(chosen, high)
+
+    yield from node((), sum(1 << pos[s] for s in universe))
 
 
 WALK_UNIVERSES = {
@@ -224,7 +220,7 @@ class TestEnumeration:
                 assert list(antichain_mask_tuples(universe, min_size)) \
                     == list(reference_walk(universe, min_size))
         # and one from 0..63, where up to twenty 3-sets are settled: a
-        # branching node hands its settled children to one deferred entry
+        # branching node hands its allowed settled ones to one free tail
         rng = random.Random(64)
         for _ in range(12):
             universe = [rng.randrange(64) for _ in range(rng.randint(16, 28))]
@@ -237,7 +233,7 @@ class TestEnumeration:
         # the walk branches on the candidates comparable to the most
         # others first: a stable sort of the power set by that count
         cands, pos, keep, settled = verifier._walk_table(n)
-        brute_cands, _, _, brute_keep, brute_settled = brute_walk_table(n)
+        brute_cands, _, brute_keep, brute_settled = brute_walk_table(n)
         assert list(cands) == brute_cands
         assert [pos[s] for s in cands] == list(range(1 << n))
         assert list(keep) == brute_keep
