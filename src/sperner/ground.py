@@ -58,13 +58,13 @@ def _bits(mask: int, items: Sequence | None = None) -> Iterator:
     rather than cut."""
     if mask < 0:
         raise ValueError(f"a set mask is non-negative, got {mask}")
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    width = mask.bit_length()
     if items is None:
-        return compress(count(), flags)
-    if mask.bit_length() > len(items):
-        raise ValueError(f"mask has {mask.bit_length()} bits, wider than its "
+        items = count()
+    elif width > len(items):
+        raise ValueError(f"mask has {width} bits, wider than its "
                          f"{len(items)} items")
-    return compress(items, flags)
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 def elements_of(mask: int) -> tuple[int, ...]:

@@ -110,8 +110,7 @@ def antichain_mask_tuples(universe: Sequence[int],
     node branches on its allowed candidates below settled and pushes its
     allowed settled ones, high, as one entry (chosen, ~high) beneath its
     children: a free-tail node whose chosen is yielded already, so it
-    needs one more member.  At n = 6 the unpruned walk pops 148 106
-    entries.
+    needs one more member.
     """
     universe = set(universe)
     if any(s < 0 for s in universe):
