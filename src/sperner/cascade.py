@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .ground import Family, check_ground
-from .squashed import _max_binom_arg, level_masks, rank
+from .squashed import _greedy_binomials, level_masks, rank
 
 if TYPE_CHECKING:
     # fractions loads decimal and numbers; the functions that build a
@@ -110,11 +110,9 @@ def _fresh_union(f: Family, up: bool) -> Family:
     if k == (f.n if up else 0):
         raise ValueError(f"new-shade undefined at rank n={f.n}" if up
                          else "new-shadow undefined at rank 0")
+    # distinct members' fresh sets are disjoint, as _level_fresh checks
     fresh = _level_fresh(f.n, k, up)
-    out: set[int] = set()
-    for m in f.members:
-        out |= fresh[rank(m)]
-    return Family.from_masks(f.n, out)
+    return Family(f.n, tuple(x for m in f.members for x in fresh[rank(m)]))
 
 
 def new_shadow(f: Family) -> Family:
@@ -149,31 +147,21 @@ class CascadeRep(NamedTuple):
 
 
 def cascade(m: int, k: int) -> CascadeRep:
-    """Greedy k-binomial representation of m.
-
-    Greedy means a_k = max{a : C(a,k) <= m}, then recurse on the
-    remainder at k-1; this is the unique representation satisfying the
-    strictly-decreasing side condition.
-    """
+    """The greedy k-binomial representation of m (see squashed's
+    _greedy_binomials), the unique one with the decreasing side condition."""
     if k < 1:
         raise ValueError(f"cascade representation needs k >= 1, got {k}")
     if m < 1:
         raise ValueError(f"cascade representation needs m >= 1, got {m}")
     if m > MAX_REPRESENTABLE:
         raise ValueError(f"m exceeds the supported cap C(60,30)={MAX_REPRESENTABLE}")
-    terms: list[tuple[int, int]] = []
-    rem, i = m, k
-    while rem > 0:
-        # C(a,1)=a always absorbs the remainder by i=1
-        if i < 1:
-            raise RuntimeError(f"cascade of m={m}, k={k} left remainder {rem}")
-        a = _max_binom_arg(rem, i)
-        if terms and a >= terms[-1][0]:
+    terms, rem = _greedy_binomials(m, k)
+    for (a, _), (b, _) in zip(terms, terms[1:]):
+        if b >= a:
             raise RuntimeError(f"cascade of m={m}, k={k} breaks the "
-                               f"decreasing side condition at a={a}")
-        terms.append((a, i))
-        rem -= comb(a, i)
-        i -= 1
+                               f"decreasing side condition at a={b}")
+    if rem:
+        raise RuntimeError(f"cascade of m={m}, k={k} left remainder {rem}")
     return CascadeRep(k, tuple(terms))
 
 

@@ -234,8 +234,8 @@ def full_level(n: int, k: int) -> Family:
     if n > MAX_MATERIALIZE:
         raise ValueError(
             f"refusing to materialize a level at n={n} > {MAX_MATERIALIZE}")
-    masks = sorted(mask_of(c) for c in combinations(range(1, n + 1), k))
-    return Family(n, tuple(masks))
+    # sums of k distinct bits, which Family sorts into squashed order
+    return Family(n, tuple(map(sum, combinations([1 << b for b in range(n)], k))))
 
 
 def format_family(f: Family) -> str:

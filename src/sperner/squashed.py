@@ -50,6 +50,18 @@ def _max_binom_arg(rem: int, i: int) -> int:
     return lo
 
 
+def _greedy_binomials(m: int, k: int) -> tuple[list[tuple[int, int]], int]:
+    """The greedy terms (a, i) of m >= 0, i = k, k-1, ... while m is not
+    spent, each a = max{a : C(a, i) <= what is left}, and what is left
+    after them: 0 unless a step is wrong, as C(a, 1) = a takes it all."""
+    terms = []
+    while m and k:
+        a = _max_binom_arg(m, k)
+        terms.append((a, k))
+        m, k = m - comb(a, k), k - 1
+    return terms, m
+
+
 def unrank(n: int, k: int, index: int) -> int:
     """The k-subset of {1..n} at the given squashed-order position."""
     check_ground(n)
@@ -57,11 +69,10 @@ def unrank(n: int, k: int, index: int) -> int:
         raise ValueError(f"level {k} out of range for n={n}")
     if not 0 <= index < comb(n, k):
         raise ValueError(f"index {index} out of range for C({n},{k})={comb(n, k)}")
-    mask = 0
-    rem = index
-    for i in range(k, 0, -1):
-        a = _max_binom_arg(rem, i) if rem else i - 1  # C(i-1, i) = 0
-        rem -= comb(a, i)
+    terms, rem = _greedy_binomials(index, k)
+    # each i below the terms takes a = i - 1, as C(i-1, i) = 0
+    mask = (1 << (k - len(terms))) - 1
+    for a, _ in terms:
         mask |= 1 << a  # element a+1
     if rem or mask.bit_count() != k:
         raise RuntimeError(f"unrank({n}, {k}, {index}) gave {mask:#b} "

@@ -411,8 +411,7 @@ def max_cross_sum(n: int, budget_seconds: float | None = None) -> SearchCensus:
     def materialize(pairs: list) -> tuple[tuple[Family, Family], ...]:
         ordered = set()
         for a_masks, b_masks in pairs:
-            fa = Family.from_masks(n, a_masks)
-            fb = Family.from_masks(n, b_masks)
+            fa, fb = Family(n, a_masks), Family(n, b_masks)
             ordered |= {(fa, fb), (fb, fa)}
         return tuple(sorted(ordered))
 
@@ -456,13 +455,11 @@ def expected_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
 def expected_near_optimal_pairs(n: int) -> tuple[tuple[Family, Family], ...]:
     """The ordered optimum-1 pairs: an optimal pair with one set deleted
     from one of its sides."""
-    pairs = set()
-    for a, b in expected_optimal_pairs(n):
-        for x in a.members:
-            pairs.add((Family.from_masks(n, (m for m in a.members if m != x)), b))
-        for y in b.members:
-            pairs.add((a, Family.from_masks(n, (m for m in b.members if m != y))))
-    return tuple(sorted(pairs))
+    # the optimal pairs come in both orders, so a deletion from the second
+    # side is the swap of one from the first
+    deleted = {(Family(n, tuple(m for m in a.members if m != x)), b)
+               for a, b in expected_optimal_pairs(n) for x in a.members}
+    return tuple(sorted(deleted | {(b, a) for a, b in deleted}))
 
 
 def extremal_report(n: int, budget_seconds: float | None = None) -> dict:
@@ -586,7 +583,7 @@ def _holders(n: int, families: Iterable[Iterable[int]]) -> list[int]:
     return [int(row[::-1].translate(_FLAG_DIGITS) or b"0", 2) for row in flags]
 
 
-def _missers(n: int, holders: Sequence[int]) -> list[int]:
+def _missers(n: int, holders: Iterable[int]) -> list[int]:
     """missers[y] = the OR of holders[x] over the subsets x disjoint from y:
     the families with a member that misses y.  So the families crossing F
     are the complement of _or_rows(missers, F.members).
@@ -608,9 +605,11 @@ def _missers(n: int, holders: Sequence[int]) -> list[int]:
 def _meets(n: int) -> tuple[int, ...]:
     """meets[x] = the subsets of {1..n} meeting subset x, a bitset over
     subset indices, so a family's transversal (the subsets meeting every
-    member) is the AND of meets[x] over its members x."""
-    subsets = range(1 << n)
-    return tuple(sum(1 << y for y in subsets if x & y) for x in subsets)
+    member) is the AND of meets[x] over its members x.  Over unit rows,
+    _missers gives each x the subsets disjoint from it, the complement."""
+    everything = (1 << (1 << n)) - 1
+    return tuple(map(everything.__xor__,
+                     _missers(n, map((1).__lshift__, range(1 << n)))))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,32 @@ def run_python(*args, stdout=subprocess.PIPE, timeout=120):
     except subprocess.TimeoutExpired:
         pytest.fail(f"python {shlex.join(args)} did not return within "
                     f"{timeout} s")
+
+
+# past the largest acceptance budget (300 s) and run_python's default
+# timeout (120 s), so only a test that hangs reaches it
+TEST_TIME_LIMIT = 360
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT seconds, so a hang costs
+    one failed test rather than the whole run; where the platform has no
+    SIGALRM the test runs unlimited."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fam(n, *sets):

@@ -7,6 +7,7 @@ up to n = 10, sweep_shadow_excess(13) and window_minimality_report(8).
 
 import time
 from fractions import Fraction
+from math import comb
 
 from sperner.cascade import (kkt_oracle_mismatches, shade_table,
                              window_minimality_report)
@@ -108,7 +109,13 @@ def test_criterion_5_kkt_oracle_equivalence():
     crit = Criterion(5, "closed-form shadow/shade sizes equal brute force, n <= 10",
                      budget_seconds=120.0)
     report = kkt_oracle_mismatches(10)
-    crit.finish(report.passed, f"first mismatches: {report.violations[:5]}")
+    # per n: m = 1..C(n,k) at every k for each of the shadow and shade
+    # closed forms, 2^n - 1 each, and m = 0..C(n,k) for the duality at
+    # k = 1..n, 2^n - 1 + n
+    expected = sum(3 * (2 ** n - 1) + n for n in range(1, 11))
+    crit.finish(report.passed and report.instances == expected == 6163,
+                f"{report.instances} instances, "
+                f"first mismatches: {report.violations[:5]}")
 
 
 def test_criterion_6_inequality_sweeps():
@@ -143,7 +150,15 @@ def test_criterion_8_window_minimality():
     crit = Criterion(8, "windows: last minimizes new-shadow, first new-shade, n <= 8",
                      budget_seconds=300.0)
     report = window_minimality_report(8)
-    crit.finish(report.passed, f"violations: {report.violations[:5]}")
+    # a level of C sets has C(C+1)/2 windows (C - m + 1 of each length m),
+    # every level but 0 for new-shadows and every level but n for
+    # new-shades
+    expected = sum(comb(n, k) * (comb(n, k) + 1) // 2
+                   for n in range(1, 9) for k in range(n + 1)
+                   for outer in (0, n) if k != outer)
+    crit.finish(report.passed and report.instances == expected == 18070,
+                f"{report.instances} instances, "
+                f"violations: {report.violations[:5]}")
 
 
 def test_criterion_9_normalization_over_all_pairs():

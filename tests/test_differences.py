@@ -71,6 +71,26 @@ ONE_STEP_PAST = [
 ]
 
 
+# the twin of ONE_STEP_PAST: each case sets the one value a check reads
+# at one point exactly to the check's bound (an identity's own value, a
+# ">=" value to its floor, a "< 0" value to -1), so nothing is reported
+# and a check tightened by one step (">" for ">=", "< -1" for "< 0", a
+# floor raised by one) reports that point
+AT_THE_BOUND = [
+    ("3.2", "term_gain", (5, 2), -5),  # 2*(-5) == C(5,1)*(-2)
+    ("3.4", "term_gain", (1, 1), -1),  # floor term_gain(2,1) = -1
+    ("3.5", "hockey_stick", (2, 2), 10),  # C(5,2) = 10
+    ("3.6", "term_gain", (5, 3), 0),  # 0 in the j=4 sum
+    ("3.7", "term_gain", (3, 3), 2),  # the bound 2 at n=3
+    # 2*(D(1,1,3) - D(2,1,3)) = 2*(0 - (-2)) against k+1 = 4: odd k, as
+    # at even k the halved bound is no integer
+    ("3.10", "_scaled_damped_gain", (1, 1, 3), 0),
+    ("3.11", "_scaled_damped_gain", (1, 1, 2), -1),  # floor D(2,1,2) = -1
+    ("3.12", "_scaled_damped_gain", (2, 1, 2), -1),
+    ("3.13", "_scaled_damped_gain", (4, 2, 3), -2),  # the k=3 sum is 3
+]
+
+
 class TestCatalogue:
     def test_known_ids(self):
         assert set(CHECKS) == {
@@ -115,6 +135,15 @@ class TestCatalogue:
                             lambda *args: value if args == point else real(*args))
         report = check_lemma(check_id)
         assert report.violations == (violation,)
+
+    @pytest.mark.parametrize("check_id, helper, point, value", AT_THE_BOUND,
+                             ids=[c[0] for c in AT_THE_BOUND])
+    def test_each_check_passes_at_its_bound(
+            self, monkeypatch, check_id, helper, point, value):
+        real = getattr(differences, helper)
+        monkeypatch.setattr(differences, helper,
+                            lambda *args: value if args == point else real(*args))
+        assert check_lemma(check_id).violations == ()
 
     def test_check_all_runs_everything(self):
         reports = check_all(6)

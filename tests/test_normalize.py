@@ -497,7 +497,10 @@ class TestNormalizePair:
         # with every misser row empty each pair reads as crossing, so the
         # pairs that hold a set on one side and its complement on the
         # other must come out as complement violations
-        verifier._walk_table(2)  # built from _missers' rows: cache it first
+        # the walk table and _meets are built from _missers' rows: cache
+        # them first
+        verifier._walk_table(2)
+        verifier._meets(2)
         monkeypatch.setattr(verifier, "_missers",
                             lambda n, holders: [0] * (1 << n))
         report = verifier.normalization_pair_sweep(2)

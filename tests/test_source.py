@@ -281,3 +281,113 @@ def test_cli_results_go_through_emit():
                for call in ast.walk(node)
                if isinstance(call, ast.Call) and _writes_stdout(call)}
     assert writers and {name for name, _ in writers} == {"_emit"}
+
+
+# The two routes of every claim, which never feed each other, and the
+# comparison points that alone may read both, as (module, function).
+PRODUCERS = {
+    ("verifier", name) for name in (
+        "antichain_mask_tuples", "enumerate_antichains",
+        "count_antichains_oracle", "middle_band_antichains",
+        "canonical_family_key", "canonical_pair_key", "canonical_pair",
+        "max_cross_sum", "size4_antichain_classes_report",
+        "normalization_pair_sweep", "_pair_sweep_setup",
+        "_pair_sweep_stripe")
+} | {("normalize", "normalize_pair"), ("normalize", "normalize_to_middle"),
+     ("differences", "hockey_stick")} | {
+    ("cascade", name) for name in (
+        "shadow", "shade", "new_shadow", "new_shade", "_fresh_union",
+        "_fresh_sizes")
+}
+CLOSED_FORMS = {
+    ("cascade", name) for name in (
+        "cascade", "kkt_shadow_bound", "shade_of_last_bound",
+        "local_shade_bound", "local_shadow_bound")
+} | {
+    ("verifier", name) for name in (
+        "max_sum_formula", "expected_optimal_pairs",
+        "expected_near_optimal_pairs")
+} | {("differences", "term_gain"), ("differences", "damped_term_gain"),
+     ("squashed", "unrank"), ("squashed", "_greedy_binomials"),
+     ("squashed", "_max_binom_arg")}
+COMPARISONS = {
+    ("cascade", name) for name in (
+        "shade_table", "_segment_checks", "kkt_oracle_mismatches",
+        "window_minimality_report")
+} | {
+    ("verifier", name) for name in (
+        "extremal_report", "near_extremal_report", "sweep_shadow_excess",
+        "sweep_last_shade_margin")
+} | {("differences", "check_lemma"), ("differences", "check_all")}
+
+
+@lru_cache(maxsize=None)
+def _reference_graph() -> dict:
+    """(module, name) of each top-level function and class of src/sperner
+    -> the (module, name) pairs its body refers to: a bare name of the
+    module or imported from a layer, or layer.name.  A function passed as
+    a value counts as a call; a name read through data (such as the
+    catalogue's CHECKS table) is not seen."""
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names, layers = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:  # from . import layer
+                        layers[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module,
+                                                             alias.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = (path.stem, node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                graph[path.stem, node.name] = {
+                    names[sub.id] if isinstance(sub, ast.Name)
+                    else (layers[sub.value.id], sub.attr)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and sub.id in names
+                    or isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in layers}
+    return graph
+
+
+def _reached(graph: dict, start: tuple) -> set:
+    seen, todo = set(), [start]
+    while todo:
+        for node in graph.get(todo.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return seen
+
+
+def test_brute_force_and_closed_forms_never_meet():
+    # the census must find its optimum without reading max_sum_formula,
+    # and a closed form must not be computed from a brute-force size, or
+    # the comparison that checks one against the other checks nothing
+    graph = _reference_graph()
+    declared = PRODUCERS | CLOSED_FORMS | COMPARISONS
+    assert len(declared) == len(PRODUCERS) + len(CLOSED_FORMS) + len(COMPARISONS)
+    assert sorted(declared - graph.keys()) == []
+    crossings = sorted(f"{'.'.join(a)} reaches {'.'.join(b)}"
+                       for side, other in ((PRODUCERS, CLOSED_FORMS),
+                                           (CLOSED_FORMS, PRODUCERS))
+                       for a in side for b in _reached(graph, a) & other)
+    assert crossings == []
+
+
+def test_every_claim_function_is_classified():
+    # a new public function of the claim layers is a producer, a closed
+    # form or a comparison point, so the rule above covers it
+    declared = PRODUCERS | CLOSED_FORMS | COMPARISONS
+    unclassified = sorted(
+        f"{module}.{name}" for module, name in _reference_graph()
+        if module in ("cascade", "verifier", "differences")
+        and not name.startswith("_") and (module, name) not in declared
+        and inspect.isfunction(getattr(importlib.import_module(
+            f"sperner.{module}"), name)))
+    assert unclassified == []
