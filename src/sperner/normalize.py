@@ -120,15 +120,17 @@ def _step(n: int, members: tuple[int, ...],
     return step, sort_members(retained + step.inserted)
 
 
-def _settle(n: int, members: tuple[int, ...], up: bool, bound: int,
+def _settle(n: int, members: tuple[int, ...], up: bool,
             rounds: int) -> tuple[list[Step], tuple[int, ...]]:
-    """Up steps until the minimum rank reaches bound, or down steps until
-    the maximum rank does, at most `rounds` of them.  Each step moves the
-    extreme rank one toward the band, so n steps always suffice: n steps
-    that leave it short raise RuntimeError, whatever the round limit."""
+    """Up steps until the minimum rank reaches the floor of middle_band(n),
+    or down steps until the maximum rank reaches its ceiling, at most
+    `rounds` of them.  Each step moves the extreme rank one toward the
+    band, so n steps always suffice: n steps that leave it short raise
+    RuntimeError, whatever the round limit."""
+    lo, hi = middle_band(n)
     steps: list[Step] = []
-    while members and (members[0].bit_count() < bound if up
-                       else members[-1].bit_count() > bound):
+    while members and (members[0].bit_count() < lo if up
+                       else members[-1].bit_count() > hi):
         if len(steps) == n:
             raise RuntimeError(f"{'up' if up else 'down'} phase failed to "
                                f"terminate within {n} rounds")
@@ -142,9 +144,8 @@ def _settle(n: int, members: tuple[int, ...], up: bool, bound: int,
 def _push(n: int, members: tuple[int, ...]
           ) -> tuple[list[Step], tuple[int, ...]]:
     """Up steps to the band floor, then down steps to its ceiling."""
-    lo, hi = middle_band(n)
-    up, members = _settle(n, members, True, lo, n)
-    down, members = _settle(n, members, False, hi, n)
+    up, members = _settle(n, members, True, n)
+    down, members = _settle(n, members, False, n)
     return up + down, members
 
 
@@ -215,8 +216,7 @@ def push_up_min_rank(f: Family, partner: Family) -> NormalizationTrace:
     below the band floor, replace all rank-i members with shade sets.
     Identity trace otherwise."""
     _validate(f, partner)
-    lo, _ = middle_band(f.n)
-    return _trace(f, *_settle(f.n, f.members, True, lo, 1))
+    return _trace(f, *_settle(f.n, f.members, True, 1))
 
 
 def push_down_max_rank(f: Family, partner: Family) -> NormalizationTrace:
@@ -225,8 +225,7 @@ def push_down_max_rank(f: Family, partner: Family) -> NormalizationTrace:
     A real step requires every partner member to have size >= n/2."""
     _validate(f, partner)
     _check_partner_sizes(f, partner)
-    _, hi = middle_band(f.n)
-    return _trace(f, *_settle(f.n, f.members, False, hi, 1))
+    return _trace(f, *_settle(f.n, f.members, False, 1))
 
 
 def normalize_to_middle(f: Family, partner: Family) -> NormalizationTrace:

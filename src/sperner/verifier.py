@@ -13,15 +13,16 @@ third layer of bitsets: over antichain indices.  Both build one table,
 missers[y], the antichains with a member that misses subset y, so the
 partners of A are the complement of the OR of missers[x] over the members
 x of A, and a row visits only those partners instead of testing every
-pair.  The census also walks a row's transversal for the partners too
-small to be rows.
+pair.  The census also walks a row's transversal (_transversal, the one
+AND of _meets rows) for the partners too small to be rows, and files
+both kinds of partner by one rule.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -333,30 +334,37 @@ def _census_scan(n: int, deadline: float | None,
     over row indices: the rows with a member that misses subset y.  So the
     rows crossing row i are those outside the OR of missers[x] over the
     members x of row i, and _bits(mask, rows) picks them.  A partner
-    with fewer than half members lies inside row i's transversal (the
-    subsets meeting every member of row i, the AND of _meets rows) and
-    has at least best - 1 - |row i| members, so a walk of the transversal
+    with fewer than half members lies inside row i's _transversal and has
+    at least best - 1 - |row i| members, so a walk of the transversal
     finds it.
 
-    Each crossing pair with sum s >= best - 1, best the running maximum
-    (never below seed_best), is filed under s as it is found, and only
-    the lists at the final best and best - 1 are returned.  Nothing
-    needed is pruned: the running best never exceeds the final one and
-    rows shrink, so once 2 * |row i| < best - 1 no later pair can reach
-    the final best - 1.  At n = 6 that is 1 381 rows and 211 transversal
-    walks, 1 417 antichains drawn in all.
+    Row i's partners come as one stream, the rows at or after i and then
+    the walk's partners below half members, and one rule files them: a
+    pair with sum s >= best - 1, best the running maximum (never below
+    seed_best), goes under s, and only the lists at the final best and
+    best - 1 are returned.  Nothing needed is pruned: the running best
+    never exceeds the final one and rows shrink, so once 2 * |row i| <
+    best - 1 no later pair can reach the final best - 1.  At n = 6 that
+    is 1 381 rows and 211 transversal walks, 1 417 antichains drawn in
+    all.
     """
     floor = seed_best - 1
     half = (floor + 1) // 2
     rows = sorted(antichain_mask_tuples(range(1 << n), half), key=len, reverse=True)
     missers = _missers(n, _holders(n, rows))
-    meets = _meets(n)
-    every_subset = (1 << len(meets)) - 1
+    top = 1 << len(rows)
+
+    def small_partners(a: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # read once the row partners are filed, so need sees their best
+        need = max(best - 1 - len(a), 0)
+        if need < half:
+            for b in antichain_mask_tuples(_bits(_transversal(n, a)), need):
+                if len(b) < half:
+                    yield b
 
     incomplete = False
     best = seed_best
     by_sum: dict[int, list] = {}
-    everything = (1 << len(rows)) - 1
     for i, a in enumerate(rows):
         size_a = len(a)
         if 2 * size_a < best - 1:
@@ -364,20 +372,10 @@ def _census_scan(n: int, deadline: float | None,
         if deadline is not None and time.monotonic() > deadline:
             incomplete = True
             break
-        for b in _bits((everything >> i << i) & ~_or_rows(missers, a), rows):
+        for b in chain(_bits((top - (1 << i)) & ~_or_rows(missers, a), rows),
+                       small_partners(a)):
             s = size_a + len(b)
             if s >= best - 1:
-                best = max(best, s)
-                by_sum.setdefault(s, []).append((a, b))
-        need = max(best - 1 - size_a, 0)
-        if need >= half:
-            continue
-        transversal = every_subset
-        for x in a:
-            transversal &= meets[x]
-        for b in antichain_mask_tuples(_bits(transversal), need):
-            if len(b) < half:
-                s = size_a + len(b)
                 best = max(best, s)
                 by_sum.setdefault(s, []).append((a, b))
     return best, {s: by_sum.get(s, []) for s in (best, best - 1)}, incomplete
@@ -604,12 +602,22 @@ def _missers(n: int, holders: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _meets(n: int) -> tuple[int, ...]:
     """meets[x] = the subsets of {1..n} meeting subset x, a bitset over
-    subset indices, so a family's transversal (the subsets meeting every
-    member) is the AND of meets[x] over its members x.  Over unit rows,
-    _missers gives each x the subsets disjoint from it, the complement."""
+    subset indices (see _transversal).  Over unit rows, _missers gives
+    each x the subsets disjoint from it, the complement."""
     everything = (1 << (1 << n)) - 1
     return tuple(map(everything.__xor__,
                      _missers(n, map((1).__lshift__, range(1 << n)))))
+
+
+def _transversal(n: int, members: Iterable[int]) -> int:
+    """A family's transversal, the subsets of {1..n} meeting every member,
+    as a bitset over subset indices: the AND of _meets(n)[x] over the
+    members x, every subset for the empty family."""
+    meets = _meets(n)
+    out = (1 << len(meets)) - 1
+    for x in members:
+        out &= meets[x]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +626,7 @@ def _pair_sweep_setup(n: int) -> tuple:
     in this order:
 
     - fams, the antichains, largest transversal first: a stable sort of
-      the walk's order by the number of subsets meeting every member.
+      the walk's order by the bit count of each one's _transversal.
       Each holds its pushed trace in the _pushed slot where _normalized
       stores it (unset on SelectionError);
     - contains[x], the antichains (a bitset over antichain indices) that
@@ -644,16 +652,8 @@ def _pair_sweep_setup(n: int) -> tuple:
     partners early: at n=5 the decode scans 14 235 229 positions for the
     3 915 500 crossing pairs, against 22 951 680 in walk order."""
     lo, hi = normalize.middle_band(n)
-    meets = _meets(n)
-    everything = (1 << len(meets)) - 1
-
-    def transversal_size(f: Family) -> int:
-        out = everything
-        for x in f.members:
-            out &= meets[x]
-        return out.bit_count()
-
-    fams = sorted(enumerate_antichains(n), key=transversal_size, reverse=True)
+    fams = sorted(enumerate_antichains(n), reverse=True,
+                  key=lambda f: _transversal(n, f.members).bit_count())
     finals = []
     stepped = sound = 0
     for j, f in enumerate(fams):
@@ -710,7 +710,10 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
     and pushed[x], the partners whose final misses the member x of that
     final: a pair moved if either side stepped, an unmoved pair needs
     both sides sound, and a moved pair also needs the two finals to
-    cross.  Only violating pairs are decoded to sets.
+    cross.  Every row takes that path, an empty one too: a row whose
+    partners all failed selection has no bits left to audit, and a row
+    whose own push failed has no sound bit, so its final is never read.
+    Only violating pairs are decoded to sets.
     """
     # read from the module once per stripe: a wrapper set on
     # sperner.normalize.normalize_pair sees every pair, and the pair loop
@@ -748,9 +751,6 @@ def _pair_sweep_stripe(args: tuple[int, int]) -> tuple:
                 raise RuntimeError(
                     f"normalize_pair({fj.sets()}, {fi.sets()}) returned "
                     "other traces than the two families' own pushes")
-        if not row:
-            # every partner failed selection, as all do when i's push did
-            continue
         # shifted pairs moved (a side stepped), still pairs did not
         shifted = row if stepped >> i & 1 else row & stepped
         still = row ^ shifted

@@ -34,16 +34,21 @@ TEST_TIME_LIMIT = 360
 
 
 @pytest.fixture(autouse=True)
-def time_limit():
-    """Fail a test that runs past TEST_TIME_LIMIT seconds, so a hang costs
-    one failed test rather than the whole run; where the platform has no
-    SIGALRM the test runs unlimited."""
+def time_limit(request):
+    """Fail a test that runs past TEST_TIME_LIMIT seconds and end the run
+    after it, naming it: a hang in a shared primitive would cost the limit
+    again in every later test that reaches it, so the first one costs one
+    limit and the run exits nonzero.  Where the platform has no SIGALRM the
+    test runs unlimited."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def expire(signum, frame):
-        pytest.fail(f"test ran past its {TEST_TIME_LIMIT} s time limit")
+        message = f"{request.node.nodeid} ran past its {TEST_TIME_LIMIT} s time limit"
+        # read by pytest after this test's report: the run stops as a failure
+        request.session.shouldfail = message
+        pytest.fail(message)
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(TEST_TIME_LIMIT)

@@ -396,17 +396,26 @@ class TestCensus:
         for pairs in buckets.values():
             assert len({tuple(sorted(p)) for p in pairs}) == len(pairs)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_seed_floor_keeps_every_pair(self, n):
         # the seeded census walks only the rows of at least half the floor
         # and the transversals of the largest rows; an unseeded scan takes
-        # every antichain as a row and is the reference
-        best, buckets, incomplete = _census_scan(n, None, 0)
-        assert not incomplete
+        # every antichain as a row and is the reference (n <= 5).  Scans
+        # seeded 1, 2 and 3 below the optimum raise their running best
+        # while they file, so the filing rule then guards the transversal
+        # walks' partners too (211 walks at n=6, seed 34)
         census = max_cross_sum(n)
-        assert census.optimum == best
-        assert set(census.raw_optimum) == both_orders(n, buckets[best])
-        assert set(census.raw_near) == both_orders(n, buckets[best - 1])
+        seeds = [census.optimum - d for d in (1, 2, 3)]
+        if n <= 5:
+            seeds.append(0)
+        for seed in seeds:
+            best, buckets, incomplete = _census_scan(n, None, seed)
+            assert not incomplete
+            assert census.optimum == best
+            assert set(census.raw_optimum) == both_orders(n, buckets[best])
+            assert set(census.raw_near) == both_orders(n, buckets[best - 1])
+            assert len(buckets[best]) == census.unordered_count_optimum
+            assert len(buckets[best - 1]) == census.unordered_count_near
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_against_naive_oracle(self, n):
